@@ -1,27 +1,23 @@
 #!/usr/bin/env sh
-# CI gate for the fast-path engines (DESIGN.md §11, §13):
+# CI gate for the predecoded fast-path engine (DESIGN.md §11):
 #
-#   reference_ns / predecoded_ns >= INC_VM_SPEEDUP_MIN        (1.5x)
-#   reference_ns / batch_ns      >= INC_VM_BATCH_SPEEDUP_MIN  (4x)
+#   reference_ns / predecoded_ns >= INC_VM_SPEEDUP_MIN  (1.5x)
 #
-# The predecoded local acceptance target is 2x; the batch design
-# target is 10x ns per lane-instruction.
+# The local acceptance target is 2x.
 #
-# Runs bench/vm_speedup under every engine interleaved for several
-# rounds, keeps each variant's best ns/instr, and fails when a ratio
-# falls below its gate.
+# Runs bench/vm_speedup under both engines interleaved for several
+# rounds, keeps each variant's best ns/instr, and fails when the ratio
+# falls below the gate.
 #
 # Usage: bench/check_vm_speedup.sh BUILD_DIR
-# Env:   INC_VM_SPEEDUP_MIN        predecoded gate ratio (default 1.5)
-#        INC_VM_BATCH_SPEEDUP_MIN  batch gate ratio (default 4.0)
-#        INC_VM_BENCH_ROUNDS       interleaved rounds (default 3)
-#        INC_VM_BENCH_INSTRUCTIONS / INC_VM_BENCH_REPS /
-#        INC_VM_BENCH_LANES are forwarded to the binary.
+# Env:   INC_VM_SPEEDUP_MIN   gate ratio (default 1.5)
+#        INC_VM_BENCH_ROUNDS  interleaved rounds (default 3)
+#        INC_VM_BENCH_INSTRUCTIONS / INC_VM_BENCH_REPS are forwarded
+#        to the binary.
 set -eu
 
 build_dir="${1:?usage: check_vm_speedup.sh BUILD_DIR}"
 min_ratio="${INC_VM_SPEEDUP_MIN:-1.5}"
-min_batch_ratio="${INC_VM_BATCH_SPEEDUP_MIN:-4.0}"
 rounds="${INC_VM_BENCH_ROUNDS:-3}"
 
 bin="$build_dir/bench/vm_speedup"
@@ -33,41 +29,27 @@ extract() {
 
 best_ref=""
 best_pre=""
-best_bat=""
 i=0
 while [ "$i" -lt "$rounds" ]; do
     # Interleave the variants so slow-machine noise (thermal drift, a
-    # neighbor CI job) hits every side, not just one.
+    # neighbor CI job) hits both sides, not just one.
     r=$("$bin" reference | tee /dev/stderr | extract)
     p=$("$bin" predecoded | tee /dev/stderr | extract)
-    b=$("$bin" batch | tee /dev/stderr | extract)
     best_ref=$(awk -v a="${best_ref:-$r}" -v b="$r" \
         'BEGIN { print (b < a) ? b : a }')
     best_pre=$(awk -v a="${best_pre:-$p}" -v b="$p" \
         'BEGIN { print (b < a) ? b : a }')
-    best_bat=$(awk -v a="${best_bat:-$b}" -v b="$b" \
-        'BEGIN { print (b < a) ? b : a }')
     i=$((i + 1))
 done
 
-awk -v ref="$best_ref" -v pre="$best_pre" -v bat="$best_bat" \
-    -v min="$min_ratio" -v bmin="$min_batch_ratio" '
+awk -v ref="$best_ref" -v pre="$best_pre" -v min="$min_ratio" '
 BEGIN {
     ratio = ref / pre
-    bratio = ref / bat
-    printf "vm speedup: predecoded %.2fx (gate %sx), batch %.2fx " \
-           "(gate %sx)  [reference %.4f, predecoded %.4f, batch " \
-           "%.4f ns/instr]\n",
-           ratio, min, bratio, bmin, ref, pre, bat
-    fail = 0
+    printf "vm speedup: predecoded %.2fx (gate %sx)  [reference %.4f, " \
+           "predecoded %.4f ns/instr]\n", ratio, min, ref, pre
     if (ratio < min + 0.0) {
         print "FAIL: predecoded speedup below the gate" > "/dev/stderr"
-        fail = 1
+        exit 1
     }
-    if (bratio < bmin + 0.0) {
-        print "FAIL: batch speedup below the gate" > "/dev/stderr"
-        fail = 1
-    }
-    if (fail) exit 1
     print "OK"
 }'

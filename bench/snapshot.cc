@@ -13,7 +13,7 @@
  *
  * In addition to the pinned suite, the flagship entry is re-run under
  * every registered execution engine (nvp::allExecEngines(), DESIGN.md
- * §11/§13) as `<name>@<engine>` entries. Those rows are informative —
+ * §11) as `<name>@<engine>` entries. Those rows are informative —
  * they show each engine's sim-level throughput — and are EXCLUDED from
  * the gated aggregate so the trajectory stays comparable with snapshots
  * taken before the engine matrix existed. Their report digests must be
@@ -183,7 +183,7 @@ runEntry(const SuiteEntry &entry, std::size_t samples,
     sim::SimConfig config = bench::incidentalConfig(2, 8);
     config.seed = seed;
     if (engine)
-        config.exec_engine = *engine;
+        config.core.engine = *engine;
     if (strategy)
         config.strategy = *strategy;
 
@@ -191,7 +191,7 @@ runEntry(const SuiteEntry &entry, std::size_t samples,
     m.name = entry.name;
     m.kernel = entry.kernel;
     m.profile = entry.profile;
-    m.engine = nvp::execEngineName(config.exec_engine);
+    m.engine = nvp::execEngineName(config.core.engine);
     if (engine) {
         // Engine-matrix row: named `<entry>@<engine>`, informative
         // only — kept out of the gated aggregate so the trajectory
@@ -653,7 +653,7 @@ runSuite(const std::string &out_path)
 
     // Engine matrix: the flagship entry under every registered engine.
     // The digests must agree with the base entry — the engines are
-    // bit-identical by contract (DESIGN.md §11/§13), so a snapshot run
+    // bit-identical by contract (DESIGN.md §11), so a snapshot run
     // doubles as an engine-equivalence check.
     std::string base_digest;
     for (const Measurement &m : suite)

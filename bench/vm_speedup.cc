@@ -1,10 +1,10 @@
 /**
  * @file
- * Speed gate for the fast-path engines (DESIGN.md §11, §13).
+ * Speed gate for the predecoded fast-path engine (DESIGN.md §11).
  *
  * One binary, one variant per registered engine selected by argv[1]
- * (any name from nvp::execEngineNames(): reference, predecoded,
- * batch): the same steady-state core-step workload as micro_vm_speed's
+ * (any name from nvp::execEngineNames(): reference, predecoded): the
+ * same steady-state core-step workload as micro_vm_speed's
  * BM_CoreStep, timed for a fixed instruction count over several
  * repetitions, printing the BEST (least-noisy) rate as a
  * machine-readable line:
@@ -12,19 +12,12 @@
  *   vm_speedup variant=<engine> reps=R instructions=N \
  *       best_ns_per_instr=X
  *
- * The scalar variants step one nvp::Core; the batch variant steps an
- * nvp::BatchCore of INC_VM_BENCH_LANES (default 16) trials in SoA
- * lockstep and reports ns per LANE-instruction, which is the metric
- * that makes the variants comparable: both sides retire N total
- * instructions.
- *
  * bench/check_vm_speedup.sh runs the variants interleaved and fails
  * when reference_ns / predecoded_ns falls below its gate (1.5x by
- * default) or reference_ns / batch_ns falls below the batch gate (4x
- * by default; the design target is 10x). Ratio gates are used instead
- * of absolute ns/instr bounds so the check is portable across CI
- * machine generations. The gate runs as a CI step, not a ctest —
- * wall-clock ratios do not belong in the correctness tier.
+ * default). Ratio gates are used instead of absolute ns/instr bounds
+ * so the check is portable across CI machine generations. The gate
+ * runs as a CI step, not a ctest — wall-clock ratios do not belong in
+ * the correctness tier.
  */
 
 #include <chrono>
@@ -32,10 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <vector>
 
-#include "isa/batch/batch_core.h"
 #include "kernels/kernel.h"
 #include "nvp/core.h"
 #include "nvp/memory.h"
@@ -56,9 +46,9 @@ envCount(const char *name, std::uint64_t fallback)
     return v > 0 ? v : fallback;
 }
 
-/** One timed scalar pass of @p instructions core steps; ns/instr. */
+/** One timed pass of @p instructions core steps; ns/instr. */
 double
-timedScalarPass(nvp::ExecEngine engine, std::uint64_t instructions)
+timedPass(nvp::ExecEngine engine, std::uint64_t instructions)
 {
     const kernels::Kernel kernel = kernels::makeKernel("sobel");
     nvp::DataMemory mem{util::Rng(1)};
@@ -85,59 +75,6 @@ timedScalarPass(nvp::ExecEngine engine, std::uint64_t instructions)
            static_cast<double>(instructions);
 }
 
-/**
- * One timed batch pass: @p lanes sobel trials in SoA lockstep until
- * ~@p instructions total lane-instructions have retired; returns ns
- * per lane-instruction.
- */
-double
-timedBatchPass(std::uint64_t instructions, int lanes)
-{
-    const kernels::Kernel kernel = kernels::makeKernel("sobel");
-    std::vector<std::unique_ptr<nvp::DataMemory>> mems;
-    nvp::CoreConfig cfg;
-    nvp::BatchCore batch(&kernel.program, cfg);
-    for (int t = 0; t < lanes; ++t) {
-        mems.push_back(
-            std::make_unique<nvp::DataMemory>(util::Rng(1)));
-        mems.back()->addVersionedRegion(kernel.layout.out_base,
-                                        kernel.layout.out_bytes * 4);
-        batch.addTrial(mems.back().get(), util::Rng(2));
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    while (batch.totalInstret() < instructions) {
-        if (!batch.stepAll()) {
-            // All trials halted simultaneously: restart the workload.
-            for (int t = 0; t < lanes; ++t) {
-                batch.clearHalted(t);
-                batch.setPc(t, 0);
-            }
-            continue;
-        }
-        if (batch.haltedCount() > 0) {
-            for (int t = 0; t < lanes; ++t) {
-                if (batch.halted(t)) {
-                    batch.clearHalted(t);
-                    batch.setPc(t, 0);
-                }
-            }
-        }
-    }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    return std::chrono::duration<double, std::nano>(elapsed).count() /
-           static_cast<double>(batch.totalInstret());
-}
-
-double
-timedPass(nvp::ExecEngine engine, std::uint64_t instructions,
-          int lanes)
-{
-    return engine == nvp::ExecEngine::batch
-               ? timedBatchPass(instructions, lanes)
-               : timedScalarPass(engine, instructions);
-}
-
 } // namespace
 
 int
@@ -159,12 +96,10 @@ main(int argc, char **argv)
     const std::uint64_t instructions =
         envCount("INC_VM_BENCH_INSTRUCTIONS", 20000000);
     const std::uint64_t reps = envCount("INC_VM_BENCH_REPS", 5);
-    const int lanes =
-        static_cast<int>(envCount("INC_VM_BENCH_LANES", 16));
 
     double best = 0.0;
     for (std::uint64_t r = 0; r < reps; ++r) {
-        const double ns = timedPass(*engine, instructions, lanes);
+        const double ns = timedPass(*engine, instructions);
         if (r == 0 || ns < best)
             best = ns;
     }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 
 #include "check/fleet_trial.h"
@@ -13,7 +12,6 @@
 #include "check/program_fuzzer.h"
 #include "check/recovery_trial.h"
 #include "check/strategy_trial.h"
-#include "isa/batch/batch_core.h"
 #include "isa/disassembler.h"
 #include "nvp/core.h"
 #include "nvp/memory.h"
@@ -122,10 +120,10 @@ engineDiffDivergence(const kernels::Kernel &kernel,
 {
     const std::string fast_json = fast_obs.registry.toJson();
     for (const nvp::ExecEngine engine : nvp::allExecEngines()) {
-        if (engine == fast_cfg.exec_engine)
+        if (engine == fast_cfg.core.engine)
             continue;
         sim::SimConfig other_cfg = fast_cfg;
-        other_cfg.exec_engine = engine;
+        other_cfg.core.engine = engine;
         obs::Observer other_obs;
         other_cfg.obs = &other_obs;
         sim::SystemSimulator other_sim(kernel, &power, other_cfg);
@@ -148,7 +146,7 @@ engineDiffDivergence(const kernels::Kernel &kernel,
                                    "engines: ") +
                        nvp::execEngineName(engine) + " '" + other_line +
                        "' vs " +
-                       nvp::execEngineName(fast_cfg.exec_engine) +
+                       nvp::execEngineName(fast_cfg.core.engine) +
                        " '" + fast_line + "'";
             return d;
         }
@@ -160,7 +158,7 @@ engineDiffDivergence(const kernels::Kernel &kernel,
                 std::string("metrics JSON diverged between engines "
                             "(results agree): ") +
                 nvp::execEngineName(engine) + " vs " +
-                nvp::execEngineName(fast_cfg.exec_engine);
+                nvp::execEngineName(fast_cfg.core.engine);
             return d;
         }
     }
@@ -618,178 +616,6 @@ runRacTrial(const TrialSpec &spec)
     return compare("fresh contributions");
 }
 
-// ---- batch_lanes -------------------------------------------------------
-
-/**
- * The batch engine's lane-isolation contract: W fuzzed trials stepped
- * in SoA lockstep through one nvp::BatchCore must each be bit-identical
- * to the same seed run solo through nvp::Core — registers, PC, halt
- * state, instret, cycles and the full data-memory image — and the
- * architectural state a trial halts with must stay byte-frozen while
- * the rest of the batch keeps stepping (the divergence-mask invariant).
- */
-Divergence
-runBatchLanesTrial(const TrialSpec &spec)
-{
-    ProgramFuzzer fuzzer;
-    const FuzzedProgram fp =
-        fuzzer.generate(spec.program_seed, 0, false, spec.body_ops);
-
-    // All trial parameters are drawn from the spec's own stream so the
-    // trial replays bit-exactly from its repro bundle.
-    util::Rng t(spec.seed);
-    const int width = 2 + static_cast<int>(t.nextBounded(8)); // 2..9
-    constexpr std::uint64_t kMaxSteps = 100000;
-
-    nvp::CoreConfig cfg;
-    cfg.approx_alu = true;
-    cfg.approx_mem = true;
-    cfg.max_lanes = 1;
-
-    struct SoloState
-    {
-        std::unique_ptr<nvp::DataMemory> mem;
-        std::unique_ptr<nvp::Core> core;
-        std::uint64_t steps = 0;
-        std::uint64_t cycles = 0;
-    };
-    std::vector<SoloState> solo(static_cast<std::size_t>(width));
-    std::vector<std::unique_ptr<nvp::DataMemory>> batch_mems;
-    nvp::BatchCore batch(&fp.kernel.program, cfg);
-    for (int i = 0; i < width; ++i) {
-        const std::uint64_t mem_seed = t.next();
-        const std::uint64_t core_seed = t.next();
-        const int bits = 2 + static_cast<int>(t.nextBounded(7)); // 2..8
-        auto &s = solo[static_cast<std::size_t>(i)];
-        s.mem = std::make_unique<nvp::DataMemory>(util::Rng(mem_seed));
-        s.core = std::make_unique<nvp::Core>(&fp.kernel.program,
-                                             s.mem.get(), cfg,
-                                             util::Rng(core_seed));
-        s.core->setMainBits(bits);
-        batch_mems.push_back(
-            std::make_unique<nvp::DataMemory>(util::Rng(mem_seed)));
-        const int idx =
-            batch.addTrial(batch_mems.back().get(),
-                           util::Rng(core_seed));
-        batch.setBits(idx, bits);
-    }
-
-    // Solo trajectories: each core alone, exactly as nvp::Core runs.
-    for (auto &s : solo) {
-        while (!s.core->halted() && s.steps < kMaxSteps) {
-            s.cycles += static_cast<std::uint64_t>(
-                s.core->step().cycles);
-            ++s.steps;
-        }
-    }
-
-    // Batch trajectory, capturing each trial's architectural state the
-    // moment it retires so the divergence-mask invariant is checked
-    // against continued stepping of the surviving lanes.
-    struct RetiredState
-    {
-        bool captured = false;
-        std::uint16_t pc = 0;
-        nvp::RegSnapshot regs{};
-        std::uint64_t instret = 0;
-        std::uint64_t cycles = 0;
-    };
-    std::vector<RetiredState> at_halt(
-        static_cast<std::size_t>(width));
-    std::uint64_t batch_steps = 0;
-    auto capture = [&] {
-        for (int i = 0; i < width; ++i) {
-            auto &r = at_halt[static_cast<std::size_t>(i)];
-            if (r.captured || !batch.halted(i))
-                continue;
-            r.captured = true;
-            r.pc = batch.pc(i);
-            r.regs = batch.regSnapshot(i);
-            r.instret = batch.instret(i);
-            r.cycles = batch.cycles(i);
-        }
-    };
-    capture();
-    while (batch_steps < kMaxSteps && batch.stepAll()) {
-        ++batch_steps;
-        capture();
-    }
-
-    auto fail = [&](int trial, const std::string &invariant,
-                    const std::string &what, long long expected,
-                    long long actual) {
-        std::ostringstream why;
-        why << "trial " << trial << "/" << width << ": " << what
-            << " (batch engine vs solo core)";
-        Divergence d = byteMismatch(
-            invariant, static_cast<std::uint32_t>(trial), 0,
-            static_cast<int>(expected), static_cast<int>(actual),
-            why.str());
-        return d;
-    };
-
-    for (int i = 0; i < width; ++i) {
-        const auto &s = solo[static_cast<std::size_t>(i)];
-        if (batch.halted(i) != s.core->halted())
-            return fail(i, "batch_lanes", "halt state diverged",
-                        s.core->halted() ? 1 : 0,
-                        batch.halted(i) ? 1 : 0);
-        if (batch.pc(i) != s.core->pc())
-            return fail(i, "batch_lanes", "pc diverged", s.core->pc(),
-                        batch.pc(i));
-        if (batch.instret(i) != s.core->lane(0).instret)
-            return fail(i, "batch_lanes", "instret diverged",
-                        static_cast<long long>(s.core->lane(0).instret),
-                        static_cast<long long>(batch.instret(i)));
-        if (batch.cycles(i) != s.cycles)
-            return fail(i, "batch_lanes", "cycle count diverged",
-                        static_cast<long long>(s.cycles),
-                        static_cast<long long>(batch.cycles(i)));
-        for (int r = 0; r < isa::kNumRegs; ++r) {
-            if (batch.reg(i, r) != s.core->regs().readFast(0, r))
-                return fail(i, "batch_lanes",
-                            "register r" + std::to_string(r) +
-                                " diverged",
-                            s.core->regs().readFast(0, r),
-                            batch.reg(i, r));
-        }
-        const auto solo_img = s.mem->snapshot(0, isa::kDataMemBytes);
-        const auto batch_img =
-            batch.memory(i).snapshot(0, isa::kDataMemBytes);
-        for (std::size_t b = 0; b < solo_img.size(); ++b) {
-            if (solo_img[b] != batch_img[b])
-                return fail(i, "batch_lanes",
-                            "memory byte " + std::to_string(b) +
-                                " diverged",
-                            solo_img[b], batch_img[b]);
-        }
-
-        // Divergence-mask invariant: the state captured at retirement
-        // must equal the final state — masked lanes are never written.
-        const auto &r = at_halt[static_cast<std::size_t>(i)];
-        if (!r.captured)
-            continue; // trial never halted within the step budget
-        if (r.pc != batch.pc(i) || r.instret != batch.instret(i) ||
-            r.cycles != batch.cycles(i))
-            return fail(i, "batch_mask",
-                        "retired trial's pc/instret/cycles changed "
-                        "after halt",
-                        r.pc, batch.pc(i));
-        const nvp::RegSnapshot now = batch.regSnapshot(i);
-        for (int reg = 0; reg < isa::kNumRegs; ++reg) {
-            if (r.regs[static_cast<std::size_t>(reg)] !=
-                now[static_cast<std::size_t>(reg)])
-                return fail(i, "batch_mask",
-                            "retired trial's register r" +
-                                std::to_string(reg) +
-                                " changed after halt",
-                            r.regs[static_cast<std::size_t>(reg)],
-                            now[static_cast<std::size_t>(reg)]);
-        }
-    }
-    return {};
-}
-
 } // namespace
 
 // ---- public API -------------------------------------------------------
@@ -803,7 +629,6 @@ modeName(TrialMode mode)
       case TrialMode::monotone_bits: return "monotone_bits";
       case TrialMode::rac_merge: return "rac_merge";
       case TrialMode::arena_recovery: return "arena_recovery";
-      case TrialMode::batch_lanes: return "batch_lanes";
       case TrialMode::strategy_diff: return "strategy_diff";
       case TrialMode::fleet_merge: return "fleet_merge";
     }
@@ -823,6 +648,32 @@ bugName(BugKind bug)
 namespace
 {
 
+/** The mode named @p name (as modeName() spells it); false if none. */
+bool
+modeFromName(const std::string &name, TrialMode *out)
+{
+    for (int m = 0; m < kNumTrialModes; ++m) {
+        if (name == modeName(static_cast<TrialMode>(m))) {
+            *out = static_cast<TrialMode>(m);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Every mode name, comma-separated, in enum order. */
+std::string
+modeNames()
+{
+    std::string out;
+    for (int m = 0; m < kNumTrialModes; ++m) {
+        if (m > 0)
+            out += ", ";
+        out += modeName(static_cast<TrialMode>(m));
+    }
+    return out;
+}
+
 /** Parse CheckConfig::mode_filter into a per-mode allow mask; fatal on
  *  an unknown mode name. Empty filter allows everything. */
 std::array<bool, kNumTrialModes>
@@ -839,20 +690,11 @@ parseModeFilter(const std::string &filter)
         if (comma == std::string::npos)
             comma = filter.size();
         const std::string name = filter.substr(pos, comma - pos);
-        bool matched = false;
-        for (int m = 0; m < kNumTrialModes; ++m) {
-            if (name == modeName(static_cast<TrialMode>(m))) {
-                allowed[static_cast<std::size_t>(m)] = true;
-                matched = true;
-                break;
-            }
-        }
-        if (!matched)
-            util::fatal("unknown trial mode '%s' in --modes (valid: "
-                        "exact_recovery, bounded_error, monotone_bits, "
-                        "rac_merge, arena_recovery, batch_lanes, "
-                        "strategy_diff, fleet_merge)",
-                        name.c_str());
+        TrialMode mode;
+        if (!modeFromName(name, &mode))
+            util::fatal("unknown trial mode '%s' in --modes (valid: %s)",
+                        name.c_str(), modeNames().c_str());
+        allowed[static_cast<std::size_t>(mode)] = true;
         pos = comma + 1;
     }
     return allowed;
@@ -897,9 +739,7 @@ expandTrials(const CheckConfig &config)
             s.mode = TrialMode::rac_merge;
         else if (u < 78)
             s.mode = TrialMode::arena_recovery;
-        else if (u < 86)
-            s.mode = TrialMode::batch_lanes;
-        else if (u < 93)
+        else if (u < 89)
             s.mode = TrialMode::strategy_diff;
         else
             s.mode = TrialMode::fleet_merge;
@@ -943,7 +783,6 @@ runTrial(const TrialSpec &spec)
       case TrialMode::monotone_bits: return runMonotoneTrial(spec);
       case TrialMode::rac_merge: return runRacTrial(spec);
       case TrialMode::arena_recovery: return runArenaTrial(spec);
-      case TrialMode::batch_lanes: return runBatchLanesTrial(spec);
       case TrialMode::strategy_diff: return runStrategyTrial(spec);
       case TrialMode::fleet_merge: return runFleetMergeTrial(spec);
     }
@@ -1042,7 +881,14 @@ loadBundle(const std::string &dir, TrialSpec *out)
     };
     s.index = static_cast<std::size_t>(u64("index", 0));
     s.seed = u64("seed", 0);
-    s.mode = static_cast<TrialMode>(i32("mode", 0));
+    // Resolve the mode by name: enum values shift when a mode is
+    // retired, names do not. An unknown name fails the load.
+    if (const auto it = kv.find("mode_name"); it != kv.end()) {
+        if (!modeFromName(it->second, &s.mode))
+            return false;
+    } else {
+        s.mode = static_cast<TrialMode>(i32("mode", 0));
+    }
     s.bits = i32("bits", 8);
     s.program_seed = u64("program_seed", 0);
     s.body_ops = i32("body_ops", -1);
@@ -1179,13 +1025,12 @@ std::string
 CheckReport::summary() const
 {
     std::ostringstream out;
-    out << trials << " trials (exact=" << mode_counts[0]
-        << " bounded=" << mode_counts[1]
-        << " monotone=" << mode_counts[2] << " rac=" << mode_counts[3]
-        << " arena=" << mode_counts[4] << " batch=" << mode_counts[5]
-        << " strategy=" << mode_counts[6]
-        << " fleet=" << mode_counts[7]
-        << "), " << failures.size() << " violation"
+    out << trials << " trials (";
+    for (int m = 0; m < kNumTrialModes; ++m) {
+        out << (m > 0 ? " " : "") << modeName(static_cast<TrialMode>(m))
+            << "=" << mode_counts[static_cast<std::size_t>(m)];
+    }
+    out << "), " << failures.size() << " violation"
         << (failures.size() == 1 ? "" : "s");
     for (const TrialFailure &f : failures) {
         out << "\n  trial " << f.spec.index << " seed=" << f.spec.seed

@@ -56,16 +56,6 @@
  *     reproduce the uninterrupted campaign's per-job results and merged
  *     metrics byte-for-byte.
  *
- *   batch_lanes — the batch engine's lane-isolation contract
- *     (isa/batch): W fuzzed trials run through one nvp::BatchCore in
- *     SoA lockstep must each be bit-identical — registers, PC, halt
- *     state, instret, cycles and the full data-memory image — to the
- *     same seed run solo through nvp::Core, for a W and per-trial
- *     bits/seeds drawn from the trial stream. Additionally the
- *     divergence-mask invariant: the architectural state a trial
- *     retires (halts) with is byte-frozen for the rest of the batch —
- *     masked lanes are never written.
- *
  *   strategy_diff — the backup-strategy zoo's conformance contract
  *     (sim/strategy, DESIGN.md §14): a fuzzed co-simulator trial runs
  *     once per registered strategy (sim::allStrategies()) over the
@@ -93,10 +83,10 @@
  *   engine_diff (cross-cutting, opt-in via `fuzz --engine-diff`) — a
  *     co-simulator trial whose primary invariant passed re-runs under
  *     every other registered engine (nvp::allExecEngines(): the
- *     reference interpreter and the batch engine) and each run's
- *     serialized SimResult plus metrics JSON must equal the predecoded
- *     run byte-for-byte: no engine may ever drift from the semantic
- *     baseline, on any fuzzed program or mutated trace.
+ *     reference interpreter) and each run's serialized SimResult plus
+ *     metrics JSON must equal the predecoded run byte-for-byte: the
+ *     fast path may never drift from the semantic baseline, on any
+ *     fuzzed program or mutated trace.
  *
  * A TrialSpec is plain data: everything a trial does is derived from it
  * deterministically, so any failure can be serialized into a repro
@@ -125,12 +115,11 @@ enum class TrialMode : int
     monotone_bits,
     rac_merge,
     arena_recovery,
-    batch_lanes,
     strategy_diff,
     fleet_merge,
 };
 
-constexpr int kNumTrialModes = 8;
+constexpr int kNumTrialModes = 7;
 
 /** Test-only fault injection; proves the harness catches real bugs. */
 enum class BugKind : int
@@ -160,8 +149,8 @@ struct TrialSpec
     /**
      * Engine-equivalence invariant: after the primary invariant
      * passes, co-simulator trials re-run the same spec under every
-     * other registered engine (reference and batch) and require each
-     * run's serialized SimResult and metrics JSON to match the
+     * other registered engine (the reference interpreter) and require
+     * each run's serialized SimResult and metrics JSON to match the
      * predecoded run byte-for-byte (sim/result_io.h).
      */
     bool engine_diff = false;

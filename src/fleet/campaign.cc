@@ -229,7 +229,7 @@ campaignConfig(const CampaignSpec &spec)
             util::fatal("unknown campaign engine '%s' (%s)",
                         spec.engine.c_str(),
                         nvp::execEngineNames().c_str());
-        cfg.exec_engine = *parsed;
+        cfg.core.engine = *parsed;
     }
     if (!spec.strategy.empty()) {
         const auto parsed = sim::strategyFromName(spec.strategy);

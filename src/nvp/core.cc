@@ -19,7 +19,6 @@ allExecEngines()
     static const std::array<ExecEngine, kNumExecEngines> kEngines = {
         ExecEngine::reference,
         ExecEngine::predecoded,
-        ExecEngine::batch,
     };
     return kEngines;
 }
@@ -54,8 +53,6 @@ execEngineName(ExecEngine engine)
         return "reference";
     case ExecEngine::predecoded:
         return "predecoded";
-    case ExecEngine::batch:
-        return "batch";
     }
     return "unknown";
 }

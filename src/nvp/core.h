@@ -43,23 +43,15 @@ namespace inc::nvp
  *  - reference:  decode-as-you-go loop; metadata re-derived every step.
  *  - predecoded: dispatches over a dense DecodedInst array resolved at
  *    program load (isa/predecode.h); the default.
- *  - batch:      trial-batched engine. Inside one Core the instruction
- *    semantics are the predecoded fast path (which is exactly why
- *    byte-identity survives batching); the batching itself lives in
- *    nvp::BatchCore (src/isa/batch: W independent single-SIMD-lane
- *    cores stepped in SoA lockstep) and sim::SimBatch (N co-simulators
- *    stepped sample-by-sample), selected by SimConfig::exec_engine =
- *    batch + SweepSpec::batch_width.
  */
 enum class ExecEngine
 {
     reference,
     predecoded,
-    batch,
 };
 
 /** Number of engines (size of allExecEngines()). */
-constexpr int kNumExecEngines = 3;
+constexpr int kNumExecEngines = 2;
 
 /**
  * The engine registry: every engine, reference first. Benches and the
@@ -71,10 +63,10 @@ const std::array<ExecEngine, kNumExecEngines> &allExecEngines();
 /** Comma-separated engine names, e.g. for CLI usage strings. */
 std::string execEngineNames();
 
-/** Parse "reference"/"predecoded"/"batch"; nullopt otherwise. */
+/** Parse "reference"/"predecoded"; nullopt otherwise. */
 std::optional<ExecEngine> execEngineFromName(const std::string &name);
 
-/** Engine name ("reference"/"predecoded"/"batch"). */
+/** Engine name ("reference"/"predecoded"). */
 const char *execEngineName(ExecEngine engine);
 
 /** Static core configuration. */
@@ -175,9 +167,6 @@ class Core
     /** Execute one instruction across all active lanes. */
     StepResult step()
     {
-        // The batch engine's per-instruction semantics inside a single
-        // Core are the predecoded fast path; only `reference` takes the
-        // decode-as-you-go baseline.
         return config_.engine == ExecEngine::reference
                    ? stepReference()
                    : stepPredecoded();

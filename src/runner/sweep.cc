@@ -1,9 +1,7 @@
 #include "runner/sweep.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -12,7 +10,6 @@
 #include "obs/schema.h"
 #include "runner/journal.h"
 #include "runner/thread_pool.h"
-#include "sim/batch_sim.h"
 #include "util/logging.h"
 
 namespace inc::runner
@@ -217,7 +214,6 @@ ResultSink::take()
 SweepRunner::SweepRunner(SweepSpec spec)
     : SweepRunner(std::move(spec), &SweepRunner::simJob)
 {
-    default_body_ = true;
 }
 
 SweepRunner::SweepRunner(SweepSpec spec, JobFn body)
@@ -287,47 +283,18 @@ SweepRunner::run()
         pending.push_back(&job);
     }
 
-    const int batch_width = spec_.batch_width;
-    if (batch_width < 1)
-        util::fatal("SweepSpec::batch_width must be >= 1 (got %d)",
-                    batch_width);
-    if (batch_width > 1 && !default_body_)
-        util::fatal("SweepSpec::batch_width > 1 requires the default "
-                    "sim job body (custom JobFn bodies cannot be "
-                    "packed into a SimBatch)");
-
     {
         ThreadPool pool(spec_.jobs <= 0
                             ? 0
                             : static_cast<unsigned>(spec_.jobs));
         report.jobs_used = pool.threadCount();
         const bool collect = spec_.collect_metrics;
-        if (batch_width > 1) {
-            // Lane-batched execution: pack pending jobs, in expansion
-            // order, into groups of up to batch_width lanes; each group
-            // is one pool task driving one SimBatch. Jobs keep their
-            // expansion-time seeds and lanes share no mutable state,
-            // so this is byte-identical to the serial path at any
-            // --jobs x batch-width combination.
-            const auto width = static_cast<std::size_t>(batch_width);
-            for (std::size_t start = 0; start < pending.size();
-                 start += width) {
-                const std::size_t end =
-                    std::min(pending.size(), start + width);
-                pool.submit([this, &sink, &pending, start, end,
-                             retries, collect] {
-                    runBatchGroup(pending, start, end, retries,
-                                  collect, sink);
-                });
-            }
-        } else {
-            for (const JobSpec *job_ptr : pending) {
-                const JobSpec &job = *job_ptr;
-                pool.submit([this, &sink, &job, retries, collect] {
-                    recordAndDeliver(
-                        runSingleJob(job, retries, collect), sink);
-                });
-            }
+        for (const JobSpec *job_ptr : pending) {
+            const JobSpec &job = *job_ptr;
+            pool.submit([this, &sink, &job, retries, collect] {
+                recordAndDeliver(runSingleJob(job, retries, collect),
+                                 sink);
+            });
         }
         pool.wait();
     }
@@ -404,65 +371,6 @@ SweepRunner::notifyProgress(const JobResult &result)
     const std::size_t done = progress_done_.fetch_add(1) + 1;
     if (progress_hook_)
         progress_hook_(result, done, progress_total_);
-}
-
-void
-SweepRunner::runBatchGroup(const std::vector<const JobSpec *> &pending,
-                           std::size_t start, std::size_t end,
-                           int retries, bool collect, ResultSink &sink)
-{
-    using clock = std::chrono::steady_clock;
-
-    const std::size_t count = end - start;
-    std::vector<std::unique_ptr<obs::Observer>> observers(count);
-    const auto group_start = clock::now();
-    bool batched_ok = false;
-    std::vector<sim::SimResult> results;
-    try {
-        sim::SimBatch batch;
-        for (std::size_t k = 0; k < count; ++k) {
-            const JobSpec &job = *pending[start + k];
-            sim::SimConfig config = job.config;
-            if (collect) {
-                observers[k] = std::make_unique<obs::Observer>();
-                config.obs = observers[k].get();
-            }
-            const kernels::Kernel kernel =
-                kernels::makeKernel(job.kernel);
-            batch.add(std::make_unique<sim::SystemSimulator>(
-                kernel, &spec_.traces[job.trace_index], config));
-        }
-        results = batch.runAll();
-        batched_ok = true;
-    } catch (...) {
-        // A single lane failing poisons the whole lockstep group (the
-        // exception unwound the round-robin, so sibling lanes are
-        // part-run). Discard the group and rerun every job through the
-        // serial path: attempt 0 replays the identical spec — the sims
-        // are pure in it — and the retry ladder applies per job.
-    }
-    if (batched_ok) {
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(clock::now() -
-                                                      group_start)
-                .count();
-        for (std::size_t k = 0; k < count; ++k) {
-            JobResult jr;
-            jr.spec = *pending[start + k];
-            jr.attempts = 1;
-            jr.ok = true;
-            jr.result = std::move(results[k]);
-            if (collect)
-                jr.metrics = std::move(observers[k]->registry);
-            jr.wall_ms = wall_ms;
-            recordAndDeliver(std::move(jr), sink);
-        }
-        return;
-    }
-    for (std::size_t k = 0; k < count; ++k)
-        recordAndDeliver(runSingleJob(*pending[start + k], retries,
-                                      collect),
-                         sink);
 }
 
 } // namespace inc::runner

@@ -84,24 +84,6 @@ struct SweepSpec
      * registry is byte-identical at any `jobs` value.
      */
     bool collect_metrics = false;
-
-    /**
-     * Lane-batched execution width (`nvpsim sweep --batch-width`).
-     * When > 1, pending jobs are packed — in expansion order — into
-     * groups of up to this many lanes, and each group runs as one
-     * sim::SimBatch: N independent co-simulators stepped in lockstep,
-     * one trace sample per lane per round. Every job keeps the seed it
-     * was forked at expansion time and the lanes share no mutable
-     * state, so results (and merged metrics, and journal contents) are
-     * byte-identical to serial execution at any --jobs x batch-width
-     * combination. A group in which any lane throws falls back to the
-     * serial per-job path, restoring the full retry semantics.
-     *
-     * Batched execution drives the default sim job directly; custom
-     * job bodies (SweepRunner's JobFn constructor) are incompatible
-     * with widths > 1 and are rejected by run().
-     */
-    int batch_width = 1;
 };
 
 /** One fully resolved grid point. */
@@ -226,10 +208,6 @@ class SweepRunner
     explicit SweepRunner(SweepSpec spec);
     SweepRunner(SweepSpec spec, JobFn body);
 
-    /** True when constructed with the default sim job body (the only
-     *  body SweepSpec::batch_width > 1 can pack into a SimBatch). */
-    bool hasDefaultBody() const { return default_body_; }
-
     /**
      * Attach a warm-restart journal (not owned; must outlive run()).
      * Jobs the journal marks completed are delivered from their
@@ -311,21 +289,11 @@ class SweepRunner
     /** Journal (+ hook) and deliver one finished job. */
     void recordAndDeliver(JobResult result, ResultSink &sink);
 
-    /**
-     * Run jobs [start, end) of @p pending as one lane-batched
-     * SimBatch; on any lane failure, rerun the whole group through the
-     * serial per-job path (runSingleJob) so retry semantics hold.
-     */
-    void runBatchGroup(const std::vector<const JobSpec *> &pending,
-                       std::size_t start, std::size_t end, int retries,
-                       bool collect, ResultSink &sink);
-
     /** Bump the delivered-count and fire the progress hook. */
     void notifyProgress(const JobResult &result);
 
     SweepSpec spec_;
     JobFn body_;
-    bool default_body_ = false;
     SweepJournal *journal_ = nullptr;
     std::function<void(std::size_t)> record_hook_;
     std::function<void(const JobResult &)> delivery_hook_;

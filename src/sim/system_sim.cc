@@ -34,8 +34,6 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
     if (!kernel_.adoption_safe)
         config_.controller.simd_adoption = false;
 
-    config_.core.engine = config_.exec_engine;
-
     mem_ = std::make_unique<nvp::DataMemory>(
         rng_.split(), isa::kDataMemBytes, config_.persistence);
     for (const auto &[addr, data] : kernel_.init_blocks)
@@ -470,14 +468,14 @@ SystemSimulator::stepSample()
         bit_ctrl_.recordTick(core_->acEnabled() ? core_->mainBits() : 8);
         strategy_->onSample(i, capacitor_.fraction());
 
-        // Quantum stepping (fast-path engines only): when the stored
+        // Quantum stepping (predecoded engine only): when the stored
         // energy provably cannot reach the backup reserve within this
         // sample's cycle budget, the per-step reserve comparison is
         // dead code and is skipped for the whole quantum. The proof is
         // engine-independent; only the reference baseline keeps the
         // naive per-step comparison as the semantic anchor.
         const bool quantum_ok =
-            config_.exec_engine != nvp::ExecEngine::reference;
+            config_.core.engine != nvp::ExecEngine::reference;
         bool skip_reserve =
             quantum_ok && capacitor_.energyNj() > quantum_safe_level_nj_;
 

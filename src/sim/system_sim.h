@@ -59,20 +59,17 @@ struct SimConfig
     energy::EnergyParams energy{};
     approx::BitwidthConfig bits{};
     core::ControllerConfig controller{};
-    nvp::CoreConfig core{};
 
     /**
-     * Interpreter engine (propagated into core.engine at construction).
-     * The fast-path engines (`predecoded`, `batch`) additionally enable
+     * Core configuration, including the interpreter engine
+     * (core.engine). The `predecoded` fast path additionally enables
      * quantum stepping: the per-step backup-reserve comparison is
      * skipped for a whole sample when the stored energy provably cannot
-     * fall to the reserve within it (see DESIGN.md §11). `batch` also
-     * marks the run as packable into a lane-batched sweep
-     * (runner::SweepSpec::batch_width, sim::SimBatch). All engines are
-     * bit-identical by contract — enforced by tests/test_engine_diff.cc
-     * and fuzz --engine-diff.
+     * fall to the reserve within it (see DESIGN.md §11). Both engines
+     * are bit-identical by contract — enforced by
+     * tests/test_engine_diff.cc and fuzz --engine-diff.
      */
-    nvp::ExecEngine exec_engine = nvp::ExecEngine::predecoded;
+    nvp::CoreConfig core{};
 
     /**
      * Income calibration factor applied to the trace's power samples.
@@ -176,7 +173,7 @@ struct SimResult
     core::ControllerStats controller;
     nvm::RetentionFailureCounts retention_failures;
 
-    /** Derived thresholds (copies of the simulator accessors, so batch
+    /** Derived thresholds (copies of the simulator accessors, so sweep
      *  runners can report them from the result record alone). */
     double start_threshold_nj = 0.0;
     double backup_threshold_nj = 0.0;
@@ -214,10 +211,11 @@ class SystemSimulator
      * Advance the co-simulation by one 0.1 ms trace sample. Returns
      * true while more work remains (trace not exhausted, core not
      * halted); a false return means the next call would do nothing and
-     * finalize() may be taken. sim::SimBatch drives N simulators in
-     * lockstep through this — the decomposition is observationally
-     * identical to run() (run() IS this loop), so interleaving
-     * independent simulators cannot change any result.
+     * finalize() may be taken. The split from run() exists so a caller
+     * can time every sample from outside the library: the benchmark's
+     * tracing runner (perfbench/trace_campaign.cc) classifies and times
+     * each call to build its per-layer breakdown. It is
+     * observationally identical to run() (run() IS this loop).
      */
     bool stepSample();
 

@@ -7,6 +7,10 @@
  * caught, bundled, replayed bit-exactly and minimized.
  */
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "check/diff_harness.h"
@@ -82,29 +86,28 @@ TEST(DiffHarness, SmallFuzzRunIsCleanAcrossAllModes)
     int covered = 0;
     for (const int n : report.mode_counts)
         covered += n > 0 ? 1 : 0;
-    EXPECT_GE(covered, 3); // 16 trials reach at least 3 of the 6 modes
+    EXPECT_GE(covered, 3); // 16 trials reach at least 3 of the 7 modes
 }
 
-TEST(DiffHarness, BatchLanesModeRunsCleanWithEngineDiff)
+TEST(DiffHarness, ExactRecoveryRunsCleanWithEngineDiff)
 {
-    // The batch tier of the fuzzer: batch_lanes trials (BatchCore vs
-    // solo-core bit identity + the divergence-mask invariant) plus the
-    // engine-equivalence invariant, which re-runs co-simulator trials
-    // under every registered engine — including batch — and requires
-    // byte-equal results.
+    // The engine-equivalence invariant: every exact_recovery trial
+    // re-runs its co-simulation under the reference interpreter and
+    // requires the serialized SimResult and metrics JSON to equal the
+    // predecoded run byte-for-byte.
     CheckConfig cfg;
     cfg.trials = 8;
     cfg.master_seed = 11;
     cfg.jobs = 2;
     cfg.trace_samples = 2500;
     cfg.engine_diff = true;
-    cfg.mode_filter = "batch_lanes,exact_recovery";
+    cfg.mode_filter = "exact_recovery";
     const CheckReport report = runCheck(cfg);
     EXPECT_EQ(report.trials, 8);
     EXPECT_TRUE(report.allOk()) << report.summary();
-    EXPECT_GT(report.mode_counts[static_cast<std::size_t>(
-                  TrialMode::batch_lanes)],
-              0);
+    EXPECT_EQ(report.mode_counts[static_cast<std::size_t>(
+                  TrialMode::exact_recovery)],
+              8);
 }
 
 TEST(DiffHarness, InjectedLeakyBackupIsCaughtAndReplaysDeterministically)
@@ -168,4 +171,37 @@ TEST(DiffHarness, MinimizationShrinksAFailingSpec)
     EXPECT_TRUE(runTrial(minimized).violated);
     EXPECT_LE(minimized.mutations.size(), failing.mutations.size());
     EXPECT_GE(minimized.body_ops, 0); // genome prefix was resolved
+}
+
+TEST(DiffHarness, BundleModeIsResolvedByName)
+{
+    // Mode numbers shift when a mode is retired; a bundle's mode_name
+    // decides, and a name this build does not know fails the load.
+    TrialSpec spec;
+    spec.mode = TrialMode::fleet_merge;
+    spec.seed = 5;
+    spec.program_seed = 9;
+    const std::string dir = ::testing::TempDir() + "bundle_by_name";
+    ASSERT_FALSE(writeBundle(dir, spec, Divergence{}).empty());
+
+    const auto rewrite = [&dir](const std::string &key,
+                                const std::string &value) {
+        std::ifstream in(dir + "/repro.txt");
+        std::ostringstream text;
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind(key + "=", 0) == 0)
+                line = key + "=" + value;
+            text << line << "\n";
+        }
+        in.close();
+        std::ofstream(dir + "/repro.txt") << text.str();
+    };
+
+    rewrite("mode", "0");
+    TrialSpec loaded;
+    ASSERT_TRUE(loadBundle(dir, &loaded));
+    EXPECT_EQ(loaded.mode, TrialMode::fleet_merge);
+
+    rewrite("mode_name", "retired_mode");
+    EXPECT_FALSE(loadBundle(dir, &loaded));
 }

@@ -1,13 +1,13 @@
 /**
- * Differential tier for the execution engines (DESIGN.md §11, §13):
- * every fast-path engine must be observationally identical to the
+ * Differential tier for the execution engines (DESIGN.md §11): the
+ * predecoded fast path must be observationally identical to the
  * reference decode-as-you-go interpreter — not approximately, but
  * bit-for-bit.
  *
  * Every paper kernel runs under power profiles 1-3 in three system
  * configurations (baseline, incidental minbits=2, forced 4-lane SIMD)
  * through every engine in the registry (nvp::allExecEngines():
- * reference, predecoded, batch); the serialized SimResult
+ * reference, predecoded); the serialized SimResult
  * (sim/result_io.h, hexfloat doubles, so byte equality is bit
  * equality) and the full metrics-registry JSON must match the
  * reference exactly. Any drift — an extra RNG draw, a reordered memory
@@ -16,19 +16,10 @@
  * message. Iterating the registry means a future engine is diffed
  * automatically instead of being forgotten in a hardcoded list.
  *
- * The batch engine additionally has a sim-level lane-batching driver
- * (sim::SimBatch), exercised here with the shapes the packing code can
- * produce: a ragged 17-lane batch (not a multiple of any vector
- * width), a single-lane batch, and a batch whose lanes all finish at
- * different points (different trace profiles and lengths = per-lane
- * divergent outage/retire points). Each lane of a batch must be
- * byte-identical to the same simulator run serially.
- *
  * The randomized companion to this fixed grid is the fuzzer's
  * engine-equivalence invariant: `nvpsim fuzz --engine-diff`.
  */
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +28,6 @@
 #include "kernels/kernel.h"
 #include "nvp/core.h"
 #include "obs/observer.h"
-#include "sim/batch_sim.h"
 #include "sim/result_io.h"
 #include "sim/strategy/strategy.h"
 #include "sim/system_sim.h"
@@ -110,7 +100,7 @@ RunOut
 runEngine(const std::string &kernel, const trace::PowerTrace &power,
           sim::SimConfig cfg, nvp::ExecEngine engine)
 {
-    cfg.exec_engine = engine;
+    cfg.core.engine = engine;
     obs::Observer observer;
     cfg.obs = &observer;
     sim::SystemSimulator sim(kernels::makeKernel(kernel), &power, cfg);
@@ -229,110 +219,19 @@ TEST(StrategyEngineDiff, StrategiesComposeWithEveryEngine)
     }
 }
 
-// ---- sim-level lane batching (sim::SimBatch) --------------------------
-
-/** One batch lane's workload: kernel, trace and config. */
-struct LaneSpec
+/** The registry is the semantic oracle plus the default fast path. */
+TEST(EngineRegistry, IsReferenceThenPredecoded)
 {
-    std::string kernel;
-    trace::PowerTrace power;
-    sim::SimConfig cfg;
-};
-
-std::unique_ptr<sim::SystemSimulator>
-makeSim(const LaneSpec &lane, obs::Observer *observer)
-{
-    sim::SimConfig cfg = lane.cfg;
-    cfg.exec_engine = nvp::ExecEngine::batch;
-    cfg.obs = observer;
-    return std::make_unique<sim::SystemSimulator>(
-        kernels::makeKernel(lane.kernel), &lane.power, cfg);
-}
-
-/** Batch-vs-serial byte identity over an arbitrary lane set. */
-void
-expectBatchMatchesSerial(const std::vector<LaneSpec> &lanes)
-{
-    // Serial runs: each simulator alone, via run().
-    std::vector<RunOut> serial;
-    for (const LaneSpec &lane : lanes) {
-        obs::Observer observer;
-        auto sim = makeSim(lane, &observer);
-        serial.push_back({sim::serializeResult(sim->run()),
-                          observer.registry.toJson()});
-    }
-
-    // Batched run: the same lane set in one lockstep SimBatch.
-    std::vector<std::unique_ptr<obs::Observer>> observers;
-    sim::SimBatch batch;
-    for (const LaneSpec &lane : lanes) {
-        observers.push_back(std::make_unique<obs::Observer>());
-        batch.add(makeSim(lane, observers.back().get()));
-    }
-    ASSERT_EQ(batch.width(), lanes.size());
-    const std::vector<sim::SimResult> results = batch.runAll();
-    ASSERT_EQ(results.size(), lanes.size());
-
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        SCOPED_TRACE("lane " + std::to_string(i) + " (" +
-                     lanes[i].kernel + ")");
-        const std::string batched = sim::serializeResult(results[i]);
-        EXPECT_EQ(serial[i].result, batched)
-            << "SimResult diverged: "
-            << firstDiffLine(serial[i].result, batched);
-        EXPECT_EQ(serial[i].metrics, observers[i]->registry.toJson())
-            << "metrics JSON diverged between serial and batched run";
-    }
-}
-
-TEST(SimBatch, RaggedSeventeenLaneBatchMatchesSerial)
-{
-    // 17 lanes: not a multiple of any vector or packing width, so the
-    // tail of any grouping scheme is ragged.
-    const std::vector<std::string> names = kernels::kernelNames();
-    std::vector<LaneSpec> lanes;
-    for (int i = 0; i < 17; ++i) {
-        LaneSpec lane;
-        lane.kernel = names[static_cast<std::size_t>(i) % names.size()];
-        trace::TraceGenerator gen(
-            trace::paperProfile(1 + i % 3),
-            static_cast<std::uint64_t>(100 + i));
-        lane.power = gen.generate(kSamples);
-        lane.cfg = configs()[static_cast<std::size_t>(i) % 3].cfg;
-        lanes.push_back(std::move(lane));
-    }
-    expectBatchMatchesSerial(lanes);
-}
-
-TEST(SimBatch, SingleLaneBatchMatchesSerial)
-{
-    trace::TraceGenerator gen(trace::paperProfile(2), 7);
-    std::vector<LaneSpec> lanes;
-    lanes.push_back({"sobel", gen.generate(kSamples),
-                     incidentalConfig()});
-    expectBatchMatchesSerial(lanes);
-}
-
-TEST(SimBatch, EveryLaneDivergesAtADifferentOutagePoint)
-{
-    // Each lane gets a different profile, seed and trace length, so the
-    // lanes hit outages at different samples and retire from the
-    // round-robin at different rounds — the sim-level analogue of every
-    // lane diverging at a different point. The masked (finished) lanes
-    // must never perturb the survivors.
-    std::vector<LaneSpec> lanes;
-    for (int i = 0; i < 5; ++i) {
-        LaneSpec lane;
-        lane.kernel = "sobel";
-        trace::TraceGenerator gen(
-            trace::paperProfile(1 + i % 5),
-            static_cast<std::uint64_t>(1000 + 7 * i));
-        lane.power = gen.generate(kSamples - 400 *
-                                  static_cast<std::size_t>(i));
-        lane.cfg = incidentalConfig();
-        lanes.push_back(std::move(lane));
-    }
-    expectBatchMatchesSerial(lanes);
+    const auto &engines = nvp::allExecEngines();
+    ASSERT_EQ(engines.size(), 2u);
+    EXPECT_EQ(engines[0], nvp::ExecEngine::reference);
+    EXPECT_EQ(engines[1], nvp::ExecEngine::predecoded);
+    EXPECT_EQ(nvp::execEngineNames(), "reference,predecoded");
+    for (const nvp::ExecEngine engine : engines)
+        EXPECT_EQ(nvp::execEngineFromName(nvp::execEngineName(engine)),
+                  engine);
+    EXPECT_FALSE(nvp::execEngineFromName("batch").has_value());
+    EXPECT_EQ(sim::SimConfig{}.core.engine, nvp::ExecEngine::predecoded);
 }
 
 } // namespace

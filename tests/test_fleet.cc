@@ -986,4 +986,52 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
     EXPECT_NE(out.find("fatal:"), std::string::npos) << out;
     fs::remove_all(base);
 }
+
+TEST(FleetCli, BadNumbersAndUnknownNamesDieNamingTheInput)
+{
+    const std::string base = freshDir("names");
+    const std::string nvpsim = std::string(INC_NVPSIM_PATH);
+    const auto expectFatal = [](const std::string &cmd,
+                                const std::vector<std::string> &needles) {
+        std::string out;
+        EXPECT_NE(runCommand(cmd, &out), 0) << cmd;
+        EXPECT_NE(out.find("fatal:"), std::string::npos) << cmd << out;
+        for (const std::string &needle : needles)
+            EXPECT_NE(out.find(needle), std::string::npos)
+                << cmd << " should mention '" << needle << "': " << out;
+    };
+
+    // A numeric flag takes the whole value as one finite number:
+    // trailing junk and non-finite values are not silently truncated.
+    expectFatal(nvpsim + " run --kernel sobel --seconds 0.1 --seed abc",
+                {"--seed", "'abc'"});
+    expectFatal(nvpsim + " sweep --kernels sobel --profiles 2"
+                         " --jobs 1 --seconds 1x",
+                {"--seconds", "'1x'"});
+    expectFatal(nvpsim + " run --kernel sobel --seconds inf",
+                {"--seconds", "'inf'"});
+
+    // The engine registry is {reference, predecoded}; any other name
+    // dies listing both, from the CLI and from a campaign file alike.
+    expectFatal(nvpsim + " run --kernel sobel --seconds 0.1"
+                         " --engine batch",
+                {"unknown --engine 'batch'", "reference,predecoded"});
+    const std::string campaign = base + "/batch.json";
+    {
+        std::ofstream f(campaign, std::ios::binary);
+        f << R"({"kernels": "sobel", "profiles": "2",)"
+          << R"( "seconds": 0.1, "engine": "batch"})";
+    }
+    expectFatal(nvpsim + " serve " + campaign + " --workers 1"
+                         " --fleet-dir " + base + "/fd",
+                {"unknown campaign engine 'batch'",
+                 "reference,predecoded"});
+
+    // Unknown fuzz modes die listing exactly the valid modes.
+    expectFatal(nvpsim + " fuzz --trials 1 --modes bogus_mode",
+                {"unknown trial mode 'bogus_mode'",
+                 "(valid: exact_recovery, bounded_error, monotone_bits, "
+                 "rac_merge, arena_recovery, strategy_diff, fleet_merge)"});
+    fs::remove_all(base);
+}
 #endif // INC_NVPSIM_PATH

@@ -269,70 +269,6 @@ TEST(SweepRunner, ParallelBitIdenticalToSerial)
     }
 }
 
-TEST(SweepRunner, BatchWidthBitIdenticalToSerial)
-{
-    // Lane-batched execution (SweepSpec::batch_width > 1, DESIGN.md
-    // §13) packs consecutive jobs into one lockstep sim::SimBatch per
-    // worker. The packing must be invisible: byte-identical results at
-    // any --jobs x --batch-width combination, including widths that
-    // leave a ragged tail (here 4 jobs into width-3 groups).
-    runner::SweepRunner serial(tinySpec(1));
-    const auto golden = serial.run();
-    ASSERT_TRUE(golden.allOk());
-
-    struct Combo
-    {
-        int jobs;
-        int batch_width;
-    };
-    for (const Combo combo : {Combo{1, 3}, Combo{2, 8}, Combo{4, 2}}) {
-        SCOPED_TRACE("jobs " + std::to_string(combo.jobs) +
-                     " batch_width " +
-                     std::to_string(combo.batch_width));
-        auto spec = tinySpec(combo.jobs);
-        spec.batch_width = combo.batch_width;
-        runner::SweepRunner batched(spec);
-        const auto report = batched.run();
-        ASSERT_TRUE(report.allOk());
-        ASSERT_EQ(report.results.size(), golden.results.size());
-        for (std::size_t i = 0; i < golden.results.size(); ++i) {
-            SCOPED_TRACE("job " + std::to_string(i));
-            EXPECT_EQ(report.results[i].spec.index, i);
-            expectSameResult(golden.results[i].result,
-                             report.results[i].result);
-        }
-    }
-}
-
-TEST(SweepRunner, BatchWidthPacksUnderTheBatchEngineToo)
-{
-    // The same identity with every lane's core on the SoA batch
-    // engine: engine selection and lane packing compose.
-    auto engineSpec = [](int jobs, int batch_width) {
-        auto spec = tinySpec(jobs);
-        spec.batch_width = batch_width;
-        spec.variants = {{"batch", [](const std::string &) {
-                              sim::SimConfig cfg;
-                              cfg.seed = 2017;
-                              cfg.exec_engine = nvp::ExecEngine::batch;
-                              return cfg;
-                          }}};
-        return spec;
-    };
-    runner::SweepRunner serial(engineSpec(1, 1));
-    const auto golden = serial.run();
-    ASSERT_TRUE(golden.allOk());
-
-    runner::SweepRunner batched(engineSpec(2, 3));
-    const auto report = batched.run();
-    ASSERT_TRUE(report.allOk());
-    ASSERT_EQ(report.results.size(), golden.results.size());
-    for (std::size_t i = 0; i < golden.results.size(); ++i) {
-        expectSameResult(golden.results[i].result,
-                         report.results[i].result);
-    }
-}
-
 TEST(SweepRunner, AggregationOrderIsJobIndexOrder)
 {
     // A body whose completion order is adversarial (later jobs finish

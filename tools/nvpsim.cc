@@ -2,6 +2,9 @@
  * @file
  * nvpsim — command-line front end to the incidental-computing stack.
  *
+ * A numeric flag value must be one finite number: `--seed abc` or
+ * `--seconds 1x` is fatal, and the error names the flag.
+ *
  * Subcommands:
  *
  *   nvpsim trace [--profile N] [--seconds S] [--seed K] [--out F.csv]
@@ -11,7 +14,7 @@
  *   nvpsim run [--kernel NAME] [--profile N | --trace F.csv]
  *              [--mode precise|fixed|dynamic] [--bits B] [--minbits B]
  *              [--policy full|linear|log|parabola] [--baseline]
- *              [--engine reference|predecoded|batch]
+ *              [--engine reference|predecoded]
  *              [--strategy active|freezer|ondemand] [--seconds S]
  *              [--seed K]
  *              [--metrics F.json] [--trace-out F.trace.json]
@@ -39,9 +42,9 @@
  *   nvpsim sweep [--kernels A,B,...|all] [--profiles 1,2,...|all]
  *                [--mode precise|fixed|dynamic] [--bits B] [--minbits B]
  *                [--policy full|linear|log|parabola] [--baseline]
- *                [--engine reference|predecoded|batch]
+ *                [--engine reference|predecoded]
  *                [--strategy active|freezer|ondemand] [--seconds S]
- *                [--seed K] [--jobs N] [--batch-width W] [--out F.csv]
+ *                [--seed K] [--jobs N] [--out F.csv]
  *                [--metrics F.json] [--report] [--report-out F.json]
  *                [--arena DIR] [--resume] [--kill-after N]
  *       Run the kernel x profile grid in parallel on N worker threads
@@ -53,13 +56,8 @@
  *       excluded). Failing jobs are retried once, then reported; the
  *       exit status is nonzero only if failures remain after retry.
  *       --inject-failure J makes job J throw (a testing aid for the
- *       failure-capture path). --batch-width W packs pending jobs, in
- *       expansion order, into lane-batched groups of up to W
- *       co-simulators stepped in lockstep (sim::SimBatch); like
- *       --jobs, it only changes scheduling — every output is
- *       byte-identical at any --jobs x --batch-width combination.
- *       --report derives a run report from the
- *       merged registry (plus per-kernel efficiency rows) and prints
+ *       failure-capture path). --report derives a run report from
+ *       the merged registry (plus per-kernel efficiency rows) and prints
  *       it; --report-out saves its JSON. Report output carries no
  *       scheduling artifacts — with --report the sweep header also
  *       omits worker/wall-clock info — so the full stdout and the
@@ -162,15 +160,14 @@
  *       them). --replay re-runs one bundle deterministically.
  *       --inject-bug is a testing aid that plants a known recovery
  *       bug so the harness itself can be validated. --engine-diff
- *       additionally re-runs every co-simulator trial under each of
- *       the other registered engines (nvp::allExecEngines():
- *       reference, predecoded, batch) and requires the serialized
- *       SimResult and metrics JSON to match byte-for-byte (the
- *       engine-equivalence invariant; see DESIGN.md §11, §13).
+ *       additionally re-runs every co-simulator trial under the
+ *       reference engine (nvp::allExecEngines(): reference,
+ *       predecoded) and requires the serialized SimResult and metrics
+ *       JSON to match byte-for-byte (the engine-equivalence
+ *       invariant; see DESIGN.md §11).
  *       --modes restricts trials to a comma-separated list of trial
  *       modes (exact_recovery, bounded_error, monotone_bits,
- *       rac_merge, arena_recovery, batch_lanes, strategy_diff,
- *       fleet_merge);
+ *       rac_merge, arena_recovery, strategy_diff, fleet_merge);
  *       filtered trials keep the specs an unfiltered run of the same
  *       seed would draw, so repro seeds stay exact.
  *
@@ -196,6 +193,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -276,12 +274,20 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
+    /** Numeric flag value; fatal unless the whole value is one
+     *  finite number. */
     double num(const std::string &key, double fallback) const
     {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::strtod(it->second.c_str(),
-                                                 nullptr);
+        if (it == values_.end())
+            return fallback;
+        const char *text = it->second.c_str();
+        char *end = nullptr;
+        const double value = std::strtod(text, &end);
+        if (end == text || *end != '\0' || !std::isfinite(value))
+            util::fatal("--%s expects a number, got '%s'", key.c_str(),
+                        text);
+        return value;
     }
 
     bool has(const std::string &key) const
@@ -417,7 +423,7 @@ configFromArgs(const Args &args)
         if (!parsed)
             util::fatal("unknown --engine '%s' (%s)", engine.c_str(),
                         nvp::execEngineNames().c_str());
-        cfg.exec_engine = *parsed;
+        cfg.core.engine = *parsed;
     }
     if (args.has("strategy")) {
         const std::string strategy = args.get("strategy");
@@ -748,38 +754,20 @@ cmdSweep(const Args &args)
         "jobs", runner::ThreadPool::defaultThreads()));
     if (spec.jobs < 1)
         util::fatal("--jobs must be >= 1");
-    spec.batch_width =
-        static_cast<int>(args.num("batch-width", 1));
-    if (spec.batch_width < 1)
-        util::fatal("--batch-width must be >= 1");
-    // Like --jobs, --batch-width only changes scheduling: the output
-    // is byte-identical at any width, so it is not part of the arena
-    // fingerprint below.
-    if (spec.batch_width > 1 && args.has("inject-failure"))
-        util::fatal("--batch-width > 1 cannot be combined with "
-                    "--inject-failure (the injected body is a custom "
-                    "JobFn, which the SimBatch packer rejects)");
 
-    std::unique_ptr<runner::SweepRunner> sweep_holder;
+    runner::SweepRunner::JobFn body = &runner::SweepRunner::simJob;
     if (args.has("inject-failure")) {
         const auto victim =
             static_cast<std::size_t>(args.num("inject-failure", 0));
-        runner::SweepRunner::JobFn body =
-            [victim](const runner::JobSpec &job,
-                     const trace::PowerTrace &trace,
-                     util::Rng &rng) -> sim::SimResult {
+        body = [victim](const runner::JobSpec &job,
+                        const trace::PowerTrace &trace,
+                        util::Rng &rng) -> sim::SimResult {
             if (job.index == victim)
                 throw std::runtime_error("injected failure (testing)");
             return runner::SweepRunner::simJob(job, trace, rng);
         };
-        sweep_holder =
-            std::make_unique<runner::SweepRunner>(spec, body);
-    } else {
-        // One-arg constructor: marks the body as the default sim job,
-        // which is what allows --batch-width to pack jobs.
-        sweep_holder = std::make_unique<runner::SweepRunner>(spec);
     }
-    runner::SweepRunner &sweep = *sweep_holder;
+    runner::SweepRunner sweep(spec, std::move(body));
 
     // --arena: journal campaign progress so a killed sweep can warm-
     // restart. The fingerprint covers the expanded jobs (kernels,
