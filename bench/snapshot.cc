@@ -75,7 +75,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -93,6 +92,7 @@
 #include "sim/strategy/strategy.h"
 #include "sim/system_sim.h"
 #include "trace/trace_generator.h"
+#include "util/flags.h"
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -316,26 +316,17 @@ snapshotToJson(const std::vector<Measurement> &suite,
 std::string
 readTextFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string text;
+    if (!util::readFile(path, &text))
         util::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    return text;
 }
 
 void
 writeTextFile(const std::string &path, const std::string &content)
 {
-    if (!util::ensureParentDir(path))
-        util::fatal("cannot create parent directory of '%s'",
-                    path.c_str());
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        util::fatal("cannot open '%s' for writing", path.c_str());
-    out << content;
-    if (!out)
-        util::fatal("short write to '%s'", path.c_str());
+    if (!util::writeFile(path, content))
+        util::fatal("could not write '%s'", path.c_str());
 }
 
 obs::JsonValue
@@ -732,9 +723,8 @@ runSuite(const std::string &out_path)
 double
 parseDoubleArg(const char *text, const char *what)
 {
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0')
+    double value = 0.0;
+    if (!util::parseNumber(text, &value))
         util::fatal("%s: '%s' is not a number", what, text);
     return value;
 }

@@ -11,15 +11,22 @@
  * three produces bit-identical jobs — the foundation of the fleet's
  * byte-identity guarantee (DESIGN.md §15).
  *
+ * Every knob is declared once, in the knob table of campaign.cc: a
+ * JSON key, a value kind and the accepted values. That table drives
+ * campaignFromJson, campaignToJson, the `nvpsim sweep` flags and the
+ * config flags of `run`/`report` (campaignFlags, campaignFromFlags); a
+ * flag's name is its JSON key with '_' turned into '-'.
+ *
  * Campaign JSON is one object; every member is optional and defaults
  * to the matching sweep-flag default, e.g.:
  *
  *   { "kernels": "sobel,median", "profiles": "2,3",
  *     "seconds": 0.5, "seed": 2017, "mode": "dynamic" }
  *
- * Unknown members are rejected — a typoed knob silently meaning "use
- * the default" would change results without changing the fingerprint
- * the user thinks they pinned.
+ * Unknown members, wrong types and values out of range are rejected —
+ * a typoed knob silently meaning "use the default" would change
+ * results without changing the fingerprint the user thinks they
+ * pinned.
  */
 
 #ifndef INC_FLEET_CAMPAIGN_H
@@ -27,9 +34,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "runner/sweep.h"
 #include "sim/system_sim.h"
+#include "util/flags.h"
 
 namespace inc::fleet
 {
@@ -49,15 +58,27 @@ struct CampaignSpec
     /** Engine name, or "default" for the library default (the same
      *  convention as an absent `--engine`). */
     std::string engine = "default";
-    /** Strategy name, or "" for the library default. */
-    std::string strategy;
-    /** Negative = keep the SimConfig default (absent flag). */
-    double income_scale = -1.0;
-    double frame_factor = -1.0;
+    std::string strategy = "active";
+    /** SimConfig::income_scale and frame_period_factor. */
+    double income_scale = sim::SimConfig().income_scale;
+    double frame_factor = sim::SimConfig().frame_period_factor;
 };
 
-/** Parse campaign JSON. False + @p error on malformed input or an
- *  unknown member; @p out is untouched then. */
+/** Trace samples (0.1 ms each) in @p seconds of trace. */
+std::size_t traceSamples(double seconds);
+
+/** The campaign knobs as flag rows named like the CLI flag ("income-
+ *  scale"); without the sweep grid (kernels, profiles) unless @p grid. */
+std::vector<util::Flag> campaignFlags(bool grid);
+
+/** The campaign the declared knob flags of @p flags describe; absent
+ *  flags keep their defaults. Fatal (via Flags::fail) on an unknown
+ *  name such as `--engine batch`. */
+CampaignSpec campaignFromFlags(const util::Flags &flags);
+
+/** Parse campaign JSON. False + @p error on malformed input, an
+ *  unknown member, a wrong type or a value the knob table rejects;
+ *  @p out is untouched then. */
 bool campaignFromJson(const std::string &text, CampaignSpec *out,
                       std::string *error);
 
@@ -71,9 +92,10 @@ bool loadCampaignFile(const std::string &path, CampaignSpec *out,
 std::string campaignToJson(const CampaignSpec &spec);
 
 /**
- * Resolve the campaign's SimConfig exactly as `nvpsim sweep` resolves
- * its flags (configFromArgs). Fatal on unknown mode/policy/engine/
- * strategy names, listing the valid ones.
+ * The campaign's SimConfig: the one resolver behind `nvpsim run`,
+ * `report`, `sweep`, `serve` and `work`. A spec built in code gets the
+ * checks a campaign file gets: fatal on a value the knob table
+ * rejects, naming the valid ones.
  */
 sim::SimConfig campaignConfig(const CampaignSpec &spec);
 
@@ -89,9 +111,10 @@ runner::SweepSpec buildSweepSpec(const CampaignSpec &spec,
 
 /**
  * The SweepJournal fingerprint "extra" string for this campaign —
- * byte-identical to the one `nvpsim sweep --arena` derives from its
- * flags, so fleet shard journals and serial sweep journals agree on
- * campaign identity.
+ * shared by `nvpsim sweep --arena` and the fleet's shard journals, so
+ * both agree on campaign identity. Every knob that shapes a job must
+ * feed it (tests/test_fleet.cc loops over the knob table); its format
+ * is stored in every arena journal and must not change.
  */
 std::string campaignFingerprintExtra(const CampaignSpec &spec,
                                      bool collect_metrics);

@@ -5,9 +5,7 @@
 #include <chrono>
 #include <csignal>
 #include <deque>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include <map>
@@ -64,17 +62,6 @@ struct WorkerProc
     std::size_t shard_assigned = 0;
     std::string last_label;
 };
-
-std::string
-readFileOrEmpty(const std::string &path)
-{
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return std::string();
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
-}
 
 /** The whole coordinator state, so helpers share it without globals. */
 class Coordinator
@@ -175,7 +162,8 @@ Coordinator::Coordinator(const ServeOptions &options)
     // one campaign; folding a different campaign's journals would mix
     // results silently, so a mismatch is a hard error.
     const std::string marker = options_.fleet_dir + "/campaign.fp";
-    const std::string existing = readFileOrEmpty(marker);
+    std::string existing; // stays empty for a fresh fleet dir
+    util::readFile(marker, &existing);
     if (!existing.empty() && existing != fingerprint_)
         util::fatal("fleet dir '%s' holds journals for a different "
                     "campaign (fingerprint %s, this campaign is %s); "
@@ -184,9 +172,7 @@ Coordinator::Coordinator(const ServeOptions &options)
                     options_.fleet_dir.c_str(), existing.c_str(),
                     fingerprint_.c_str());
     if (existing.empty()) {
-        std::ofstream out(marker, std::ios::binary);
-        out << fingerprint_;
-        if (!out)
+        if (!util::writeFile(marker, fingerprint_))
             util::fatal("cannot write '%s'", marker.c_str());
     } else {
         std::fprintf(stderr,

@@ -1,7 +1,5 @@
 #include "obs/event_tracer.h"
 
-#include <fstream>
-
 #include "obs/json.h"
 
 namespace inc::obs
@@ -91,16 +89,6 @@ EventTracer::toChromeTraceJson() const
         doc.set("metadata", std::move(meta));
     }
     return doc.dump() + "\n";
-}
-
-bool
-EventTracer::writeChromeTraceJson(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << toChromeTraceJson();
-    return static_cast<bool>(out);
 }
 
 } // namespace inc::obs

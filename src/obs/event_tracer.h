@@ -58,9 +58,6 @@ class EventTracer
     /** Chrome-trace JSON document (oldest surviving event first). */
     std::string toChromeTraceJson() const;
 
-    /** Write toChromeTraceJson() to @p path. False on I/O failure. */
-    bool writeChromeTraceJson(const std::string &path) const;
-
   private:
     enum class Phase : char
     {

@@ -1,10 +1,9 @@
 #include "obs/fleet_trace.h"
 
-#include <fstream>
-
 #include <time.h>
 
 #include "obs/json.h"
+#include "util/fs.h"
 
 namespace inc::obs
 {
@@ -209,11 +208,7 @@ bool
 FleetTraceMerger::writeChromeTraceJson(const std::string &path,
                                        double base_ts_us) const
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << toChromeTraceJson(base_ts_us);
-    return static_cast<bool>(out);
+    return util::writeFile(path, toChromeTraceJson(base_ts_us));
 }
 
 } // namespace inc::obs

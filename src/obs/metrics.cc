@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "obs/json.h"
+#include "util/fs.h"
 
 namespace inc::obs
 {
@@ -186,11 +186,7 @@ MetricsRegistry::toJson() const
 bool
 MetricsRegistry::writeJson(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << toJson();
-    return static_cast<bool>(out);
+    return util::writeFile(path, toJson());
 }
 
 bool

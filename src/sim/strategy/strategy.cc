@@ -44,7 +44,7 @@ strategyNames()
     std::string names;
     for (StrategyKind kind : allStrategies()) {
         if (!names.empty())
-            names += ", ";
+            names += ",";
         names += strategyName(kind);
     }
     return names;

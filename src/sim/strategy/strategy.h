@@ -87,7 +87,8 @@ const std::array<StrategyKind, kNumStrategies> &allStrategies();
 /** Canonical CLI/report name. */
 const char *strategyName(StrategyKind kind);
 
-/** Comma-separated list of every registered name (error messages). */
+/** Comma-separated list of every registered name, like
+ *  nvp::execEngineNames() (error messages, name checks). */
 std::string strategyNames();
 
 /** Parse a CLI name; nullopt when unknown. */

@@ -4,6 +4,8 @@
 #include <numeric>
 
 #include "util/csv.h"
+#include "util/flags.h"
+#include "util/fs.h"
 #include "util/logging.h"
 
 namespace inc::trace
@@ -97,38 +99,47 @@ PowerTrace::resampled(double src_period_sec) const
     return PowerTrace(std::move(out), name_);
 }
 
-bool
-PowerTrace::saveCsv(const std::string &path) const
+std::string
+PowerTrace::toCsv() const
 {
     util::CsvWriter w;
     w.setHeader({"power_uw"});
     for (double s : samples_)
         w.addRow({util::format("%.3f", s)});
-    return w.write(path);
+    return w.render();
+}
+
+bool
+PowerTrace::saveCsv(const std::string &path) const
+{
+    return util::writeFile(path, toCsv());
 }
 
 PowerTrace
-PowerTrace::loadCsv(const std::string &path, const std::string &name)
+PowerTrace::loadCsv(const std::string &path, const std::string &name,
+                    std::string *error)
 {
     const auto rows = util::readCsv(path);
-    if (rows.empty())
-        return {};
     std::vector<double> samples;
     samples.reserve(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i].empty())
-            continue;
-        // Skip a non-numeric header row.
-        char *end = nullptr;
-        const double v = std::strtod(rows[i][0].c_str(), &end);
-        if (end == rows[i][0].c_str()) {
-            if (i == 0)
-                continue;
-            util::warn("non-numeric cell in %s row %zu", path.c_str(), i);
-            continue;
+        double v = 0.0;
+        if (rows[i].size() == 1 && util::parseNumber(rows[i][0], &v)) {
+            samples.push_back(v);
+        } else if (i > 0) { // row 0 may be a header
+            if (error) {
+                std::string row;
+                for (const std::string &cell : rows[i])
+                    row += (row.empty() ? "" : ",") + cell;
+                *error = util::format("%s row %zu: want one number, "
+                                      "got '%s'",
+                                      path.c_str(), i + 1, row.c_str());
+            }
+            return {};
         }
-        samples.push_back(v);
     }
+    if (samples.empty() && error)
+        *error = path + ": no samples (missing or empty file?)";
     return PowerTrace(std::move(samples), name);
 }
 

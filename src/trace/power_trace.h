@@ -68,9 +68,18 @@ class PowerTrace
     /** Save as a one-column CSV ("power_uw" header). */
     bool saveCsv(const std::string &path) const;
 
-    /** Load from a one-column CSV; returns empty trace on error. */
+    /** The one-column CSV form ("power_uw" header) saveCsv writes. */
+    std::string toCsv() const;
+
+    /**
+     * Load from a one-column CSV: an optional header row, then one
+     * whole finite number per row (util::parseNumber). Returns an empty
+     * trace on error, with the reason, naming the file and the row, in
+     * @p error.
+     */
     static PowerTrace loadCsv(const std::string &path,
-                              const std::string &name = "");
+                              const std::string &name = "",
+                              std::string *error = nullptr);
 
   private:
     std::vector<double> samples_;

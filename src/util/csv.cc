@@ -1,8 +1,9 @@
 #include "util/csv.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "util/fs.h"
 
 namespace inc::util
 {
@@ -57,11 +58,7 @@ CsvWriter::render() const
 bool
 CsvWriter::write(const std::string &path) const
 {
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        return false;
-    f << render();
-    return static_cast<bool>(f);
+    return writeFile(path, render());
 }
 
 std::vector<std::vector<std::string>>
@@ -109,12 +106,9 @@ parseCsv(const std::string &content)
 std::vector<std::vector<std::string>>
 readCsv(const std::string &path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return {};
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return parseCsv(ss.str());
+    std::string content;
+    return readFile(path, &content) ? parseCsv(content)
+                                    : std::vector<std::vector<std::string>>{};
 }
 
 } // namespace inc::util

@@ -1,6 +1,8 @@
 #include "util/fs.h"
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <system_error>
 
 #include "util/logging.h"
@@ -34,6 +36,28 @@ ensureParentDir(const std::string &path)
     if (parent.empty())
         return true;
     return ensureDir(parent.string());
+}
+
+bool
+writeFile(const std::string &path, const std::string &content)
+{
+    if (!ensureParentDir(path))
+        return false;
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+    return static_cast<bool>(out);
+}
+
+bool
+readFile(const std::string &path, std::string *content)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    *content = ss.str();
+    return true;
 }
 
 } // namespace inc::util

@@ -27,6 +27,14 @@ bool ensureDir(const std::string &path);
  */
 bool ensureParentDir(const std::string &path);
 
+/** Write @p content to @p path, creating its parent directory first.
+ *  False on any failure. */
+bool writeFile(const std::string &path, const std::string &content);
+
+/** Read all of @p path into @p content. False when it cannot be
+ *  opened. */
+bool readFile(const std::string &path, std::string *content);
+
 } // namespace inc::util
 
 #endif // INC_UTIL_FS_H

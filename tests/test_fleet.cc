@@ -22,16 +22,24 @@
  * --status-socket + --trace-out must leave all four campaign
  * artifacts byte-identical; and the CLI hard-error surface — a
  * fingerprint-mismatched fleet dir, a bogus worker count, a
- * non-positive --heartbeat-timeout, and dead socket paths all die
- * with a clear fatal message.
+ * non-positive --heartbeat-timeout, dead socket paths, and every
+ * subcommand's strict flag parsing (unknown, repeated and value-less
+ * flags, extra arguments, numbers out of range) all die with a clear
+ * fatal message before any work starts.
+ *
+ * Campaign identity: the journal fingerprint of two campaigns is
+ * pinned to the value arenas have stored since before the knob table,
+ * and every knob in the table must move it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +52,7 @@
 #include "fleet/protocol.h"
 #include "obs/fleet_trace.h"
 #include "obs/json.h"
+#include "runner/journal.h"
 #include "runner/shard.h"
 #include "runner/sweep.h"
 #include "sim/result_io.h"
@@ -134,6 +143,109 @@ TEST(Campaign, RejectsUnknownKeysAndWrongTypes)
                                          &spec, &error));
     EXPECT_NE(error.find("wrong type"), std::string::npos) << error;
     EXPECT_FALSE(fleet::campaignFromJson("[1,2]", &spec, &error));
+
+    // Values are checked against the knob table, never cast: a
+    // fraction, a negative or an out-of-range integer, a malformed
+    // profile list and a negative income all fail, naming the knob and
+    // the value.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {R"({"seed": 7.9})", "campaign seed must be an integer"},
+        {R"({"seed": -5})", "got '-5'"},
+        {R"({"bits": 1e10})", "campaign bits must be an integer in [1, 8]"},
+        {R"({"profiles": "2x"})", "unknown campaign profiles '2x'"},
+        {R"({"profiles": "0,6"})", "unknown campaign profiles '0,6'"},
+        {R"({"income_scale": -1})", "campaign income_scale must be"},
+        {R"({"frame_factor": -1})", "campaign frame_factor must be"},
+        {R"({"seconds": 0.00001})", "one 0.1 ms trace sample"},
+        {R"({"engine": "batch"})", "unknown campaign engine 'batch'"},
+    };
+    for (const auto &[json, needle] : bad) {
+        error.clear();
+        EXPECT_FALSE(fleet::campaignFromJson(json, &spec, &error)) << json;
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << json << ": " << error;
+    }
+}
+
+namespace
+{
+
+/** The SweepJournal fingerprint `sweep --arena` and the fleet derive
+ *  for @p campaign. */
+std::string
+campaignFingerprint(const fleet::CampaignSpec &campaign, bool metrics)
+{
+    const runner::SweepSpec spec = fleet::buildSweepSpec(campaign, metrics);
+    return runner::SweepJournal::fingerprint(
+        spec, runner::expandSweep(spec),
+        fleet::campaignFingerprintExtra(campaign, metrics));
+}
+
+} // namespace
+
+TEST(Campaign, FingerprintsMatchJournalsWrittenBeforeTheKnobTable)
+{
+    // Computed by the per-flag parser the knob table replaced: arenas
+    // journaled by it must still resume.
+    const fleet::CampaignSpec defaults;
+    EXPECT_EQ(campaignFingerprint(defaults, false), "ad3c37ce");
+    EXPECT_EQ(campaignFingerprint(defaults, true), "da3b0758");
+
+    // perfbench's sweep_compute campaign at its default seed.
+    fleet::CampaignSpec compute;
+    std::string error;
+    ASSERT_TRUE(fleet::campaignFromJson(
+        R"({"profiles": "3", "seconds": 4, "income_scale": 200,)"
+        R"( "frame_factor": 0.2, "seed": 2017})",
+        &compute, &error))
+        << error;
+    EXPECT_EQ(campaignFingerprint(compute, false), "2d30799f");
+    EXPECT_EQ(campaignFingerprint(compute, true), "5a374909");
+}
+
+TEST(Campaign, EveryKnobFeedsTheFingerprint)
+{
+    // A text knob has no derivable second value: one added to the
+    // table fails here until it gets an entry.
+    const std::map<std::string, std::string> other_text = {
+        {"kernels", "median"}, {"profiles", "3"},
+        {"mode", "fixed"},     {"policy", "log"},
+        {"engine", "reference"}, {"strategy", "freezer"}};
+    fleet::CampaignSpec base;
+    base.kernels = "sobel";
+    base.profiles = "2";
+    base.seconds = 0.01;
+    const std::string base_fingerprint = campaignFingerprint(base, true);
+    obs::JsonValue base_doc;
+    std::string error;
+    ASSERT_TRUE(
+        obs::parseJson(fleet::campaignToJson(base), &base_doc, &error));
+
+    for (const util::Flag &flag : fleet::campaignFlags(true)) {
+        std::string key = flag.name;
+        std::replace(key.begin(), key.end(), '-', '_');
+        ASSERT_NE(base_doc.find(key), nullptr) << key;
+        const obs::JsonValue &now = *base_doc.find(key);
+        obs::JsonValue doc = base_doc;
+        if (flag.kind == util::FlagKind::toggle) {
+            doc.set(key, obs::JsonValue::of(!now.boolean()));
+        } else if (flag.kind == util::FlagKind::text) {
+            const auto other = other_text.find(key);
+            ASSERT_NE(other, other_text.end())
+                << "give text knob '" << key << "' a second value here";
+            doc.set(key, obs::JsonValue::of(other->second));
+        } else {
+            const double up = now.number() + 1;
+            doc.set(key, obs::JsonValue::of(util::inRange(flag, up)
+                                                ? up
+                                                : now.number() - 1));
+        }
+        fleet::CampaignSpec changed;
+        ASSERT_TRUE(fleet::campaignFromJson(doc.dump(), &changed, &error))
+            << key << ": " << error;
+        EXPECT_NE(campaignFingerprint(changed, true), base_fingerprint)
+            << "knob '" << key << "' does not feed the fingerprint";
+    }
 }
 
 TEST(Campaign, BuildSweepSpecExpandsTheGridDeterministically)
@@ -908,7 +1020,10 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
                        &out);
         EXPECT_NE(code, 0) << count;
         EXPECT_NE(out.find("fatal:"), std::string::npos) << out;
-        EXPECT_NE(out.find("unknown worker count"), std::string::npos)
+        EXPECT_NE(out.find(std::string("--workers must be an integer in "
+                                       "[1, 2147483647], got '") +
+                           count + "'"),
+                  std::string::npos)
             << out;
     }
 
@@ -921,7 +1036,10 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
                 " --workers 1 --heartbeat-timeout=" + timeout,
             &out);
         EXPECT_NE(code, 0) << timeout;
-        EXPECT_NE(out.find("--heartbeat-timeout must be a positive"),
+        EXPECT_NE(out.find(std::string("--heartbeat-timeout must be a "
+                                       "number in [0.001, 1000000000], "
+                                       "got '") +
+                           timeout + "'"),
                   std::string::npos)
             << out;
     }
@@ -1032,6 +1150,107 @@ TEST(FleetCli, BadNumbersAndUnknownNamesDieNamingTheInput)
                 {"unknown trial mode 'bogus_mode'",
                  "(valid: exact_recovery, bounded_error, monotone_bits, "
                  "rac_merge, arena_recovery, strategy_diff, fleet_merge)"});
+
+    // Numbers are checked against the flag's range, never cast or
+    // defaulted: each of these once ran as 1, -1, 7, 1 and 1.
+    expectFatal(nvpsim + " run --seconds 0.1 --income-scale -1",
+                {"--income-scale must be", "got '-1'"});
+    expectFatal(nvpsim + " run --seconds 0.1 --income-scale=-1",
+                {"--income-scale must be", "got '-1'"});
+    expectFatal(nvpsim + " run --seconds 0.1 --seed 7.9",
+                {"--seed must be an integer", "got '7.9'"});
+    expectFatal(nvpsim + " run --seconds 0.1 --seed -5",
+                {"--seed must be an integer", "got '-5'"});
+    expectFatal(nvpsim + " fuzz --trials 1 --jobs -1",
+                {"--jobs must be an integer", "got '-1'"});
+    expectFatal(nvpsim + " sweep --kernels sobel --profiles 2x",
+                {"unknown --profiles '2x'"});
+    expectFatal(nvpsim + " sweep --kernels sobel --kill-after 1",
+                {"nvpsim sweep: --kill-after requires --arena"});
+    // --status-socket takes its path only as `=PATH`.
+    expectFatal(nvpsim + " serve " + campaign +
+                    " --status-socket s.sock",
+                {"nvpsim serve: unexpected argument 's.sock'"});
+
+    // A power trace holds one whole number per row after its header:
+    // "nan" is not 0 and "5abc" is not 5.
+    const std::string bad_trace = base + "/bad.csv";
+    {
+        std::ofstream f(bad_trace, std::ios::binary);
+        f << "power_uw\n12.5\n5abc\n";
+    }
+    expectFatal(nvpsim + " run --seconds 0.1 --trace " + bad_trace,
+                {bad_trace + " row 3", "'5abc'"});
+
+    // Every subcommand parses strictly. Each case runs in an empty
+    // directory with its outputs aimed there, and must die naming the
+    // subcommand and the flag and listing the valid flags (one of them
+    // given here), before any simulation or file output.
+    struct Strict
+    {
+        std::string cmd;      ///< subcommand plus its operands
+        std::string outputs;  ///< output flags aimed at the empty dir
+        std::string repeated; ///< a flag given twice
+        std::string bare;     ///< a value flag with no value
+        std::string listed;   ///< one flag the usage must list
+    };
+    const std::vector<Strict> strict = {
+        {"trace", "--out t.csv", "--seed 1 --seed 2", "--trace",
+         "--profile"},
+        {"run", "--metrics m.json", "--kernel sobel --kernel median",
+         "--trace-out", "--engine"},
+        {"sweep", "--out o.csv", "--jobs 1 --jobs 2", "--metrics",
+         "--kernels"},
+        {"serve " + campaign, "--out o.csv --fleet-dir fd",
+         "--workers 1 --workers 2", "--socket",
+         "--status-socket[=VALUE]"},
+        {"work", "", "--jobs 1 --jobs 1", "--socket", "--collect-metrics"},
+        {"status sock", "", "--json --json", "--watch=1", "--json"},
+        {"report", "--out r.json", "--kernel sobel --kernel sobel",
+         "--from-metrics", "--flight-capacity"},
+        {"fuzz", "--repro-dir rd", "--trials 1 --trials 2", "--modes",
+         "--engine-diff"},
+        {"asm prog.s", "", "--run --run", "--steps", "--run"},
+        {"kernels", "", "", "", "usage: nvpsim kernels"},
+    };
+    const std::string cwd = base + "/cwd";
+    fs::create_directories(cwd);
+    for (const Strict &c : strict) {
+        const std::string name = c.cmd.substr(0, c.cmd.find(' '));
+        const std::string who = "nvpsim " + name + ": ";
+        const std::string run =
+            "cd " + cwd + " && " + nvpsim + " " + c.cmd + " " + c.outputs;
+        for (const char *unknown : {"--help", "--kernle", "--income_scale"})
+            expectFatal(run + " " + unknown,
+                        {who + "unknown flag '" + unknown + "'",
+                         "usage: nvpsim " + name, c.listed});
+        expectFatal(run + " extra",
+                    {who + "unexpected argument 'extra'", c.listed});
+        if (c.repeated.empty())
+            continue; // kernels declares no flags
+        const std::string flag =
+            c.repeated.substr(0, c.repeated.find(' '));
+        expectFatal(run + " " + c.repeated,
+                    {who + flag + " given twice", c.listed});
+        expectFatal(run + " " + c.bare,
+                    {who + c.bare.substr(0, c.bare.find('=')), c.listed});
+    }
+    EXPECT_TRUE(fs::is_empty(cwd)) << "a rejected command wrote output";
+    fs::remove_all(base);
+}
+TEST(FleetCli, TraceOutCreatesItsParentDirectory)
+{
+    // Every nvpsim output goes through one writer that creates the
+    // parent directory; `trace --out` once died here instead.
+    const std::string base = freshDir("trace-out");
+    const std::string out = base + "/nest/a/t.csv";
+    std::string log;
+    EXPECT_EQ(runCommand(std::string(INC_NVPSIM_PATH) +
+                             " trace --seconds 0.01 --out " + out,
+                         &log),
+              0)
+        << log;
+    EXPECT_TRUE(fs::exists(out)) << log;
     fs::remove_all(base);
 }
 #endif // INC_NVPSIM_PATH

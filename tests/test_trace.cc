@@ -1,9 +1,11 @@
 /**
  * Power traces: generator calibration against the paper's published
- * statistics, outage extraction, CSV round-trip.
+ * statistics, outage extraction, CSV round-trip and strict CSV loading.
  */
 
 #include <gtest/gtest.h>
+
+#include <fstream>
 
 #include "trace/outage_stats.h"
 #include "trace/trace_generator.h"
@@ -32,6 +34,55 @@ TEST(PowerTrace, CsvRoundTrip)
     ASSERT_EQ(back.size(), t.size());
     for (size_t i = 0; i < t.size(); i += 37)
         EXPECT_NEAR(back.at(i), t.at(i), 1e-3);
+}
+
+namespace
+{
+
+/** Load a CSV written from @p content; @p error receives the reason. */
+PowerTrace
+loadText(const std::string &content, std::string *error)
+{
+    const std::string path = ::testing::TempDir() + "/strict.csv";
+    std::ofstream(path, std::ios::binary) << content;
+    error->clear();
+    return PowerTrace::loadCsv(path, "strict", error);
+}
+
+} // namespace
+
+TEST(PowerTrace, CsvLoadAcceptsAnOptionalHeaderAndWholeNumbers)
+{
+    std::string error;
+    const PowerTrace headed = loadText("power_uw\n1.5\n2\r\n-3\n", &error);
+    ASSERT_EQ(headed.size(), 3u) << error;
+    EXPECT_DOUBLE_EQ(headed.at(0), 1.5);
+    EXPECT_DOUBLE_EQ(headed.at(1), 2.0);
+    EXPECT_EQ(loadText("4\n5\n", &error).size(), 2u) << error;
+}
+
+TEST(PowerTrace, CsvLoadRejectsAnyRowThatIsNotOneNumber)
+{
+    // Each of these once loaded: nan as 0, 5abc as 5, and the other
+    // rows were dropped with a warning, shifting every later sample.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"power_uw\n1\nnan\n", "row 3: want one number, got 'nan'"},
+        {"power_uw\n5abc\n", "row 2: want one number, got '5abc'"},
+        {"1\nwatts\n2\n", "row 2: want one number, got 'watts'"},
+        {"power_uw\n1\ninf\n", "row 3"},
+        {"power_uw\n1,2\n", "row 2: want one number, got '1,2'"},
+        {"power_uw\n 7\n", "row 2"},
+    };
+    for (const auto &[content, needle] : bad) {
+        std::string error;
+        EXPECT_TRUE(loadText(content, &error).empty()) << content;
+        EXPECT_NE(error.find("strict.csv " + needle), std::string::npos)
+            << content << ": " << error;
+    }
+    std::string error;
+    EXPECT_TRUE(PowerTrace::loadCsv("/no/such/trace.csv", "", &error)
+                    .empty());
+    EXPECT_NE(error.find("/no/such/trace.csv"), std::string::npos);
 }
 
 TEST(PowerTrace, ScaledMultipliesEverySample)

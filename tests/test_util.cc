@@ -4,6 +4,7 @@
 
 #include "util/bit_ops.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/image.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -122,6 +123,70 @@ TEST(Csv, RoundTrip)
     EXPECT_EQ(rows[0][0], "x");
     EXPECT_EQ(rows[1][1], "hello, world");
     EXPECT_EQ(rows[2][1], "quote\"inside");
+}
+
+TEST(ParseNumber, TakesOnlyOneWholeFiniteNumber)
+{
+    double v = 0;
+    EXPECT_TRUE(u::parseNumber("7", &v));
+    EXPECT_EQ(v, 7.0);
+    EXPECT_TRUE(u::parseNumber("-0.25", &v));
+    EXPECT_EQ(v, -0.25);
+    EXPECT_TRUE(u::parseNumber("1e-4", &v));
+    for (const char *bad : {"", "5abc", "1x", "nan", "inf", "-inf", " 5",
+                            "5 ", "abc", "1,2"})
+        EXPECT_FALSE(u::parseNumber(bad, &v)) << "'" << bad << "'";
+}
+
+TEST(Flags, RangesAndParsedValues)
+{
+    using u::FlagKind;
+    const u::Flag bits{"bits", FlagKind::integer, 1, 8};
+    EXPECT_TRUE(u::inRange(bits, 8));
+    EXPECT_FALSE(u::inRange(bits, 7.5));
+    EXPECT_FALSE(u::inRange(bits, 0));
+    EXPECT_FALSE(u::inRange(bits, 1e10));
+    EXPECT_EQ(u::rangeText(bits), "an integer in [1, 8]");
+
+    const u::Flags flags(
+        "nvpsim test",
+        {{"out"}, bits, {"quick", FlagKind::toggle},
+         {"socket", FlagKind::optional}, {"scale", FlagKind::number, 0, 2}},
+        {"FILE"},
+        {"in.s", "--out", "o.csv", "--bits=3", "--quick", "--socket",
+         "--scale", "-0"});
+    EXPECT_EQ(flags.operand(0), "in.s");
+    EXPECT_EQ(flags.text("out"), "o.csv");
+    EXPECT_EQ(flags.num("bits", 4), 3.0);
+    EXPECT_TRUE(flags.has("quick"));
+    EXPECT_TRUE(flags.has("socket"));
+    EXPECT_EQ(flags.text("socket", "unset"), "");
+    EXPECT_EQ(flags.num("scale", 1.0), 0.0);
+    EXPECT_NE(flags.find("out"), nullptr);
+    EXPECT_EQ(flags.find("help"), nullptr);
+    EXPECT_NE(flags.usage().find("--bits N (an integer in [1, 8])"),
+              std::string::npos)
+        << flags.usage();
+    EXPECT_NE(flags.usage().find("--socket[=VALUE]"), std::string::npos);
+    const u::Flags path("nvpsim test", {{"socket", FlagKind::optional}},
+                        {}, {"--socket=s.sock"});
+    EXPECT_EQ(path.text("socket"), "s.sock");
+}
+
+TEST(FlagsDeathTest, NextFlagIsNoValueAndReadsMustBeDeclared)
+{
+    // What the spawned-binary cases in test_fleet.cc do not reach: a
+    // value flag followed by another flag, and reads of undeclared
+    // names.
+    using u::FlagKind;
+    const std::vector<u::Flag> table = {{"out"},
+                                        {"quick", FlagKind::toggle}};
+    EXPECT_EXIT(u::Flags("nvpsim t", table, {}, {"--out", "--quick"}),
+                ::testing::ExitedWithCode(1),
+                "nvpsim t: --out needs a value");
+    const u::Flags flags("nvpsim t", table, {}, {});
+    EXPECT_DEATH(flags.has("kernle"), "does not declare");
+    EXPECT_DEATH(flags.num("outt", 0), "does not declare");
 }
 
 TEST(Image, BasicsAndClampedAccess)

@@ -2,25 +2,29 @@
  * @file
  * nvpsim — command-line front end to the incidental-computing stack.
  *
- * A numeric flag value must be one finite number: `--seed abc` or
- * `--seconds 1x` is fatal, and the error names the flag.
+ * Each subcommand declares one flag table (commands() at the end of
+ * this file); the campaign knobs shared with campaign files come from
+ * fleet::campaignFlags(). Parsing is strict and finishes before any
+ * work starts (util/flags.h): an unknown, repeated or value-less flag,
+ * a number out of range or an extra argument is fatal, and the error
+ * names the subcommand and the flag and prints the usage generated
+ * from the table. `nvpsim CMD --help` is such an error, so it shows
+ * CMD's flags.
  *
  * Subcommands:
  *
- *   nvpsim trace [--profile N] [--seconds S] [--seed K] [--out F.csv]
+ *   nvpsim trace
  *       Synthesize a watch-harvester trace, print its statistics, and
  *       optionally save it as CSV (loadable back via --trace).
  *
- *   nvpsim run [--kernel NAME] [--profile N | --trace F.csv]
- *              [--mode precise|fixed|dynamic] [--bits B] [--minbits B]
- *              [--policy full|linear|log|parabola] [--baseline]
- *              [--engine reference|predecoded]
- *              [--strategy active|freezer|ondemand] [--seconds S]
- *              [--seed K]
- *              [--metrics F.json] [--trace-out F.trace.json]
- *              [--arena DIR]
- *       Co-simulate a kernel on a power trace and print the result
- *       record (forward progress, backups, quality, lane statistics).
+ *   nvpsim run
+ *       Co-simulate a kernel on a power trace (--trace F.csv, else
+ *       the synthesized --profile N) and print the result record
+ *       (forward progress, backups, quality, lane statistics). The
+ *       config flags (--mode, --bits, --minbits, --policy, --baseline,
+ *       --engine, --strategy, --income-scale, --frame-factor, --seconds,
+ *       --seed) are the campaign knobs, resolved by
+ *       fleet::campaignConfig exactly as a sweep resolves them.
  *       --metrics attaches an observer (src/obs) and writes its metric
  *       registry as JSON, then verifies the cross-metric identities of
  *       obs/schema.h (violations exit nonzero). --trace-out writes a
@@ -39,16 +43,10 @@
  *       arena-backed with --arena) and reports its backup cost in the
  *       ckpt.* metric block.
  *
- *   nvpsim sweep [--kernels A,B,...|all] [--profiles 1,2,...|all]
- *                [--mode precise|fixed|dynamic] [--bits B] [--minbits B]
- *                [--policy full|linear|log|parabola] [--baseline]
- *                [--engine reference|predecoded]
- *                [--strategy active|freezer|ondemand] [--seconds S]
- *                [--seed K] [--jobs N] [--out F.csv]
- *                [--metrics F.json] [--report] [--report-out F.json]
- *                [--arena DIR] [--resume] [--kill-after N]
- *       Run the kernel x profile grid in parallel on N worker threads
- *       (default: hardware concurrency) via runner::SweepRunner.
+ *   nvpsim sweep
+ *       Run the --kernels x --profiles grid in parallel on --jobs
+ *       worker threads (default: hardware concurrency) via
+ *       runner::SweepRunner.
  *       Results are aggregated in deterministic job order — the output
  *       is byte-identical at any --jobs value, including the merged
  *       metric registry that --metrics writes (per-job registries are
@@ -74,13 +72,7 @@
  *       a testing aid that SIGKILLs the process after N jobs have been
  *       journaled.
  *
- *   nvpsim serve CAMPAIGN.json --workers N [--fleet-dir DIR]
- *                [--socket PATH] [--shards S] [--worker-jobs J]
- *                [--max-shard-retries R] [--heartbeat-timeout SEC]
- *                [--out F.csv] [--metrics F.json] [--report]
- *                [--report-out F.json] [--fleet-metrics F.json]
- *                [--status-socket [PATH]] [--trace-out F.trace.json]
- *                [--progress-every N] [--kill-worker-after K]
+ *   nvpsim serve CAMPAIGN.json
  *       Fleet campaign service (src/fleet, DESIGN.md §15): expand the
  *       campaign file's sweep grid once, partition it into contiguous
  *       job shards, and execute them across N `nvpsim work` child
@@ -112,7 +104,7 @@
  *       Live telemetry plane (DESIGN.md §16): workers stream PROGRESS
  *       frames every --progress-every delivered jobs (default 1, 0
  *       disables) carrying shard position, a cumulative metrics
- *       snapshot and completed trace spans. --status-socket [PATH]
+ *       snapshot and completed trace spans. --status-socket[=PATH]
  *       opens a second Unix socket (default <fleet-dir>/status.sock)
  *       that streams point-in-time STATE snapshots to every
  *       connection — see `nvpsim status`. --trace-out merges worker
@@ -123,17 +115,15 @@
  *       over the result path: all campaign outputs stay byte-identical
  *       whether or not any of these flags are set.
  *
- *   nvpsim work --socket PATH --campaign FILE --fleet-dir DIR
- *               [--jobs N] [--collect-metrics 0|1]
- *               [--progress-every N] [--kill-after K]
+ *   nvpsim work
  *       Fleet worker entry point (spawned by `nvpsim serve`; usable
- *       manually for debugging). Connects to the coordinator socket,
+ *       manually for debugging). Connects to the coordinator --socket,
  *       announces the campaign fingerprint it derived independently
- *       from the campaign file, and executes SHARD assignments —
+ *       from the --campaign file, and executes SHARD assignments —
  *       journal-backed, streaming each result the moment it commits —
  *       until told to EXIT.
  *
- *   nvpsim status <SOCKET|FLEET-DIR> [--json] [--watch]
+ *   nvpsim status <SOCKET|FLEET-DIR>
  *       Query a running campaign's --status-socket (a fleet dir
  *       resolves to DIR/status.sock). By default prints a one-shot
  *       human-readable snapshot: jobs done/total, shard progress,
@@ -147,10 +137,7 @@
  *       jobs_done == jobs_total). Exits nonzero when the socket is
  *       unreachable or no snapshot arrives.
  *
- *   nvpsim fuzz [--trials N] [--seed K] [--jobs N] [--samples S]
- *               [--repro-dir DIR] [--minimize] [--replay DIR]
- *               [--inject-bug leaky-backup] [--engine-diff]
- *               [--modes A,B,...]
+ *   nvpsim fuzz
  *       Differential crash-consistency fuzzing (src/check): N seeded
  *       trials of randomized kernels on mutated power traces through
  *       the co-simulator, cross-validated against the functional
@@ -171,11 +158,10 @@
  *       filtered trials keep the specs an unfiltered run of the same
  *       seed would draw, so repro seeds stay exact.
  *
- *   nvpsim report [--kernel NAME] [--profile N | --trace F.csv]
- *                 [run flags] [--flight-capacity N] [--out F.json]
- *                 [--from-metrics F.json]
- *       Run a co-simulation with an observer + flight recorder attached
- *       and print the derived run report (src/obs/report): energy
+ *   nvpsim report
+ *       Run a co-simulation (the trace and config flags of `run`)
+ *       with an observer + flight recorder attached and print the
+ *       derived run report (src/obs/report): energy
  *       attribution over the energy.* ledger split, conservation
  *       ledger, outage/on-period p50/p95/p99, per-kernel
  *       forward-progress efficiency, and the per-outage flight log.
@@ -184,28 +170,23 @@
  *       metrics JSON (no simulation, no flight log). Exits nonzero
  *       when the registry violates the obs/schema.h identities.
  *
- *   nvpsim asm FILE.s [--run] [--steps N]
- *       Assemble a program; print the disassembly, optionally execute.
+ *   nvpsim asm FILE.s
+ *       Assemble a program; print the disassembly, optionally execute
+ *       it (--run, at most --steps instructions).
  *
  *   nvpsim kernels
  *       List the registered testbench kernels with program sizes.
  */
 
 #include <atomic>
-#include <cerrno>
-#include <cmath>
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <map>
+#include <filesystem>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "arena/arena.h"
@@ -217,7 +198,6 @@
 #include "fleet/protocol.h"
 #include "fleet/socket.h"
 #include "fleet/worker.h"
-#include "isa/assembler.h"
 #include "isa/disassembler.h"
 #include "kernels/kernel.h"
 #include "obs/event_tracer.h"
@@ -242,81 +222,47 @@ using namespace inc;
 namespace
 {
 
-/** Tiny --flag value argument parser. */
-class Args
+using util::Flag;
+using util::FlagKind;
+using util::Flags;
+
+/** Write one output file, creating its parent directory, and announce
+ *  it on stdout as @p what unless that is null; fatal on failure.
+ *  Every file nvpsim writes goes through here. */
+void
+writeOrDie(const std::string &path, const std::string &content,
+           const char *what)
 {
-  public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 0; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) == 0) {
-                const std::string key = arg.substr(2);
-                const std::size_t eq = key.find('=');
-                if (eq != std::string::npos) {
-                    // --key=value form.
-                    values_[key.substr(0, eq)] = key.substr(eq + 1);
-                } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-                    values_[key] = argv[++i];
-                } else {
-                    values_[key] = "1";
-                }
-            } else {
-                positional_.push_back(arg);
-            }
-        }
-    }
+    if (!util::writeFile(path, content))
+        util::fatal("could not write '%s'", path.c_str());
+    if (what != nullptr)
+        std::printf("%s written to %s\n", what, path.c_str());
+}
 
-    std::string get(const std::string &key,
-                    const std::string &fallback = "") const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    /** Numeric flag value; fatal unless the whole value is one
-     *  finite number. */
-    double num(const std::string &key, double fallback) const
-    {
-        const auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        const char *text = it->second.c_str();
-        char *end = nullptr;
-        const double value = std::strtod(text, &end);
-        if (end == text || *end != '\0' || !std::isfinite(value))
-            util::fatal("--%s expects a number, got '%s'", key.c_str(),
-                        text);
-        return value;
-    }
-
-    bool has(const std::string &key) const
-    {
-        return values_.count(key) > 0;
-    }
-
-    const std::vector<std::string> &positional() const
-    {
-        return positional_;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-    std::vector<std::string> positional_;
-};
-
-/** Write @p content to @p path, creating the parent directory first
- *  (nested output paths get the same treatment as INC_BENCH_OUTDIR). */
-bool
-writeTextFile(const std::string &path, const std::string &content)
+std::string
+readOrDie(const std::string &path)
 {
-    if (!util::ensureParentDir(path))
-        return false;
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << content;
-    return static_cast<bool>(out);
+    std::string content;
+    if (!util::readFile(path, &content))
+        util::fatal("cannot open '%s'", path.c_str());
+    return content;
+}
+
+/** A count as a table cell. */
+template <typename T>
+std::string
+integer(T value)
+{
+    return util::Table::integer(static_cast<long long>(value));
+}
+
+/** Print metric-identity violations; the exit status they imply. */
+int
+reportViolations(const std::vector<std::string> &violations)
+{
+    for (const auto &v : violations)
+        std::fprintf(stderr, "metric identity violated: %s\n", v.c_str());
+    return violations.empty() ? 0 : 1;
 }
 
 /** Open (or create/recover) a persistence arena; fatal on corruption
@@ -330,31 +276,31 @@ openArenaOrDie(const std::string &dir)
         util::fatal("cannot open arena '%s': %s", dir.c_str(),
                     e.what());
     }
-    return nullptr; // unreachable
 }
 
+/** --trace F.csv, else --profile N synthesized for the campaign's
+ *  --seconds and --seed. */
 trace::PowerTrace
-loadOrGenerateTrace(const Args &args)
+loadOrGenerateTrace(const Flags &flags, const fleet::CampaignSpec &spec)
 {
-    if (args.has("trace")) {
-        trace::PowerTrace t =
-            trace::PowerTrace::loadCsv(args.get("trace"), "file trace");
+    if (flags.has("trace")) {
+        std::string error;
+        trace::PowerTrace t = trace::PowerTrace::loadCsv(
+            flags.text("trace"), "file trace", &error);
         if (t.empty())
-            util::fatal("could not load trace '%s'",
-                        args.get("trace").c_str());
+            util::fatal("could not load trace: %s", error.c_str());
         return t;
     }
-    const int profile = static_cast<int>(args.num("profile", 2));
-    const double seconds = args.num("seconds", 5.0);
-    const auto seed = static_cast<std::uint64_t>(args.num("seed", 2017));
-    trace::TraceGenerator gen(trace::paperProfile(profile), seed);
-    return gen.generate(static_cast<std::size_t>(seconds * 1e4));
+    trace::TraceGenerator gen(trace::paperProfile(flags.num("profile", 2)),
+                              spec.seed);
+    return gen.generate(fleet::traceSamples(spec.seconds));
 }
 
 int
-cmdTrace(const Args &args)
+cmdTrace(const Flags &flags)
 {
-    const trace::PowerTrace t = loadOrGenerateTrace(args);
+    const trace::PowerTrace t =
+        loadOrGenerateTrace(flags, fleet::campaignFromFlags(flags));
     const trace::OutageStats stats = trace::analyzeOutages(t);
 
     util::Table table(t.name());
@@ -367,9 +313,7 @@ cmdTrace(const Args &args)
                   util::Table::num(t.peakPower(), 0) + " uW"});
     table.addRow({"harvestable energy",
                   util::Table::num(t.totalEnergyUj(), 1) + " uJ"});
-    table.addRow({"emergencies (33 uW)",
-                  util::Table::integer(
-                      static_cast<long long>(stats.count()))});
+    table.addRow({"emergencies (33 uW)", integer(stats.count())});
     table.addRow({"mean outage",
                   util::Table::num(stats.meanDurationTenthMs() / 10.0,
                                    2) +
@@ -380,87 +324,35 @@ cmdTrace(const Args &args)
                       " ms"});
     table.print();
 
-    if (args.has("out")) {
-        if (!t.saveCsv(args.get("out")))
-            util::fatal("could not write '%s'", args.get("out").c_str());
-        std::printf("trace written to %s\n", args.get("out").c_str());
-    }
+    if (flags.has("out"))
+        writeOrDie(flags.text("out"), t.toCsv(), "trace");
     return 0;
 }
 
-/** Build a SimConfig from the shared run/sweep command-line flags. */
-sim::SimConfig
-configFromArgs(const Args &args)
-{
-    sim::SimConfig cfg;
-    cfg.seed = static_cast<std::uint64_t>(args.num("seed", 2017));
-    const std::string mode = args.get("mode", "dynamic");
-    if (mode == "precise") {
-        cfg.bits.mode = approx::ApproxMode::precise;
-    } else if (mode == "fixed") {
-        cfg.bits.mode = approx::ApproxMode::fixed;
-        cfg.bits.fixed_bits = static_cast<int>(args.num("bits", 4));
-    } else if (mode == "dynamic") {
-        cfg.bits.mode = approx::ApproxMode::dynamic;
-        cfg.bits.min_bits = static_cast<int>(args.num("minbits", 2));
-    } else {
-        util::fatal("unknown --mode '%s'", mode.c_str());
-    }
-    cfg.controller.backup_policy =
-        nvm::policyFromName(args.get("policy", "linear"));
-    if (args.has("baseline")) {
-        cfg.controller.roll_forward = false;
-        cfg.controller.simd_adoption = false;
-        cfg.controller.history_spawn = false;
-        cfg.controller.process_newest_first = false;
-    }
-    cfg.income_scale = args.num("income-scale", cfg.income_scale);
-    cfg.frame_period_factor =
-        args.num("frame-factor", cfg.frame_period_factor);
-    if (args.has("engine")) {
-        const std::string engine = args.get("engine");
-        const auto parsed = nvp::execEngineFromName(engine);
-        if (!parsed)
-            util::fatal("unknown --engine '%s' (%s)", engine.c_str(),
-                        nvp::execEngineNames().c_str());
-        cfg.core.engine = *parsed;
-    }
-    if (args.has("strategy")) {
-        const std::string strategy = args.get("strategy");
-        const auto parsed = sim::strategyFromName(strategy);
-        if (!parsed)
-            util::fatal("unknown --strategy '%s' (%s)",
-                        strategy.c_str(),
-                        sim::strategyNames().c_str());
-        cfg.strategy = *parsed;
-    }
-    return cfg;
-}
-
 int
-cmdRun(const Args &args)
+cmdRun(const Flags &flags)
 {
-    const std::string name = args.get("kernel", "sobel");
-    const trace::PowerTrace t = loadOrGenerateTrace(args);
+    const fleet::CampaignSpec spec = fleet::campaignFromFlags(flags);
+    sim::SimConfig cfg = fleet::campaignConfig(spec);
+    const std::string name = flags.text("kernel", "sobel");
     const kernels::Kernel kernel = kernels::makeKernel(name);
-    sim::SimConfig cfg = configFromArgs(args);
+    const trace::PowerTrace t = loadOrGenerateTrace(flags, spec);
 
-    const bool want_metrics = args.has("metrics");
-    const bool want_trace = args.has("trace-out");
+    const bool want_metrics = flags.has("metrics");
+    const bool want_trace = flags.has("trace-out");
     obs::Observer observer;
     obs::EventTracer tracer;
-    if (want_metrics || want_trace) {
-        if (want_trace)
-            observer.tracer = &tracer;
+    if (want_trace)
+        observer.tracer = &tracer;
+    if (want_metrics || want_trace)
         cfg.obs = &observer;
-    }
 
     // --arena: back the simulated NVM with a file-resident persistence
     // arena so the data-memory image survives the process.
     std::unique_ptr<arena::Arena> store;
     std::unique_ptr<arena::ArenaBackend> backend;
-    if (args.has("arena")) {
-        store = openArenaOrDie(args.get("arena"));
+    if (flags.has("arena")) {
+        store = openArenaOrDie(flags.text("arena"));
         backend = std::make_unique<arena::ArenaBackend>(store.get());
         cfg.persistence = backend.get();
     }
@@ -473,191 +365,117 @@ cmdRun(const Args &args)
     auto add = [&table](const char *k, const std::string &v) {
         table.addRow({k, v});
     };
-    add("forward progress (all lanes)",
-        util::Table::integer(
-            static_cast<long long>(r.forward_progress)));
-    add("lane-0 instructions",
-        util::Table::integer(
-            static_cast<long long>(r.main_instructions)));
+    add("forward progress (all lanes)", integer(r.forward_progress));
+    add("lane-0 instructions", integer(r.main_instructions));
     add("system-on time",
         util::Table::num(100.0 * r.on_time_fraction, 1) + " %");
     add("backups / restores",
-        util::Table::integer(static_cast<long long>(r.backups)) + " / " +
-            util::Table::integer(static_cast<long long>(r.restores)));
-    add("roll-forwards",
-        util::Table::integer(
-            static_cast<long long>(r.controller.roll_forwards)));
-    add("SIMD adoptions",
-        util::Table::integer(
-            static_cast<long long>(r.controller.adoptions)));
-    add("history spawns",
-        util::Table::integer(
-            static_cast<long long>(r.controller.history_spawns)));
+        integer(r.backups) + " / " + integer(r.restores));
+    add("roll-forwards", integer(r.controller.roll_forwards));
+    add("SIMD adoptions", integer(r.controller.adoptions));
+    add("history spawns", integer(r.controller.history_spawns));
     add("frames captured / completed",
-        util::Table::integer(
-            static_cast<long long>(r.frames_captured)) +
-            " / " +
-            util::Table::integer(static_cast<long long>(
-                r.controller.frames_completed)));
+        integer(r.frames_captured) + " / " +
+            integer(r.controller.frames_completed));
     if (r.frames_scored > 0) {
-        add("mean PSNR",
-            util::Table::num(r.mean_psnr, 1) + " dB over " +
-                util::Table::integer(r.frames_scored) + " frames");
+        add("mean PSNR", util::Table::num(r.mean_psnr, 1) + " dB over " +
+                             integer(r.frames_scored) + " frames");
         add("mean coverage",
             util::Table::num(100.0 * r.mean_coverage, 1) + " %");
     }
     add("backup energy",
         util::Table::num(r.backup_energy_nj / 1000.0, 1) + " uJ");
     add("retention violations",
-        util::Table::integer(static_cast<long long>(
-            r.retention_failures.totalViolations())));
+        integer(r.retention_failures.totalViolations()));
     table.print();
 
     if (want_trace) {
-        const std::string path = args.get("trace-out");
-        if (!util::ensureParentDir(path))
-            util::fatal("cannot create parent directory for '%s'",
-                        path.c_str());
-        if (!tracer.writeChromeTraceJson(path))
-            util::fatal("could not write '%s'", path.c_str());
+        const std::string path = flags.text("trace-out");
+        writeOrDie(path, tracer.toChromeTraceJson(), nullptr);
         std::printf("chrome trace written to %s (%zu events",
                     path.c_str(), tracer.size());
         if (tracer.dropped() > 0)
-            std::printf(", %llu dropped",
-                        static_cast<unsigned long long>(
-                            tracer.dropped()));
+            std::printf(", %" PRIu64 " dropped", tracer.dropped());
         std::printf(")\n");
     }
     if (want_metrics) {
-        const std::string path = args.get("metrics");
-        if (!util::ensureParentDir(path))
-            util::fatal("cannot create parent directory for '%s'",
-                        path.c_str());
+        const std::string path = flags.text("metrics");
         if (store)
-            arena::publishArenaStats(store->stats(),
-                                     observer.registry);
-        if (!observer.registry.writeJson(path))
-            util::fatal("could not write '%s'", path.c_str());
-        std::printf("metrics written to %s\n", path.c_str());
-        const std::vector<std::string> problems =
-            obs::verifySimMetricIdentities(observer.registry);
-        if (!problems.empty()) {
-            for (const auto &p : problems)
-                std::fprintf(stderr, "metric identity violated: %s\n",
-                             p.c_str());
-            return 1;
-        }
+            arena::publishArenaStats(store->stats(), observer.registry);
+        writeOrDie(path, observer.registry.toJson(), "metrics");
+        return reportViolations(
+            obs::verifySimMetricIdentities(observer.registry));
     }
     return 0;
 }
 
 int
-cmdReport(const Args &args)
+cmdReport(const Flags &flags)
 {
-    const std::string out = args.get("out");
-
-    // Offline mode: re-derive the report from a saved metrics JSON
-    // (e.g. one written by `run --metrics` or `sweep --metrics`).
-    if (args.has("from-metrics")) {
-        const std::string path = args.get("from-metrics");
-        std::ifstream f(path, std::ios::binary);
-        if (!f)
-            util::fatal("cannot open '%s'", path.c_str());
-        std::ostringstream ss;
-        ss << f.rdbuf();
+    const fleet::CampaignSpec spec = fleet::campaignFromFlags(flags);
+    sim::SimConfig cfg = fleet::campaignConfig(spec);
+    obs::RunReport report;
+    if (flags.has("from-metrics")) {
+        // Offline mode: re-derive the report from a saved metrics JSON
+        // (e.g. one written by `run --metrics` or `sweep --metrics`).
+        const std::string path = flags.text("from-metrics");
         obs::MetricsRegistry registry;
         std::string error;
-        if (!obs::MetricsRegistry::fromJson(ss.str(), &registry,
+        if (!obs::MetricsRegistry::fromJson(readOrDie(path), &registry,
                                             &error))
             util::fatal("could not parse '%s': %s", path.c_str(),
                         error.c_str());
-        const obs::RunReport report = obs::buildRunReport(registry);
-        std::fputs(report.renderText().c_str(), stdout);
-        if (!out.empty()) {
-            if (!writeTextFile(out, report.toJson()))
-                util::fatal("could not write '%s'", out.c_str());
-            std::printf("report written to %s\n", out.c_str());
-        }
-        return report.identity_violations.empty() ? 0 : 1;
+        report = obs::buildRunReport(registry);
+    } else {
+        const std::string name = flags.text("kernel", "sobel");
+        const kernels::Kernel kernel = kernels::makeKernel(name);
+        const trace::PowerTrace t = loadOrGenerateTrace(flags, spec);
+        const auto capacity = flags.num<std::size_t>("flight-capacity", 1024);
+        obs::Observer observer;
+        obs::FlightRecorder flight(capacity, capacity);
+        observer.flight = &flight;
+        cfg.obs = &observer;
+
+        sim::SystemSimulator s(kernel, &t, cfg);
+        const sim::SimResult r = s.run();
+        report = obs::buildRunReport(
+            observer.registry, &flight,
+            {{name, r.forward_progress, r.main_instructions,
+              r.controller.frames_completed, r.consumed_energy_nj}});
     }
-
-    const std::string name = args.get("kernel", "sobel");
-    const trace::PowerTrace t = loadOrGenerateTrace(args);
-    const kernels::Kernel kernel = kernels::makeKernel(name);
-    sim::SimConfig cfg = configFromArgs(args);
-
-    const auto capacity = static_cast<std::size_t>(
-        args.num("flight-capacity", 1024));
-    obs::Observer observer;
-    obs::FlightRecorder flight(capacity, capacity);
-    observer.flight = &flight;
-    cfg.obs = &observer;
-
-    sim::SystemSimulator s(kernel, &t, cfg);
-    const sim::SimResult r = s.run();
-
-    std::vector<obs::KernelEfficiency> efficiency(1);
-    efficiency[0].kernel = name;
-    efficiency[0].forward_progress = r.forward_progress;
-    efficiency[0].instructions = r.main_instructions;
-    efficiency[0].frames_completed = r.controller.frames_completed;
-    efficiency[0].consumed_nj = r.consumed_energy_nj;
-
-    const obs::RunReport report = obs::buildRunReport(
-        observer.registry, &flight, std::move(efficiency));
     std::fputs(report.renderText().c_str(), stdout);
-    if (!out.empty()) {
-        if (!writeTextFile(out, report.toJson()))
-            util::fatal("could not write '%s'", out.c_str());
-        std::printf("report written to %s\n", out.c_str());
-    }
-    if (!report.identity_violations.empty()) {
-        for (const auto &v : report.identity_violations)
-            std::fprintf(stderr, "metric identity violated: %s\n",
-                         v.c_str());
-        return 1;
-    }
-    return 0;
+    if (flags.has("out"))
+        writeOrDie(flags.text("out"), report.toJson(), "report");
+    return reportViolations(report.identity_violations);
 }
 
-/** Map the shared sweep grid/config flags onto a CampaignSpec — the
- *  single definition of a campaign, shared with `serve`/`work`, so
- *  the CLI sweep and a fleet run of the equivalent campaign file
- *  expand identical jobs and derive identical arena fingerprints. */
-fleet::CampaignSpec
-campaignFromArgs(const Args &args)
+/** Whether a sweep/serve run prints a run report, which needs the
+ *  per-job metrics collected. */
+bool
+wantsReport(const Flags &flags)
 {
-    fleet::CampaignSpec campaign;
-    campaign.kernels = args.get("kernels", "all");
-    campaign.profiles = args.get("profiles", "all");
-    campaign.seconds = args.num("seconds", 5.0);
-    campaign.seed =
-        static_cast<std::uint64_t>(args.num("seed", 2017));
-    campaign.mode = args.get("mode", "dynamic");
-    campaign.bits = static_cast<int>(args.num("bits", 4));
-    campaign.minbits = static_cast<int>(args.num("minbits", 2));
-    campaign.policy = args.get("policy", "linear");
-    campaign.baseline = args.has("baseline");
-    campaign.engine = args.get("engine", "default");
-    if (args.has("strategy"))
-        campaign.strategy = args.get("strategy");
-    if (args.has("income-scale"))
-        campaign.income_scale = args.num("income-scale", -1.0);
-    if (args.has("frame-factor"))
-        campaign.frame_factor = args.num("frame-factor", -1.0);
-    return campaign;
+    return flags.has("report") || flags.has("report-out");
 }
 
-/** Emit a (possibly fleet-folded) sweep report: results table plus
- *  the optional --out CSV, --metrics JSON, and --report/--report-out
- *  run report, then the failure summary. Shared verbatim by `sweep`
- *  and `serve`, so the fleet's outputs are byte-identical to the
- *  serial run's by construction. */
+/**
+ * Emit a (possibly fleet-folded) sweep report: results table plus the
+ * optional --out CSV, --metrics JSON, and --report/--report-out run
+ * report, then the failure summary. Shared verbatim by `sweep` and
+ * `serve`, so the fleet's outputs are byte-identical to the serial
+ * run's by construction. With --report every stdout byte must be
+ * independent of the parallelism (and of sweep-vs-fleet), so the
+ * header drops the worker/wall-clock info.
+ */
 int
-emitSweepOutputs(const runner::SweepReport &report, const Args &args,
-                 bool want_report, const std::string &title)
+emitSweepOutputs(const runner::SweepReport &report, const Flags &flags)
 {
-    util::Table table(title);
+    const bool want_report = wantsReport(flags);
+    util::Table table(
+        want_report ? util::format("sweep: %zu jobs", report.results.size())
+                    : util::format("sweep: %zu jobs on %u workers, %.1f s "
+                                   "wall",
+                                   report.results.size(), report.jobs_used,
+                                   report.wall_seconds));
     table.setHeader({"kernel", "trace", "variant", "FP (all lanes)",
                      "on-time", "backups", "mean PSNR", "status"});
     util::CsvWriter csv;
@@ -672,16 +490,11 @@ emitSweepOutputs(const runner::SweepReport &report, const Args &args,
                 : "-";
         table.addRow(
             {jr.spec.kernel, jr.spec.trace_name, jr.spec.variant,
-             jr.ok ? util::Table::integer(
-                         static_cast<long long>(r.forward_progress))
+             jr.ok ? integer(r.forward_progress) : "-",
+             jr.ok ? util::Table::num(100.0 * r.on_time_fraction, 1) + " %"
                    : "-",
-             jr.ok ? util::Table::num(100.0 * r.on_time_fraction, 1) +
-                         " %"
-                   : "-",
-             jr.ok ? util::Table::integer(
-                         static_cast<long long>(r.backups))
-                   : "-",
-             psnr, jr.ok ? "ok" : "FAILED"});
+             jr.ok ? integer(r.backups) : "-", psnr,
+             jr.ok ? "ok" : "FAILED"});
         csv.addRow({jr.spec.kernel, jr.spec.trace_name, jr.spec.variant,
                     jr.ok ? std::to_string(r.forward_progress) : "",
                     jr.ok ? util::Table::num(r.on_time_fraction, 6) : "",
@@ -690,34 +503,18 @@ emitSweepOutputs(const runner::SweepReport &report, const Args &args,
                     jr.ok ? "ok" : "failed"});
     }
     table.print();
-    if (args.has("out")) {
-        if (!util::ensureParentDir(args.get("out")))
-            util::fatal("cannot create parent directory for '%s'",
-                        args.get("out").c_str());
-        if (!csv.write(args.get("out")))
-            util::fatal("could not write '%s'", args.get("out").c_str());
-        std::printf("results written to %s\n", args.get("out").c_str());
-    }
-    if (args.has("metrics")) {
-        const std::string path = args.get("metrics");
-        if (!util::ensureParentDir(path))
-            util::fatal("cannot create parent directory for '%s'",
-                        path.c_str());
-        const obs::MetricsRegistry merged = report.mergedMetrics();
-        if (!merged.writeJson(path))
-            util::fatal("could not write '%s'", path.c_str());
-        std::printf("merged metrics written to %s\n", path.c_str());
-    }
+    if (flags.has("out"))
+        writeOrDie(flags.text("out"), csv.render(), "results");
+    if (flags.has("metrics"))
+        writeOrDie(flags.text("metrics"), report.mergedMetrics().toJson(),
+                   "merged metrics");
     if (want_report) {
         const obs::RunReport run_report = obs::buildRunReport(
             report.mergedMetrics(), nullptr, report.kernelEfficiency());
         std::fputs(run_report.renderText().c_str(), stdout);
-        if (args.has("report-out")) {
-            const std::string path = args.get("report-out");
-            if (!writeTextFile(path, run_report.toJson()))
-                util::fatal("could not write '%s'", path.c_str());
-            std::printf("report written to %s\n", path.c_str());
-        }
+        if (flags.has("report-out"))
+            writeOrDie(flags.text("report-out"), run_report.toJson(),
+                       "report");
     }
     if (!report.allOk()) {
         std::fputs(report.failureReport().c_str(), stderr);
@@ -728,37 +525,19 @@ emitSweepOutputs(const runner::SweepReport &report, const Args &args,
     return 0;
 }
 
-/** The sweep/serve stdout header: with --report every stdout byte
- *  must be independent of the parallelism (and of sweep-vs-fleet), so
- *  the header drops the worker/wall-clock info. */
-std::string
-sweepTitle(const runner::SweepReport &report, bool want_report)
-{
-    return want_report
-               ? util::format("sweep: %zu jobs", report.results.size())
-               : util::format(
-                     "sweep: %zu jobs on %u workers, %.1f s wall",
-                     report.results.size(), report.jobs_used,
-                     report.wall_seconds);
-}
-
 int
-cmdSweep(const Args &args)
+cmdSweep(const Flags &flags)
 {
-    const fleet::CampaignSpec campaign = campaignFromArgs(args);
-    const bool want_report =
-        args.has("report") || args.has("report-out");
+    if (flags.has("kill-after") && !flags.has("arena"))
+        flags.fail("--kill-after requires --arena");
+    const fleet::CampaignSpec campaign = fleet::campaignFromFlags(flags);
     runner::SweepSpec spec = fleet::buildSweepSpec(
-        campaign, args.has("metrics") || want_report);
-    spec.jobs = static_cast<int>(args.num(
-        "jobs", runner::ThreadPool::defaultThreads()));
-    if (spec.jobs < 1)
-        util::fatal("--jobs must be >= 1");
+        campaign, flags.has("metrics") || wantsReport(flags));
+    spec.jobs = flags.num<int>("jobs", runner::ThreadPool::defaultThreads());
 
     runner::SweepRunner::JobFn body = &runner::SweepRunner::simJob;
-    if (args.has("inject-failure")) {
-        const auto victim =
-            static_cast<std::size_t>(args.num("inject-failure", 0));
+    if (flags.has("inject-failure")) {
+        const auto victim = flags.num<std::size_t>("inject-failure", 0);
         body = [victim](const runner::JobSpec &job,
                         const trace::PowerTrace &trace,
                         util::Rng &rng) -> sim::SimResult {
@@ -776,19 +555,16 @@ cmdSweep(const Args &args)
     // of silently mixing results.
     std::unique_ptr<arena::Arena> store;
     std::unique_ptr<runner::SweepJournal> journal;
-    if (args.has("arena")) {
-        const std::string dir = args.get("arena");
-        const std::string fingerprint_extra =
-            fleet::campaignFingerprintExtra(campaign,
-                                            spec.collect_metrics);
-        const std::vector<runner::JobSpec> jobs =
-            runner::expandSweep(spec);
+    if (flags.has("arena")) {
+        const std::string dir = flags.text("arena");
+        const std::vector<runner::JobSpec> jobs = runner::expandSweep(spec);
         const std::string fp = runner::SweepJournal::fingerprint(
-            spec, jobs, fingerprint_extra);
+            spec, jobs,
+            fleet::campaignFingerprintExtra(campaign, spec.collect_metrics));
         store = openArenaOrDie(dir);
         journal = std::make_unique<runner::SweepJournal>(store.get());
         if (journal->bound()) {
-            if (!args.has("resume"))
+            if (!flags.has("resume"))
                 util::fatal(
                     "arena '%s' already holds a campaign (%zu of %zu "
                     "jobs done); pass --resume to continue it or use "
@@ -815,11 +591,8 @@ cmdSweep(const Args &args)
     // --kill-after N: SIGKILL ourselves after N jobs have been
     // journaled — the harness for the kill-and-resume recipe
     // (EXPERIMENTS.md) and tests/test_arena_sweep.cc.
-    if (args.has("kill-after")) {
-        if (!journal)
-            util::fatal("--kill-after requires --arena");
-        const auto kill_after =
-            static_cast<std::size_t>(args.num("kill-after", 1));
+    if (flags.has("kill-after")) {
+        const auto kill_after = flags.num<std::size_t>("kill-after", 1);
         auto recorded = std::make_shared<std::atomic<std::size_t>>(0);
         sweep.setRecordHook([recorded, kill_after](std::size_t) {
             if (recorded->fetch_add(1) + 1 >= kill_after)
@@ -833,22 +606,16 @@ cmdSweep(const Args &args)
     // identical between a fresh run and a resumed one.
     if (store) {
         const arena::ArenaStats &st = store->stats();
-        std::fprintf(
-            stderr,
-            "arena: epoch %llu, %llu records (%llu commits, %llu "
-            "bytes) appended; replayed %llu records (%llu commits), "
-            "discarded %llu torn bytes, recovery %.2f ms\n",
-            static_cast<unsigned long long>(store->epoch()),
-            static_cast<unsigned long long>(st.log_records),
-            static_cast<unsigned long long>(st.commits),
-            static_cast<unsigned long long>(st.log_bytes),
-            static_cast<unsigned long long>(st.replayed_records),
-            static_cast<unsigned long long>(st.replayed_commits),
-            static_cast<unsigned long long>(st.discarded_tail_bytes),
-            st.recovery_ms);
+        std::fprintf(stderr,
+                     "arena: epoch %" PRIu64 ", %" PRIu64 " records (%" PRIu64
+                     " commits, %" PRIu64 " bytes) appended; replayed %" PRIu64
+                     " records (%" PRIu64 " commits), discarded %" PRIu64
+                     " torn bytes, recovery %.2f ms\n",
+                     store->epoch(), st.log_records, st.commits,
+                     st.log_bytes, st.replayed_records, st.replayed_commits,
+                     st.discarded_tail_bytes, st.recovery_ms);
     }
-    return emitSweepOutputs(report, args, want_report,
-                            sweepTitle(report, want_report));
+    return emitSweepOutputs(report, flags);
 }
 
 /** Absolute path of the running binary: `serve` respawns itself as
@@ -856,103 +623,66 @@ cmdSweep(const Args &args)
 std::string
 selfExePath()
 {
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf,
-                                 sizeof(buf) - 1);
-    if (n <= 0)
+    std::error_code ec;
+    const auto path = std::filesystem::read_symlink("/proc/self/exe", ec);
+    if (ec)
         util::fatal("cannot resolve /proc/self/exe: %s",
-                    std::strerror(errno));
-    return std::string(buf, static_cast<std::size_t>(n));
+                    ec.message().c_str());
+    return path.string();
 }
 
 int
-cmdServe(const Args &args)
+cmdServe(const Flags &flags)
 {
-    if (args.positional().size() < 2)
-        util::fatal("usage: nvpsim serve CAMPAIGN.json --workers N "
-                    "[--fleet-dir DIR] (see the header of "
-                    "tools/nvpsim.cc)");
     fleet::ServeOptions opt;
-    opt.campaign_path = args.positional()[1];
-    opt.fleet_dir =
-        args.get("fleet-dir", opt.campaign_path + ".fleet");
-    opt.socket_path = args.get("socket");
+    opt.campaign_path = flags.operand(0);
+    opt.fleet_dir = flags.text("fleet-dir", opt.campaign_path + ".fleet");
+    opt.socket_path = flags.text("socket");
     opt.nvpsim_path = selfExePath();
-
-    // Strict parse: "--workers banana" (or 0) must die loudly, not
-    // silently fall back to a serial fleet.
-    const std::string workers = args.get("workers", "1");
-    char *end = nullptr;
-    const long parsed = std::strtol(workers.c_str(), &end, 10);
-    if (end == workers.c_str() || *end != '\0' || parsed < 1)
-        util::fatal("unknown worker count '%s' (--workers wants a "
-                    "positive integer)",
-                    workers.c_str());
-    opt.workers = static_cast<int>(parsed);
-
-    opt.worker_jobs = static_cast<int>(args.num("worker-jobs", 1));
-    if (opt.worker_jobs < 1)
-        util::fatal("--worker-jobs must be >= 1");
-    opt.shards = static_cast<std::size_t>(args.num("shards", 0));
-    opt.max_shard_retries =
-        static_cast<int>(args.num("max-shard-retries", 3));
-    opt.heartbeat_timeout_s = args.num("heartbeat-timeout", 120.0);
-    // A zero/negative timeout would silently mean "never detect a
-    // stalled worker" — reject it so typos die loudly; crank the
-    // value up instead if a campaign legitimately needs slack.
-    if (opt.heartbeat_timeout_s <= 0)
-        util::fatal("--heartbeat-timeout must be a positive number of "
-                    "seconds (got '%s')",
-                    args.get("heartbeat-timeout").c_str());
-    const bool want_report =
-        args.has("report") || args.has("report-out");
-    opt.collect_metrics = args.has("metrics") || want_report;
-    if (args.has("status-socket")) {
-        const std::string path = args.get("status-socket");
-        // Bare `--status-socket` (parsed as "1") means the default
-        // path beside the campaign socket.
-        opt.status_socket = (path.empty() || path == "1")
+    opt.workers = flags.num("workers", 1);
+    opt.worker_jobs = flags.num("worker-jobs", 1);
+    opt.shards = flags.num<std::size_t>("shards", 0);
+    opt.max_shard_retries = flags.num("max-shard-retries", 3);
+    // Its range excludes 0, which would silently mean "never detect a
+    // stalled worker".
+    opt.heartbeat_timeout_s = flags.num("heartbeat-timeout", 120.0);
+    opt.collect_metrics = flags.has("metrics") || wantsReport(flags);
+    // Bare `--status-socket` means the default path beside the campaign
+    // socket.
+    if (flags.has("status-socket"))
+        opt.status_socket = flags.text("status-socket").empty()
                                 ? opt.fleet_dir + "/status.sock"
-                                : path;
-    }
-    opt.trace_out = args.get("trace-out");
-    const double progress_every = args.num("progress-every", 1.0);
-    if (progress_every < 0)
-        util::fatal("--progress-every must be >= 0 (0 disables "
-                    "PROGRESS frames)");
-    opt.progress_every = static_cast<std::size_t>(progress_every);
-    opt.kill_worker_after =
-        static_cast<std::size_t>(args.num("kill-worker-after", 0));
+                                : flags.text("status-socket");
+    opt.trace_out = flags.text("trace-out");
+    opt.progress_every = flags.num<std::size_t>("progress-every", 1);
+    opt.kill_worker_after = flags.num<std::size_t>("kill-worker-after", 0);
 
     const fleet::FleetOutcome outcome = fleet::serveCampaign(opt);
 
     // Scheduling telemetry goes to stderr (and --fleet-metrics): the
     // campaign's stdout/file outputs must stay byte-identical to the
     // serial sweep, independent of worker count and crash history.
-    const auto counter = [&outcome](const char *name) {
-        return static_cast<unsigned long long>(
-            outcome.fleet_metrics.counterValue(name));
-    };
+    const obs::MetricsRegistry &fm = outcome.fleet_metrics;
     std::fprintf(
         stderr,
-        "fleet: %llu shard dispatches (%llu reassigned, %llu "
-        "retried), %llu workers spawned (%llu lost), %llu result "
-        "bytes merged\n",
-        counter(obs::kFleetShardsDispatched),
-        counter(obs::kFleetShardsReassigned),
-        counter(obs::kFleetShardsRetried),
-        counter(obs::kFleetWorkersSpawned),
-        counter(obs::kFleetWorkersLost),
-        counter(obs::kFleetMergeBytes));
+        "fleet: %" PRIu64 " shard dispatches (%" PRIu64 " reassigned, %" PRIu64
+        " retried), %" PRIu64 " workers spawned (%" PRIu64 " lost), %" PRIu64
+        " result bytes merged\n",
+        fm.counterValue(obs::kFleetShardsDispatched),
+        fm.counterValue(obs::kFleetShardsReassigned),
+        fm.counterValue(obs::kFleetShardsRetried),
+        fm.counterValue(obs::kFleetWorkersSpawned),
+        fm.counterValue(obs::kFleetWorkersLost),
+        fm.counterValue(obs::kFleetMergeBytes));
     // Fleet telemetry snapshot: the fleet.* registry wrapped in its
     // own document (separate "fleet" top-level key, tagged with the
     // campaign fingerprint). Written to --fleet-metrics, or defaulted
     // to a sibling of --metrics — NEVER folded into the campaign
     // metrics document itself, which must stay byte-identical to the
     // serial `nvpsim sweep`.
-    std::string fleet_metrics_path = args.get("fleet-metrics");
-    if (fleet_metrics_path.empty() && args.has("metrics"))
-        fleet_metrics_path = args.get("metrics") + ".fleet.json";
+    std::string fleet_metrics_path = flags.text("fleet-metrics");
+    if (fleet_metrics_path.empty() && flags.has("metrics"))
+        fleet_metrics_path = flags.text("metrics") + ".fleet.json";
     if (!fleet_metrics_path.empty()) {
         obs::JsonValue registry_json;
         std::string parse_error;
@@ -966,38 +696,29 @@ cmdServe(const Args &args)
                                                "v1")));
         doc.set("campaign", obs::JsonValue::of(outcome.fingerprint));
         doc.set("fleet", std::move(registry_json));
-        if (!writeTextFile(fleet_metrics_path, doc.dump() + "\n"))
-            util::fatal("could not write '%s'",
-                        fleet_metrics_path.c_str());
+        writeOrDie(fleet_metrics_path, doc.dump() + "\n", nullptr);
         std::fprintf(stderr, "fleet telemetry written to %s\n",
                      fleet_metrics_path.c_str());
     }
 
-    return emitSweepOutputs(outcome.report, args, want_report,
-                            sweepTitle(outcome.report, want_report));
+    return emitSweepOutputs(outcome.report, flags);
 }
 
 int
-cmdWork(const Args &args)
+cmdWork(const Flags &flags)
 {
     fleet::WorkerOptions opt;
-    opt.socket_path = args.get("socket");
-    opt.campaign_path = args.get("campaign");
-    opt.fleet_dir = args.get("fleet-dir");
+    opt.socket_path = flags.text("socket");
+    opt.campaign_path = flags.text("campaign");
+    opt.fleet_dir = flags.text("fleet-dir");
     if (opt.socket_path.empty() || opt.campaign_path.empty() ||
         opt.fleet_dir.empty())
-        util::fatal("usage: nvpsim work --socket PATH --campaign FILE "
-                    "--fleet-dir DIR (normally spawned by `nvpsim "
-                    "serve`)");
-    opt.jobs = static_cast<int>(args.num("jobs", 1));
-    if (opt.jobs < 1)
-        util::fatal("--jobs must be >= 1");
-    opt.collect_metrics =
-        static_cast<int>(args.num("collect-metrics", 0)) != 0;
-    opt.progress_every =
-        static_cast<std::size_t>(args.num("progress-every", 1));
-    opt.kill_after =
-        static_cast<std::size_t>(args.num("kill-after", 0));
+        flags.fail("--socket, --campaign and --fleet-dir are required "
+                   "(normally spawned by `nvpsim serve`)");
+    opt.jobs = flags.num("jobs", 1);
+    opt.collect_metrics = flags.num("collect-metrics", 0) != 0;
+    opt.progress_every = flags.num<std::size_t>("progress-every", 1);
+    opt.kill_after = flags.num<std::size_t>("kill-after", 0);
     return fleet::runWorker(opt);
 }
 
@@ -1044,15 +765,11 @@ renderStatus(const obs::JsonValue &doc)
             const double age = statusNum(row, "heartbeat_age_s", -1);
             const double shard = statusNum(row, "shard", -1);
             table.addRow(
-                {util::Table::integer(static_cast<long long>(
-                     statusNum(row, "pid", 0))),
-                 util::Table::integer(static_cast<long long>(
-                     statusNum(row, "generation", 0))),
+                {integer(statusNum(row, "pid", 0)),
+                 integer(statusNum(row, "generation", 0)),
                  statusStr(row, "health"),
                  age >= 0 ? util::Table::num(age, 1) + " s" : "-",
-                 shard >= 0 ? util::Table::integer(
-                                  static_cast<long long>(shard))
-                            : "-",
+                 shard >= 0 ? integer(shard) : "-",
                  util::format(
                      "%.0f/%.0f", statusNum(row, "shard_done", 0),
                      statusNum(row, "shard_assigned", 0)),
@@ -1077,26 +794,25 @@ renderStatus(const obs::JsonValue &doc)
 }
 
 int
-cmdStatus(const Args &args)
+cmdStatus(const Flags &flags)
 {
-    if (args.positional().size() < 2)
-        util::fatal("usage: nvpsim status <SOCKET|FLEET-DIR> "
-                    "[--json] [--watch]");
-    std::string path = args.positional()[1];
-    struct stat st = {};
-    if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode))
+    std::string path = flags.operand(0);
+    if (std::filesystem::is_directory(path))
         path += "/status.sock"; // a fleet dir: the default endpoint
     std::string error;
-    const int fd = fleet::connectUnix(path, &error);
-    if (fd < 0) {
-        std::fprintf(stderr,
-                     "nvpsim status: cannot connect to '%s': %s\n",
-                     path.c_str(), error.c_str());
+    int fd = fleet::connectUnix(path, &error);
+    const auto fail = [&fd](const std::string &message) {
+        std::fprintf(stderr, "nvpsim status: %s\n", message.c_str());
+        if (fd >= 0)
+            ::close(fd);
+        fd = -1;
         return 1;
-    }
+    };
+    if (fd < 0)
+        return fail("cannot connect to '" + path + "': " + error);
 
-    const bool watch = args.has("watch");
-    const bool as_json = args.has("json");
+    const bool watch = flags.has("watch");
+    const bool as_json = flags.has("json");
     fleet::MessageReader reader;
     char buffer[64 * 1024];
     std::string snapshot;
@@ -1108,29 +824,19 @@ cmdStatus(const Args &args)
     while (true) {
         fleet::Message message;
         const bool have = reader.next(&message, &error);
-        if (!have && !error.empty()) {
-            std::fprintf(stderr, "nvpsim status: %s\n", error.c_str());
-            ::close(fd);
-            return 1;
-        }
+        if (!have && !error.empty())
+            return fail(error);
         if (!have) {
             const long n = fleet::readSome(fd, buffer, sizeof(buffer));
             if (n == 0)
                 break; // campaign finished (or coordinator died)
-            if (n < 0) {
-                std::fprintf(stderr,
-                             "nvpsim status: socket read failed\n");
-                ::close(fd);
-                return 1;
-            }
+            if (n < 0)
+                return fail("socket read failed");
             reader.feed(buffer, static_cast<std::size_t>(n));
             continue;
         }
-        if (!fleet::decodeState(message, &snapshot, &error)) {
-            std::fprintf(stderr, "nvpsim status: %s\n", error.c_str());
-            ::close(fd);
-            return 1;
-        }
+        if (!fleet::decodeState(message, &snapshot, &error))
+            return fail(error);
         saw_frame = true;
         if (watch && as_json) {
             // One canonical-JSON document per line: the streaming
@@ -1142,43 +848,29 @@ cmdStatus(const Args &args)
             break;
     }
     ::close(fd);
-    if (!saw_frame) {
-        std::fprintf(stderr,
-                     "nvpsim status: no snapshot received from '%s'\n",
-                     path.c_str());
-        return 1;
-    }
+    fd = -1;
+    if (!saw_frame)
+        return fail("no snapshot received from '" + path + "'");
     if (as_json) {
         if (!watch)
             std::fputs((snapshot + "\n").c_str(), stdout);
         return 0;
     }
     obs::JsonValue doc;
-    if (!obs::parseJson(snapshot, &doc, &error)) {
-        std::fprintf(stderr, "nvpsim status: bad snapshot: %s\n",
-                     error.c_str());
-        return 1;
-    }
+    if (!obs::parseJson(snapshot, &doc, &error))
+        return fail("bad snapshot: " + error);
     renderStatus(doc);
     return 0;
 }
 
 int
-cmdAsm(const Args &args)
+cmdAsm(const Flags &flags)
 {
-    if (args.positional().size() < 2)
-        util::fatal("usage: nvpsim asm FILE.s [--run] [--steps N]");
-    const std::string path = args.positional()[1];
-    std::ifstream f(path);
-    if (!f)
-        util::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << f.rdbuf();
-
+    const std::string path = flags.operand(0);
     // The front end accepts both plain assembly and the Sec. 5
     // "#pragma ac" annotated dialect.
     const core::PragmaParseResult result =
-        core::parseAnnotated(ss.str());
+        core::parseAnnotated(readOrDie(path));
     if (!result.ok)
         util::fatal("%s: %s", path.c_str(), result.error.c_str());
     const isa::Program &program = result.annotated.program;
@@ -1198,12 +890,12 @@ cmdAsm(const Args &args)
                     result.annotated.recover_register);
     }
 
-    if (args.has("run")) {
+    if (flags.has("run")) {
         util::Rng rng(1);
         nvp::DataMemory mem(rng.split());
         result.annotated.applyRegions(mem);
         nvp::Core core(&program, &mem, {}, rng.split());
-        const auto steps = static_cast<long>(args.num("steps", 100000));
+        const long steps = flags.num("steps", 100000L);
         long executed = 0;
         while (!core.halted() && executed < steps) {
             core.step();
@@ -1220,7 +912,7 @@ cmdAsm(const Args &args)
 }
 
 int
-cmdKernels()
+cmdKernels(const Flags &)
 {
     util::Table table("registered kernels");
     table.setHeader({"name", "instructions", "frame", "in ring",
@@ -1228,9 +920,7 @@ cmdKernels()
     for (const auto &name : kernels::kernelNames()) {
         const kernels::Kernel k = kernels::makeKernel(name);
         table.addRow(
-            {k.name,
-             util::Table::integer(
-                 static_cast<long long>(k.program.size())),
+            {k.name, integer(k.program.size()),
              util::format("%dx%d", k.width, k.height),
              util::format("%d x %u B", k.layout.in_slots,
                           k.layout.in_bytes),
@@ -1243,13 +933,13 @@ cmdKernels()
 }
 
 int
-cmdFuzz(const Args &args)
+cmdFuzz(const Flags &flags)
 {
-    if (args.has("replay")) {
+    if (flags.has("replay")) {
         check::TrialSpec spec;
-        if (!check::loadBundle(args.get("replay"), &spec))
+        if (!check::loadBundle(flags.text("replay"), &spec))
             util::fatal("could not load repro bundle '%s'",
-                        args.get("replay").c_str());
+                        flags.text("replay").c_str());
         const check::Divergence div = check::runTrial(spec);
         if (div.violated) {
             std::printf("replay: VIOLATION invariant=%s frame=%u "
@@ -1265,24 +955,20 @@ cmdFuzz(const Args &args)
     }
 
     check::CheckConfig cfg;
-    cfg.trials = static_cast<int>(args.num("trials", 200));
-    if (cfg.trials < 1)
-        util::fatal("--trials must be >= 1");
-    cfg.master_seed = static_cast<std::uint64_t>(args.num("seed", 1));
-    cfg.jobs = static_cast<unsigned>(args.num("jobs", 0));
-    cfg.trace_samples =
-        static_cast<std::size_t>(args.num("samples", 6000));
-    if (cfg.trace_samples < 100)
-        util::fatal("--samples must be >= 100");
-    cfg.repro_dir = args.get("repro-dir");
-    cfg.minimize = args.has("minimize");
-    const std::string bug = args.get("inject-bug", "none");
+    cfg.trials = flags.num("trials", 200);
+    cfg.master_seed = flags.num<std::uint64_t>("seed", 1);
+    cfg.jobs = flags.num<unsigned>("jobs", 0);
+    cfg.trace_samples = flags.num<std::size_t>("samples", 6000);
+    cfg.repro_dir = flags.text("repro-dir");
+    cfg.minimize = flags.has("minimize");
+    const std::string bug = flags.text("inject-bug", "none");
     if (bug == "leaky-backup" || bug == "leaky_backup")
         cfg.inject = check::BugKind::leaky_backup;
     else if (bug != "none")
-        util::fatal("unknown --inject-bug '%s'", bug.c_str());
-    cfg.engine_diff = args.has("engine-diff");
-    cfg.mode_filter = args.get("modes");
+        flags.fail("unknown --inject-bug '" + bug +
+                   "' (none, leaky-backup)");
+    cfg.engine_diff = flags.has("engine-diff");
+    cfg.mode_filter = flags.text("modes");
 
     const check::CheckReport report = check::runCheck(cfg);
     std::printf("fuzz: %s\n", report.summary().c_str());
@@ -1294,42 +980,104 @@ cmdFuzz(const Args &args)
     return report.allOk() ? 0 : 1;
 }
 
+/** One subcommand: its name, required positional operands, flag
+ *  table and entry point. */
+struct Command
+{
+    const char *name;
+    std::vector<std::string> operands;
+    std::vector<Flag> flags;
+    int (*run)(const Flags &);
+};
+
+/** Every subcommand's flag table: the one declaration of which flags
+ *  each subcommand accepts. */
+std::vector<Command>
+commands()
+{
+    using K = FlagKind;
+    const double int_max = util::kMaxInt;
+    const auto join = [](std::vector<Flag> a, const std::vector<Flag> &b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
+    const Flag profile{"profile", K::integer, 1, 5};
+    // run and report: a trace plus every campaign knob but the grid;
+    // trace: only the knobs that shape a synthesized trace.
+    const std::vector<Flag> sim = join({{"kernel"}, {"trace"}, profile},
+                                       fleet::campaignFlags(false));
+    std::vector<Flag> trace = {{"trace"}, profile, {"out"}};
+    for (const Flag &flag : sim) {
+        if (flag.name == "seconds" || flag.name == "seed")
+            trace.push_back(flag);
+    }
+    // What emitSweepOutputs reads, for sweep and serve alike.
+    const std::vector<Flag> outputs = {
+        {"out"}, {"metrics"}, {"report", K::toggle}, {"report-out"}};
+    return {
+        {"trace", {}, trace, cmdTrace},
+        {"run", {}, join(sim, {{"metrics"}, {"trace-out"}, {"arena"}}),
+         cmdRun},
+        {"sweep", {},
+         join(join(fleet::campaignFlags(true), outputs),
+              {{"jobs", K::integer, 1, int_max}, {"arena"},
+               {"inject-failure", K::integer}, {"resume", K::toggle},
+               {"kill-after", K::integer, 1}}),
+         cmdSweep},
+        {"serve", {"CAMPAIGN.json"},
+         join(outputs,
+              {{"workers", K::integer, 1, int_max}, {"fleet-dir"},
+               {"worker-jobs", K::integer, 1, int_max}, {"socket"},
+               {"shards", K::integer}, {"fleet-metrics"},
+               {"max-shard-retries", K::integer, 0, int_max},
+               {"heartbeat-timeout", K::number, 0.001, 1e9},
+               {"status-socket", K::optional}, {"trace-out"},
+               {"progress-every", K::integer},
+               {"kill-worker-after", K::integer}}),
+         cmdServe},
+        {"work", {},
+         {{"socket"}, {"campaign"}, {"fleet-dir"},
+          {"jobs", K::integer, 1, int_max},
+          {"collect-metrics", K::integer, 0, 1},
+          {"progress-every", K::integer}, {"kill-after", K::integer}},
+         cmdWork},
+        {"status", {"SOCKET|FLEET-DIR"},
+         {{"json", K::toggle}, {"watch", K::toggle}}, cmdStatus},
+        {"report", {},
+         join(sim, {{"out"}, {"from-metrics"},
+                    {"flight-capacity", K::integer}}),
+         cmdReport},
+        {"fuzz", {},
+         {{"trials", K::integer, 1, int_max}, {"seed", K::integer},
+          {"jobs", K::integer, 0, int_max}, {"samples", K::integer, 100},
+          {"repro-dir"}, {"minimize", K::toggle}, {"replay"},
+          {"inject-bug"}, {"engine-diff", K::toggle}, {"modes"}},
+         cmdFuzz},
+        {"asm", {"FILE.s"}, {{"run", K::toggle}, {"steps", K::integer}},
+         cmdAsm},
+        {"kernels", {}, {}, cmdKernels},
+    };
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(
-            stderr,
-            "usage: nvpsim "
-            "<trace|run|sweep|serve|work|status|report|fuzz|asm|"
-            "kernels> [options]\n"
-            "see the file header of tools/nvpsim.cc\n");
-        return 1;
+    std::string names;
+    for (const Command &command : commands()) {
+        if (argc >= 2 && argv[1] == std::string(command.name))
+            return command.run(Flags(std::string("nvpsim ") + argv[1],
+                                     command.flags, command.operands,
+                                     {argv + 2, argv + argc}));
+        names += (names.empty() ? "" : "|") + std::string(command.name);
     }
-    const Args args(argc - 1, argv + 1);
-    const std::string cmd = argv[1];
-    if (cmd == "trace")
-        return cmdTrace(args);
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "work")
-        return cmdWork(args);
-    if (cmd == "status")
-        return cmdStatus(args);
-    if (cmd == "report")
-        return cmdReport(args);
-    if (cmd == "fuzz")
-        return cmdFuzz(args);
-    if (cmd == "asm")
-        return cmdAsm(args);
-    if (cmd == "kernels")
-        return cmdKernels();
-    std::fprintf(stderr, "unknown subcommand '%s'\n", cmd.c_str());
+    if (argc >= 2)
+        std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
+    std::fprintf(stderr,
+                 "usage: nvpsim <%s> [flags]\n"
+                 "`nvpsim CMD --help` rejects the unknown flag and lists "
+                 "CMD's flags\n",
+                 names.c_str());
     return 1;
 }
