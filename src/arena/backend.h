@@ -8,9 +8,10 @@
  * stores through this interface instead of owning vectors directly.
  * Two implementations:
  *
- *   - HeapBackend: plain heap buffers. The default everywhere (and
- *     what a null backend pointer means), chosen for tier-1 speed —
- *     behaviour is identical to the pre-arena vectors.
+ *   - HeapBackend: plain heap buffers, behaviour identical to the
+ *     pre-arena vectors. A null backend pointer means the same for
+ *     nvp::DataMemory; a null-backed sim::ImageStore instead
+ *     materializes no image at all (its checkpoints are never read).
  *
  *   - ArenaBackend: buffers carved out of an arena::Arena's mmap'd
  *     data heap. Contents survive process death, so a re-created

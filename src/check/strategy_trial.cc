@@ -190,10 +190,33 @@ runStrategyTrial(const TrialSpec &spec)
     const sim::SimConfig base = trialConfig(spec);
 
     // Heap legs: active first (the baseline), then every other
-    // registered strategy over the identical spec.
+    // registered strategy over the identical spec. Each is bound to a
+    // HeapBackend so its image materializes and verifies a real CRC,
+    // and re-run unbound, where the inert store must account the same.
     std::vector<StrategyRun> runs;
-    for (const sim::StrategyKind kind : sim::allStrategies())
-        runs.push_back(runOne(fp.kernel, power, base, kind, nullptr));
+    for (const sim::StrategyKind kind : sim::allStrategies()) {
+        arena::HeapBackend heap;
+        runs.push_back(runOne(fp.kernel, power, base, kind, &heap));
+        const StrategyRun unbound =
+            runOne(fp.kernel, power, base, kind, nullptr);
+        if (unbound.result != runs.back().result ||
+            !(unbound.stats == runs.back().stats) ||
+            unbound.has_committed != runs.back().has_committed ||
+            unbound.committed_seq != runs.back().committed_seq)
+            return strategyDivergence(
+                "strategy_unbound",
+                std::string(sim::strategyName(kind)) +
+                    ": unbound accounting differs from the heap-bound "
+                    "run (backup bytes " +
+                    std::to_string(unbound.stats.backup_bytes) +
+                    " vs " +
+                    std::to_string(runs.back().stats.backup_bytes) +
+                    ", restore bytes " +
+                    std::to_string(unbound.stats.restore_bytes) +
+                    " vs " +
+                    std::to_string(runs.back().stats.restore_bytes) +
+                    ")");
+    }
     const StrategyRun &active = runs.front();
 
     for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -22,7 +22,12 @@
  *     never exceed the full-image baseline's for the same trajectory.
  *
  *  4. Image integrity: every strategy's committed image slot must
- *     CRC-verify after the run.
+ *     CRC-verify after the run (the runs bind a HeapBackend, so the
+ *     image is real).
+ *
+ *  4b. Unbound accounting: each strategy re-run with no persistence
+ *     backend (an inert image store) must report the same
+ *     StrategyStats and commit sequence as its heap-bound run.
  *
  *  5. Persistence round-trip (every third trial): the active/freezer
  *     pair re-runs against a file-resident arena; the result must

@@ -754,24 +754,7 @@ Coordinator::buildStatusJson() const
 void
 Coordinator::shutdownFleet()
 {
-    const std::string exit_frame = encodeExit();
-    for (const auto &conn : connections_) {
-        writeAll(conn->fd, exit_frame.data(), exit_frame.size());
-        ::close(conn->fd);
-    }
-    connections_.clear();
-    // Close the listener before reaping: a late-spawned replacement
-    // that never got accepted sees its connection reset (or its
-    // connect refused) and exits, instead of blocking forever on a
-    // socket nobody will ever serve.
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    ::unlink(socket_path_.c_str());
-    for (WorkerProc &worker : workers_) {
-        if (!worker.alive)
-            continue;
+    const auto reap = [this](WorkerProc &worker) {
         int status = 0;
         ::waitpid(static_cast<pid_t>(worker.pid), &status, 0);
         worker.alive = false;
@@ -779,6 +762,32 @@ Coordinator::shutdownFleet()
             std::chrono::duration<double, std::milli>(
                 Clock::now() - worker.spawned_at)
                 .count();
+    };
+    // A worker that never said HELLO holds no shard. On a warm restart
+    // the journals can finish every shard before a slow worker even
+    // connects; stop and reap it while the socket still exists, so it
+    // cannot die on a vanished socket ("cannot connect", "connection
+    // lost") after the campaign succeeded.
+    for (WorkerProc &worker : workers_) {
+        if (worker.alive && !worker.greeted) {
+            ::kill(static_cast<pid_t>(worker.pid), SIGKILL);
+            reap(worker);
+        }
+    }
+    const std::string exit_frame = encodeExit();
+    for (const auto &conn : connections_) {
+        writeAll(conn->fd, exit_frame.data(), exit_frame.size());
+        ::close(conn->fd);
+    }
+    connections_.clear();
+    if (listen_fd_ >= 0) {
+        ::close(listen_fd_);
+        listen_fd_ = -1;
+    }
+    ::unlink(socket_path_.c_str());
+    for (WorkerProc &worker : workers_) {
+        if (worker.alive)
+            reap(worker);
     }
 }
 

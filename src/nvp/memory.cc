@@ -1,7 +1,9 @@
 #include "nvp/memory.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <cstring>
 
 #include "arena/backend.h"
 #include "util/bit_ops.h"
@@ -299,25 +301,57 @@ DataMemory::applyOutageDecay(double duration_tenth_ms)
         for (int b = 1; b <= cutoff; ++b)
             ++failures_.violations[static_cast<size_t>(b - 1)];
 
-        const auto mask =
-            static_cast<std::uint8_t>(util::lowMask(
-                static_cast<unsigned>(cutoff)));
-        for (std::uint32_t addr = region.start;
-             addr < region.start + region.length; ++addr) {
-            const std::uint8_t old = main_[addr];
-            const auto rnd = static_cast<std::uint8_t>(rng_.next());
-            const std::uint8_t neu =
-                static_cast<std::uint8_t>((old & ~mask) | (rnd & mask));
-            const std::uint8_t diff = old ^ neu;
-            if (diff) {
-                for (int b = 1; b <= cutoff; ++b) {
-                    if (util::bit(diff, static_cast<unsigned>(b - 1)))
-                        ++failures_.flips[static_cast<size_t>(b - 1)];
-                }
-                markDirty(addr);
-                main_[addr] = neu;
+        // Bit b of every byte lane: the expired planes, and the unit
+        // for summing one plane's lanes.
+        constexpr std::uint64_t kLanes = 0x0101010101010101ULL;
+        const std::uint64_t expired =
+            kLanes * util::lowMask(static_cast<unsigned>(cutoff));
+        // A local generator: stores through main_ (a byte pointer) may
+        // alias rng_, which would force its state through memory on
+        // every draw.
+        util::Rng rng = rng_;
+        std::uint8_t *const bytes = main_;
+        const bool track = !dirty_.empty();
+        std::array<std::uint64_t, 8> flips{};
+        // Settles n <= 8 bytes at addr with one draw per byte, in
+        // address order, exactly as a byte-at-a-time loop would.
+        const auto settle = [&](std::uint32_t addr, std::size_t n) {
+            std::array<std::uint8_t, 8> draws{};
+            for (std::size_t k = 0; k < n; ++k)
+                draws[k] = static_cast<std::uint8_t>(rng.next());
+            std::uint64_t old = 0;
+            std::uint64_t rnd = 0;
+            std::memcpy(&old, bytes + addr, n);
+            std::memcpy(&rnd, draws.data(), sizeof rnd);
+            const std::uint64_t diff = (old ^ rnd) & expired;
+            if (diff == 0)
+                return;
+            // Each plane holds at most one set bit per byte lane, so
+            // the multiply sums the lanes into the top byte without
+            // carries: a popcount of the plane.
+            for (int b = 0; b < cutoff; ++b)
+                flips[static_cast<std::size_t>(b)] +=
+                    (((diff >> b) & kLanes) * kLanes) >> 56;
+            const std::uint64_t neu = old ^ diff;
+            std::memcpy(bytes + addr, &neu, n);
+            if (!track)
+                return;
+            std::array<std::uint8_t, 8> changed{};
+            std::memcpy(changed.data(), &diff, sizeof diff);
+            for (std::size_t k = 0; k < n; ++k) {
+                if (changed[k])
+                    markDirty(addr + static_cast<std::uint32_t>(k));
             }
-        }
+        };
+        const std::uint32_t end = region.start + region.length;
+        std::uint32_t addr = region.start;
+        for (; end - addr >= 8; addr += 8)
+            settle(addr, 8);
+        if (addr < end)
+            settle(addr, end - addr);
+        rng_ = rng;
+        for (std::size_t b = 0; b < flips.size(); ++b)
+            failures_.flips[b] += flips[b];
     }
 }
 

@@ -162,6 +162,15 @@ class DataMemory
      * every AC-region byte's expired low bits settle randomly. Violation
      * events are counted once per (region policy, bit index) and flips
      * per byte-bit (paper Fig. 22).
+     *
+     * Stream contract: regions are visited in declaration order and,
+     * within a region whose cutoff is nonzero, every byte in address
+     * order takes the low 8 bits of exactly one Rng::next() draw as its
+     * expired bits — whether or not they change. Regions that do not
+     * expire draw nothing. Every run, digest and golden depends on
+     * this order; tests/test_memory.cc holds a byte-at-a-time oracle.
+     * Dirty tracking marks exactly the words of bytes whose value
+     * changed.
      */
     void applyOutageDecay(double duration_tenth_ms);
 

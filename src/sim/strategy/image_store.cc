@@ -18,8 +18,10 @@ ImageStore::ImageStore(arena::PersistenceBackend *backend,
     if (meta_bytes_ < kMetaBytes)
         util::fatal("ImageStore meta block must hold at least %zu bytes",
                     kMetaBytes);
-    if (!backend)
+    if (!backend) {
+        meta_ = inert_meta_.data();
         return;
+    }
     bool image_existed = false;
     bool meta_existed = false;
     image_ = backend->acquire(prefix + ".image", 2 * state_bytes_,
@@ -34,14 +36,12 @@ ImageStore::ImageStore(arena::PersistenceBackend *backend,
 bool
 ImageStore::hasCommitted() const
 {
-    return meta_ != nullptr && meta_[0] == 1;
+    return meta_[0] == 1;
 }
 
 std::uint64_t
 ImageStore::committedSeq() const
 {
-    if (!meta_)
-        return 0;
     std::uint64_t seq = 0;
     std::memcpy(&seq, meta_ + 8, sizeof seq);
     return seq;
@@ -50,7 +50,7 @@ ImageStore::committedSeq() const
 std::size_t
 ImageStore::inactiveIndex() const
 {
-    return meta_ && meta_[1] != 0 ? 0 : 1;
+    return meta_[1] != 0 ? 0 : 1;
 }
 
 std::uint8_t *
@@ -87,10 +87,8 @@ ImageStore::writeSpan(std::size_t offset, const std::uint8_t *data,
 void
 ImageStore::commit(std::uint64_t seq)
 {
-    if (!meta_)
-        return;
     const std::size_t inactive = inactiveIndex();
-    if (meta_bytes_ >= kMetaBytesCrc) {
+    if (image_ && meta_bytes_ >= kMetaBytesCrc) {
         // CRC first: once the flip lands, the named slot already has a
         // matching checksum, so a kill anywhere in here verifies.
         const std::uint32_t crc =

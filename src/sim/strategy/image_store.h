@@ -33,6 +33,7 @@
 #ifndef INC_SIM_STRATEGY_IMAGE_STORE_H
 #define INC_SIM_STRATEGY_IMAGE_STORE_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -57,14 +58,21 @@ class ImageStore
     /**
      * Acquire (get-or-create) "<prefix>.image" (2 x @p state_bytes) and
      * "<prefix>.meta" (@p meta_bytes) from @p backend. With a null
-     * backend the store is inert: nothing is materialized, every write
-     * is a no-op and warmStart() is false — the pre-arena behaviour of
-     * the active-checkpoint baseline. @p backend is not owned and must
-     * outlive this object.
+     * backend the store is inert: no image is materialized, image
+     * writes are no-ops, no CRC is computed and warmStart() is false —
+     * but commit() still keeps the valid flag, active slot and sequence
+     * number in a private metadata block, so hasCommitted(),
+     * committedSeq() and inactiveIndex() answer exactly as they would
+     * over a backend (strategies' ckpt.* accounting reads them).
+     * @p backend is not owned and must outlive this object.
      */
     ImageStore(arena::PersistenceBackend *backend, std::string prefix,
                std::size_t state_bytes,
                std::size_t meta_bytes = kMetaBytes);
+
+    // meta_ may point into this object (the inert metadata block).
+    ImageStore(const ImageStore &) = delete;
+    ImageStore &operator=(const ImageStore &) = delete;
 
     bool materialized() const { return image_ != nullptr; }
     std::size_t stateBytes() const { return state_bytes_; }
@@ -117,7 +125,9 @@ class ImageStore
     std::size_t state_bytes_ = 0;
     std::size_t meta_bytes_ = 0;
     std::uint8_t *image_ = nullptr; ///< 2 x state_bytes_ (slot 0, slot 1)
-    std::uint8_t *meta_ = nullptr;
+    std::uint8_t *meta_ = nullptr;  ///< backend block, else inert_meta_
+    /** The inert store's valid/slot/seq bytes (the legacy layout). */
+    std::array<std::uint8_t, kMetaBytes> inert_meta_{};
     bool warm_start_ = false;
     std::uint64_t boot_seq_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "arena/backend.h"
 #include "nvp/memory.h"
 #include "obs/metrics.h"
 #include "obs/schema.h"
@@ -66,12 +65,8 @@ CheckpointStrategy::CheckpointStrategy(const StrategyConfig &config,
 {
     if (!mem_)
         util::fatal("CheckpointStrategy requires a data memory");
-    arena::PersistenceBackend *backend = config_.persistence;
-    if (!backend) {
-        own_backend_ = std::make_unique<arena::HeapBackend>();
-        backend = own_backend_.get();
-    }
-    image_ = std::make_unique<ImageStore>(backend, config_.name_prefix,
+    image_ = std::make_unique<ImageStore>(config_.persistence,
+                                          config_.name_prefix,
                                           mem_->size(),
                                           ImageStore::kMetaBytesCrc);
     seq_ = image_->bootSeq();

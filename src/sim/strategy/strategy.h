@@ -57,7 +57,6 @@ class MetricsRegistry;
 namespace inc::arena
 {
 class PersistenceBackend;
-class HeapBackend;
 }
 
 namespace inc::nvp
@@ -117,6 +116,8 @@ struct StrategyStats
     double backup_energy_nj = 0.0;
     /** Modeled restore latency (copy loop over the image), us. */
     double restore_latency_us = 0.0;
+
+    bool operator==(const StrategyStats &) const = default;
 };
 
 /** Strategy construction parameters (SystemSimulator fills these). */
@@ -124,8 +125,9 @@ struct StrategyConfig
 {
     StrategyKind kind = StrategyKind::active;
 
-    /** Backing store for the image. nullptr = a private HeapBackend is
-     *  created (images still materialize, but die with the process). */
+    /** Backing store for the image. nullptr = an inert ImageStore: no
+     *  image is copied or checksummed, but the ckpt.* accounting is
+     *  identical to a bound run's. */
     arena::PersistenceBackend *persistence = nullptr;
 
     /** Block-name prefix ("<prefix>.image" / "<prefix>.meta"). Distinct
@@ -180,7 +182,8 @@ class CheckpointStrategy
     /** The underlying image (conformance tests inspect commits). */
     const ImageStore &image() const { return *image_; }
 
-    /** CRC-verify the committed image slot (true when consistent). */
+    /** CRC-verify the committed image slot (true when consistent, and
+     *  when no persistence backend is bound: nothing to verify). */
     bool verifyImage(std::string *why = nullptr) const;
 
     /** Fold this run's ckpt.* metrics into @p registry. */
@@ -195,7 +198,6 @@ class CheckpointStrategy
 
     StrategyConfig config_;
     nvp::DataMemory *mem_ = nullptr;
-    std::unique_ptr<arena::HeapBackend> own_backend_;
     std::unique_ptr<ImageStore> image_;
     StrategyStats stats_;
     std::uint64_t seq_ = 0;

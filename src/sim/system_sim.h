@@ -124,8 +124,9 @@ struct SimConfig
      * data memory, so crash-free results are bit-identical across all
      * registered strategies (enforced by tests/test_strategy_conformance
      * and fuzz --modes strategy_diff). The strategy's checkpoint image
-     * lives in `persistence` under the "ckpt" prefix (a private heap
-     * store when persistence is null).
+     * lives in `persistence` under the "ckpt" prefix. When persistence
+     * is null no image exists: the strategy only keeps its ckpt.*
+     * accounting, which equals a bound run's.
      */
     StrategyKind strategy = StrategyKind::active;
 };

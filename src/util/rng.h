@@ -11,6 +11,7 @@
 #ifndef INC_UTIL_RNG_H
 #define INC_UTIL_RNG_H
 
+#include <bit>
 #include <cstdint>
 
 namespace inc::util
@@ -28,8 +29,20 @@ class Rng
     /** Construct from a 64-bit seed (expanded via splitmix64). */
     explicit Rng(std::uint64_t seed = 0x1badb002dedf00dULL);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next();
+    /** Next raw 64-bit value. Inline: outage decay draws one per
+     *  approximable byte, so a call per draw would dominate it. */
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform in [0, bound) without modulo bias. bound must be > 0. */
     std::uint64_t nextBounded(std::uint64_t bound);

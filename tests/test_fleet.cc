@@ -20,7 +20,9 @@
  * progress ending at jobs_done == jobs_total, still answer (with a
  * "lost" worker row) after --kill-worker-after, and enabling
  * --status-socket + --trace-out must leave all four campaign
- * artifacts byte-identical; and the CLI hard-error surface — a
+ * artifacts byte-identical; warm re-serves of a journaled campaign
+ * exit 0 with unchanged bytes and no worker printing "fatal:"; and
+ * the CLI hard-error surface — a
  * fingerprint-mismatched fleet dir, a bogus worker count, a
  * non-positive --heartbeat-timeout, dead socket paths, and every
  * subcommand's strict flag parsing (unknown, repeated and value-less
@@ -1251,6 +1253,41 @@ TEST(FleetCli, TraceOutCreatesItsParentDirectory)
               0)
         << log;
     EXPECT_TRUE(fs::exists(out)) << log;
+    fs::remove_all(base);
+}
+
+TEST(FleetCli, WarmReservesEndQuietlyWithUnchangedBytes)
+{
+    // Serving a fully journaled campaign again finishes every shard
+    // from the journals, often before the last of four workers has
+    // connected. Such a late worker must be stopped quietly, not left
+    // to die with "fatal:" on a socket the coordinator removed.
+    const std::string base = freshDir("warm");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
+    const std::string serve = "cd " + base + " && ( " +
+                              std::string(INC_NVPSIM_PATH) + " serve " +
+                              campaign + " --workers 4 --fleet-dir fd";
+    std::string log;
+    ASSERT_EQ(runCommand(serve + " --out cold.csv > /dev/null )", &log),
+              0)
+        << log;
+    const std::string cold = readFile(base + "/cold.csv");
+    ASSERT_FALSE(cold.empty());
+    for (int i = 0; i < 10; ++i) {
+        SCOPED_TRACE("warm re-serve " + std::to_string(i));
+        log.clear();
+        EXPECT_EQ(runCommand(serve + " --out warm.csv > /dev/null"
+                                     " 2> stderr.txt )",
+                             &log),
+                  0)
+            << log;
+        const std::string err = readFile(base + "/stderr.txt");
+        EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
+        EXPECT_NE(err.find("resuming campaign"), std::string::npos)
+            << err;
+        EXPECT_EQ(readFile(base + "/warm.csv"), cold);
+    }
     fs::remove_all(base);
 }
 #endif // INC_NVPSIM_PATH

@@ -1,12 +1,19 @@
 /**
  * Versioned data memory: AC truncation, lane-private versions,
  * higher-bits write-through arbitration, assemble merge modes, and
- * outage decay with Fig. 22-style counters.
+ * outage decay with Fig. 22-style counters and its random-stream
+ * contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "nvm/retention_policy.h"
 #include "nvp/memory.h"
+#include "util/bit_ops.h"
 
 using namespace inc::nvp;
 using inc::nvm::RetentionPolicy;
@@ -175,6 +182,168 @@ TEST(DataMemory, OutageDecayCountsAndCorrupts)
     DataMemory mem2 = makeMem();
     mem2.applyOutageDecay(0.05);
     EXPECT_EQ(mem2.failures().totalViolations(), 0u);
+}
+
+namespace
+{
+
+/**
+ * The byte-at-a-time outage decay DataMemory::applyOutageDecay ran
+ * before it settled eight bytes per step, kept verbatim as the stream
+ * reference: one Rng::next() per AC byte, low 8 bits, regions in
+ * declaration order; a branch per expired bit counts flips; the word
+ * of every changed byte is marked dirty.
+ */
+struct DecayOracle
+{
+    std::vector<std::uint8_t> main;
+    std::vector<AcRegion> regions;
+    inc::util::Rng rng;
+    inc::nvm::RetentionFailureCounts failures;
+    std::vector<std::uint64_t> dirty; ///< empty = tracking off
+
+    void markDirty(std::uint32_t addr)
+    {
+        if (dirty.empty())
+            return;
+        const std::uint32_t w = addr / DataMemory::kDirtyWordBytes;
+        dirty[w >> 6] |= std::uint64_t{1} << (w & 63);
+    }
+
+    void applyOutageDecay(double duration_tenth_ms)
+    {
+        for (const AcRegion &region : regions) {
+            if (region.policy == RetentionPolicy::full)
+                continue;
+            const int cutoff = inc::nvm::NvmArray::expiredCutoff(
+                region.policy, duration_tenth_ms);
+            if (cutoff == 0)
+                continue;
+            for (int b = 1; b <= cutoff; ++b)
+                ++failures.violations[static_cast<size_t>(b - 1)];
+
+            const auto mask =
+                static_cast<std::uint8_t>(inc::util::lowMask(
+                    static_cast<unsigned>(cutoff)));
+            for (std::uint32_t addr = region.start;
+                 addr < region.start + region.length; ++addr) {
+                const std::uint8_t old = main[addr];
+                const auto rnd = static_cast<std::uint8_t>(rng.next());
+                const std::uint8_t neu = static_cast<std::uint8_t>(
+                    (old & ~mask) | (rnd & mask));
+                const std::uint8_t diff = old ^ neu;
+                if (diff) {
+                    for (int b = 1; b <= cutoff; ++b) {
+                        if (inc::util::bit(diff,
+                                           static_cast<unsigned>(b - 1)))
+                            ++failures.flips[static_cast<size_t>(b - 1)];
+                    }
+                    markDirty(addr);
+                    main[addr] = neu;
+                }
+            }
+        }
+    }
+};
+
+/** An outage length whose expiredCutoff under @p policy is @p cutoff
+ *  (0..8; full-retention regions never decay, so any length). */
+double
+durationForCutoff(RetentionPolicy policy, int cutoff)
+{
+    using inc::nvm::retentionTenthMs;
+    if (policy == RetentionPolicy::full || cutoff == 0)
+        return retentionTenthMs(policy, 1); // not yet expired: strict <
+    if (cutoff == 8)
+        return 2.0 * retentionTenthMs(policy, 8);
+    return 0.5 * (retentionTenthMs(policy, cutoff) +
+                  retentionTenthMs(policy, cutoff + 1));
+}
+
+} // namespace
+
+TEST(DataMemory, OutageDecayKeepsTheByteLoopStream)
+{
+    const RetentionPolicy kPolicies[] = {
+        RetentionPolicy::full, RetentionPolicy::linear,
+        RetentionPolicy::log, RetentionPolicy::parabola};
+    std::vector<std::uint32_t> lengths;
+    for (std::uint32_t len = 0; len <= 17; ++len)
+        lengths.push_back(len);
+    lengths.push_back(64);
+    lengths.push_back(4093);
+
+    // Every policy x start offset mod 8 x length, packed with gaps,
+    // then one region ending at the last byte of memory.
+    std::vector<AcRegion> regions;
+    std::uint32_t cursor = 0;
+    for (const RetentionPolicy policy : kPolicies) {
+        for (std::uint32_t offset = 0; offset < 8; ++offset) {
+            for (const std::uint32_t len : lengths) {
+                const std::uint32_t start = (cursor + 7) / 8 * 8 + offset;
+                regions.push_back({start, len, policy});
+                cursor = start + len + 3;
+            }
+        }
+    }
+    constexpr std::uint32_t kTail = 21;
+    const std::uint32_t size = cursor + 5 + kTail;
+    regions.push_back({size - kTail, kTail, RetentionPolicy::linear});
+
+    // Every policy's cutoffs 0..8, one pass each in sequence, so a
+    // draw-count slip in any pass shifts every later pass's bytes.
+    std::vector<double> durations;
+    for (const RetentionPolicy policy : kPolicies) {
+        for (int cutoff = 0; cutoff <= 8; ++cutoff) {
+            const double d = durationForCutoff(policy, cutoff);
+            if (policy != RetentionPolicy::full) {
+                ASSERT_EQ(inc::nvm::NvmArray::expiredCutoff(policy, d),
+                          cutoff);
+            }
+            durations.push_back(d);
+        }
+    }
+
+    for (const bool tracking : {false, true}) {
+        SCOPED_TRACE(tracking ? "dirty tracking on" : "dirty tracking off");
+        DataMemory mem(inc::util::Rng(2017), size);
+        DecayOracle oracle{std::vector<std::uint8_t>(size), regions,
+                           inc::util::Rng(2017), {}, {}};
+        inc::util::Rng fill(99);
+        for (std::uint32_t a = 0; a < size; ++a) {
+            const auto v = static_cast<std::uint8_t>(fill.next());
+            mem.hostWrite8(a, v);
+            oracle.main[a] = v;
+        }
+        for (const AcRegion &r : regions)
+            mem.addAcRegion(r);
+        if (tracking) {
+            mem.enableDirtyTracking();
+            oracle.dirty.assign(mem.dirtyBits().size(), 0);
+        }
+
+        for (std::size_t pass = 0; pass < durations.size(); ++pass) {
+            SCOPED_TRACE(::testing::Message()
+                         << "pass " << pass << ", duration "
+                         << durations[pass]);
+            mem.applyOutageDecay(durations[pass]);
+            oracle.applyOutageDecay(durations[pass]);
+            ASSERT_EQ(mem.snapshot(0, size), oracle.main);
+            for (std::size_t b = 0; b < 8; ++b) {
+                ASSERT_EQ(mem.failures().violations[b],
+                          oracle.failures.violations[b])
+                    << "bit " << b + 1;
+                ASSERT_EQ(mem.failures().flips[b],
+                          oracle.failures.flips[b])
+                    << "bit " << b + 1;
+            }
+            ASSERT_EQ(mem.dirtyBits(), oracle.dirty);
+            mem.clearDirty();
+            std::fill(oracle.dirty.begin(), oracle.dirty.end(), 0);
+        }
+        // The passes reached cutoff 8 and flipped its bit plane.
+        EXPECT_GT(oracle.failures.flips[7], 0u);
+    }
 }
 
 TEST(DataMemory, SnapshotAndCoverage)

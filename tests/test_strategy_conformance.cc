@@ -13,6 +13,11 @@
  *  - the freezer's dirty-word backups never write more bytes than the
  *    full-image baseline over the same trajectory;
  *
+ *  - a run with no persistence backend materializes no image, yet its
+ *    StrategyStats and metrics equal those of the same run bound to a
+ *    HeapBackend (the inert ImageStore keeps the commit metadata the
+ *    accounting reads);
+ *
  *  - arena-backed runs are byte-identical to heap-backed runs and the
  *    committed "ckpt" image survives closing and reopening the arena
  *    with its sequence number and per-slot CRC intact;
@@ -95,7 +100,9 @@ struct RunOut
 {
     std::string result;
     sim::StrategyStats stats;
+    std::string metrics_json;
     std::vector<std::string> metric_problems;
+    bool materialized = false;
     bool image_ok = false;
     std::string image_why;
     bool has_committed = false;
@@ -116,8 +123,10 @@ runStrategy(const std::string &kernel, const trace::PowerTrace &power,
     RunOut out;
     out.result = sim::serializeResult(sim.run());
     out.stats = sim.strategy().stats();
+    out.metrics_json = observer.registry.toJson();
     out.metric_problems =
         obs::verifySimMetricIdentities(observer.registry);
+    out.materialized = sim.strategy().image().materialized();
     out.image_ok = sim.strategy().verifyImage(&out.image_why);
     out.has_committed = sim.strategy().image().hasCommitted();
     out.committed_seq = sim.strategy().image().committedSeq();
@@ -156,9 +165,14 @@ TEST_P(StrategyConformance, CrashFreeRunMatchesActiveBaseline)
     trace::TraceGenerator gen(trace::paperProfile(p.profile), 23);
     const trace::PowerTrace power = gen.generate(kSamples);
 
+    // Bound to a heap backend, so the image materializes and
+    // verifyImage checks a real CRC.
+    arena::HeapBackend active_heap;
+    arena::HeapBackend heap;
     const RunOut active = runStrategy(
-        p.kernel, power, sim::StrategyKind::active, nullptr);
-    const RunOut run = runStrategy(p.kernel, power, p.kind, nullptr);
+        p.kernel, power, sim::StrategyKind::active, &active_heap);
+    const RunOut run = runStrategy(p.kernel, power, p.kind, &heap);
+    ASSERT_TRUE(run.materialized);
 
     // Overlay identity: the simulated trajectory never depends on the
     // strategy observing it.
@@ -189,6 +203,32 @@ TEST_P(StrategyConformance, CrashFreeRunMatchesActiveBaseline)
     if (p.kind == sim::StrategyKind::active)
         EXPECT_EQ(run.stats.backup_bytes,
                   run.stats.backups * run.state_bytes);
+}
+
+TEST_P(StrategyConformance, UnboundRunAccountsLikeABoundOne)
+{
+    const MatrixParam p = GetParam();
+    trace::TraceGenerator gen(trace::paperProfile(p.profile), 23);
+    const trace::PowerTrace power = gen.generate(kSamples);
+
+    arena::HeapBackend heap;
+    const RunOut bound = runStrategy(p.kernel, power, p.kind, &heap);
+    const RunOut unbound = runStrategy(p.kernel, power, p.kind, nullptr);
+
+    EXPECT_TRUE(bound.materialized);
+    EXPECT_FALSE(unbound.materialized)
+        << "an unhosted strategy must not copy or checksum an image";
+    ASSERT_GT(bound.stats.backups, 0u)
+        << "trace produced no backups; matrix misconfigured";
+    EXPECT_EQ(unbound.result, bound.result);
+    EXPECT_TRUE(unbound.stats == bound.stats)
+        << "backup_bytes " << unbound.stats.backup_bytes << " vs "
+        << bound.stats.backup_bytes << ", restore_bytes "
+        << unbound.stats.restore_bytes << " vs "
+        << bound.stats.restore_bytes;
+    EXPECT_EQ(unbound.metrics_json, bound.metrics_json);
+    EXPECT_EQ(unbound.has_committed, bound.has_committed);
+    EXPECT_EQ(unbound.committed_seq, bound.committed_seq);
 }
 
 INSTANTIATE_TEST_SUITE_P(

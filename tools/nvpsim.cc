@@ -38,10 +38,11 @@
  *       --strategy selects the backup strategy attached to the run
  *       (sim::allStrategies(): active, freezer, ondemand; DESIGN.md
  *       §14). Strategies are an observation overlay — the simulated
- *       trajectory is bit-identical across all of them — that persists
- *       a checkpoint image ("ckpt.image"/"ckpt.meta", CRC-verified,
- *       arena-backed with --arena) and reports its backup cost in the
- *       ckpt.* metric block.
+ *       trajectory is bit-identical across all of them — that reports
+ *       its backup cost in the ckpt.* metric block. Only with --arena
+ *       does it also persist a CRC-verified checkpoint image
+ *       ("ckpt.image"/"ckpt.meta"); without it no image is copied, and
+ *       the ckpt.* accounting is the same.
  *
  *   nvpsim sweep
  *       Run the --kernels x --profiles grid in parallel on --jobs
