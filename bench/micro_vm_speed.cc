@@ -37,8 +37,9 @@ BM_CoreStep(benchmark::State &state)
 BENCHMARK(BM_CoreStep);
 
 /** The always-decode baseline interpreter, for the §11 speedup ratio.
- *  The CI-gated measurement lives in bench/vm_speedup.cc; this variant
- *  makes the comparison visible in the ordinary benchmark listing. */
+ *  DESIGN.md §11 states that ratio end to end, from paired `nvpsim
+ *  sweep` runs against `--engine reference`; this variant shows the
+ *  per-step ratio in the ordinary benchmark listing. */
 void
 BM_CoreStepReference(benchmark::State &state)
 {

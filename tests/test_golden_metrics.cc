@@ -10,6 +10,17 @@
  * registry alone: backups through both image disciplines, restores and
  * the retention decay of the AC regions.
  *
+ * The SuiteDigests rows pin the simulation suite of the committed
+ * BENCH_5.json ... BENCH_10.json snapshots (sobel on profiles 1 and 2,
+ * median on 1, integral on 3, and sobel p2 under the reference engine
+ * and the freezer and ondemand strategies; 60,000 samples, seed 2017,
+ * dynamic bits 2..8, linear retention): the run-report digest with a
+ * flight recorder attached, the serialized SimResult digest,
+ * instructions, completed frames and checkpoint backup traffic, all in
+ * tests/golden/suite_digests.json. Only the report digest depends on
+ * the hot-path counters, so an INCIDENTAL_OBS=OFF build still checks
+ * the rest.
+ *
  * Comparison is normalizing, not textual: both sides are parsed and
  * re-serialized through the canonical obs/json.h dump before
  * comparison, so the test is insensitive to incidental formatting
@@ -28,6 +39,7 @@
  * that moved them.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -42,7 +54,10 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/observer.h"
+#include "obs/report/flight_recorder.h"
+#include "obs/report/report.h"
 #include "obs/schema.h"
+#include "sim/result_io.h"
 #include "sim/system_sim.h"
 #include "trace/trace_generator.h"
 
@@ -87,6 +102,41 @@ const OutageScenario kOutageScenarios[] = {
      INC_GOLDEN_DIR "/sobel_p2_outage_freezer_metrics.json"},
 };
 
+/** One row of the digest suite, pinned in suite_digests.json. */
+struct SuiteRow
+{
+    const char *name; ///< test-case suffix and golden key
+    const char *kernel;
+    int profile;
+    nvp::ExecEngine engine;
+    sim::StrategyKind strategy;
+};
+
+constexpr nvp::ExecEngine kDefaultEngine = nvp::CoreConfig{}.engine;
+
+const SuiteRow kSuiteRows[] = {
+    {"sobel_p1", "sobel", 1, kDefaultEngine, sim::StrategyKind::active},
+    {"sobel_p2", "sobel", 2, kDefaultEngine, sim::StrategyKind::active},
+    {"median_p1", "median", 1, kDefaultEngine, sim::StrategyKind::active},
+    {"integral_p3", "integral", 3, kDefaultEngine,
+     sim::StrategyKind::active},
+    {"sobel_p2_reference", "sobel", 2, nvp::ExecEngine::reference,
+     sim::StrategyKind::active},
+    {"sobel_p2_freezer", "sobel", 2, kDefaultEngine,
+     sim::StrategyKind::freezer},
+    {"sobel_p2_ondemand", "sobel", 2, kDefaultEngine,
+     sim::StrategyKind::ondemand},
+};
+
+const char kSuiteDigestsGolden[] = INC_GOLDEN_DIR "/suite_digests.json";
+
+/** Names the row in test listings, in place of its bytes. */
+void
+PrintTo(const SuiteRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
 bool
 updateRequested()
 {
@@ -116,17 +166,31 @@ normalizeJson(const std::string &text)
     return doc.dump();
 }
 
+/** What a pinned run attaches to its observer besides the registry. */
+enum class Sink
+{
+    metrics, ///< the registry alone
+    trace,   ///< an event tracer (trace_json)
+    report,  ///< a flight recorder (report_digest)
+};
+
 /** The pinned scenario every golden file is derived from. */
 struct GoldenRun
 {
     std::string metrics_json;
     std::string trace_json;
+    std::string report_digest;
+    std::string result_digest;
+    std::uint64_t instructions = 0;
+    std::uint64_t frames_completed = 0;
+    std::uint64_t ckpt_backup_bytes = 0;
+    std::uint64_t ckpt_backup_events = 0;
 };
 
 GoldenRun
 runPinned(const char *kernel, int profile, std::size_t samples,
           sim::StrategyKind strategy, nvm::RetentionPolicy policy,
-          bool with_trace)
+          nvp::ExecEngine engine, Sink sink)
 {
     trace::TraceGenerator gen(trace::paperProfile(profile), 2017);
     const trace::PowerTrace power = gen.generate(samples);
@@ -137,19 +201,31 @@ runPinned(const char *kernel, int profile, std::size_t samples,
     cfg.seed = 2017;
     cfg.strategy = strategy;
     cfg.controller.backup_policy = policy;
+    cfg.core.engine = engine;
     obs::Observer observer;
     obs::EventTracer tracer;
-    if (with_trace)
+    obs::FlightRecorder flight;
+    if (sink == Sink::trace)
         observer.tracer = &tracer;
+    if (sink == Sink::report)
+        observer.flight = &flight;
     cfg.obs = &observer;
 
     sim::SystemSimulator sim(kernels::makeKernel(kernel), &power, cfg);
-    sim.run();
+    const sim::SimResult result = sim.run();
 
     GoldenRun out;
     out.metrics_json = observer.registry.toJson();
-    if (with_trace)
+    if (sink == Sink::trace)
         out.trace_json = tracer.toChromeTraceJson();
+    if (sink == Sink::report)
+        out.report_digest = obs::reportDigest(
+            obs::buildRunReport(observer.registry, &flight).toJson());
+    out.result_digest = obs::reportDigest(sim::serializeResult(result));
+    out.instructions = result.main_instructions;
+    out.frames_completed = result.controller.frames_completed;
+    out.ckpt_backup_bytes = sim.strategy().stats().backup_bytes;
+    out.ckpt_backup_events = sim.strategy().stats().backups;
     return out;
 }
 
@@ -158,7 +234,7 @@ runPinnedScenario(const Scenario &scenario)
 {
     return runPinned(scenario.kernel, scenario.profile, 1000,
                      sim::StrategyKind::active, nvm::RetentionPolicy::full,
-                     true);
+                     kDefaultEngine, Sink::trace);
 }
 
 /** Valid JSON whose registry satisfies the cross-metric identities,
@@ -275,7 +351,8 @@ TEST_P(OutageGoldenMetrics, PinnedOutageRunMatchesGoldenMetrics)
     const OutageScenario &scenario = GetParam();
     const GoldenRun now =
         runPinned("sobel", 2, 20000, scenario.strategy,
-                  nvm::RetentionPolicy::linear, false);
+                  nvm::RetentionPolicy::linear, kDefaultEngine,
+                  Sink::metrics);
     ASSERT_NO_FATAL_FAILURE(expectSelfConsistentMetrics(now.metrics_json));
 
     if (updateRequested()) {
@@ -290,6 +367,78 @@ INSTANTIATE_TEST_SUITE_P(
     OutageScenarios, OutageGoldenMetrics,
     ::testing::ValuesIn(kOutageScenarios),
     [](const ::testing::TestParamInfo<OutageScenario> &info) {
+        return std::string(info.param.name);
+    });
+
+class SuiteDigests : public ::testing::TestWithParam<SuiteRow>
+{
+};
+
+/** A row's pinned fields; the report digest is left out when the
+ *  hot-path counters are compiled out, since it covers them. */
+obs::JsonValue
+digestFields(const GoldenRun &run)
+{
+    obs::JsonValue row = obs::JsonValue::object();
+#if INC_OBS_ENABLED
+    row.set("report_digest", obs::JsonValue::of(run.report_digest));
+#endif
+    row.set("result_digest", obs::JsonValue::of(run.result_digest));
+    row.set("instructions", obs::JsonValue::of(run.instructions));
+    row.set("frames_completed", obs::JsonValue::of(run.frames_completed));
+    row.set("ckpt_backup_bytes", obs::JsonValue::of(run.ckpt_backup_bytes));
+    row.set("ckpt_backup_events",
+            obs::JsonValue::of(run.ckpt_backup_events));
+    return row;
+}
+
+TEST_P(SuiteDigests, RowMatchesGoldenDigests)
+{
+    const SuiteRow &row = GetParam();
+    const GoldenRun now =
+        runPinned(row.kernel, row.profile, 60000, row.strategy,
+                  nvm::RetentionPolicy::linear, row.engine, Sink::report);
+    const obs::JsonValue got = digestFields(now);
+
+    obs::JsonValue golden = obs::JsonValue::object();
+    std::string error;
+    const std::string text = readFile(kSuiteDigestsGolden);
+    const bool parsed =
+        !text.empty() && obs::parseJson(text, &golden, &error);
+    if (updateRequested()) {
+#if !INC_OBS_ENABLED
+        GTEST_SKIP() << "update the digests from the default build: this "
+                        "one has no report digest";
+#endif
+        if (!parsed)
+            golden = obs::JsonValue::object();
+        golden.set(row.name, got);
+        std::ofstream(kSuiteDigestsGolden) << golden.dump() << "\n";
+        GTEST_SKIP() << "golden row updated in " << kSuiteDigestsGolden
+                     << "; review and commit it";
+    }
+    ASSERT_TRUE(parsed) << kSuiteDigestsGolden << ": "
+                        << (text.empty() ? "missing; run with "
+                                           "INC_UPDATE_GOLDEN=1 to "
+                                           "create it"
+                                         : error);
+    const obs::JsonValue *want = golden.find(row.name);
+    ASSERT_NE(want, nullptr) << "no row '" << row.name << "' in "
+                             << kSuiteDigestsGolden;
+    for (const auto &[key, value] : got.members()) {
+        const obs::JsonValue *pinned = want->find(key);
+        ASSERT_NE(pinned, nullptr) << row.name << ": no pinned " << key;
+        EXPECT_EQ(pinned->dump(), value.dump())
+            << row.name << ": " << key << " drifted from "
+            << kSuiteDigestsGolden
+            << "\nIf intentional: INC_UPDATE_GOLDEN=1 "
+               "./build/tests/test_golden_metrics";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SuiteRows, SuiteDigests, ::testing::ValuesIn(kSuiteRows),
+    [](const ::testing::TestParamInfo<SuiteRow> &info) {
         return std::string(info.param.name);
     });
 

@@ -5,7 +5,7 @@
  * consistency with the registry counters, RunReport construction and
  * its determinism guarantees (byte-identical at any sweep parallelism,
  * offline rebuild from a metrics file equals the online build), and
- * the digest bench/snapshot pins.
+ * the digest the SuiteDigests golden rows pin.
  */
 
 #include <cmath>
