@@ -24,14 +24,6 @@ mse(const std::vector<std::uint8_t> &a, const std::vector<std::uint8_t> &b)
 }
 
 double
-mse(const util::Image &a, const util::Image &b)
-{
-    if (a.width() != b.width() || a.height() != b.height())
-        util::panic("mse: image size mismatch");
-    return mse(a.data(), b.data());
-}
-
-double
 psnrFromMse(double mse_value)
 {
     if (mse_value <= 0.0)
@@ -64,12 +56,6 @@ maskedMse(const std::vector<std::uint8_t> &a,
         ++n;
     }
     return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double
-psnr(const util::Image &a, const util::Image &b)
-{
-    return psnrFromMse(mse(a, b));
 }
 
 } // namespace inc::approx

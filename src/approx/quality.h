@@ -11,17 +11,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/image.h"
-
 namespace inc::approx
 {
 
 /** MSE between two equal-length byte sequences. */
 double mse(const std::vector<std::uint8_t> &a,
            const std::vector<std::uint8_t> &b);
-
-/** MSE between two equal-size images. */
-double mse(const util::Image &a, const util::Image &b);
 
 /**
  * PSNR in dB for 8-bit data: 10*log10(255^2 / mse). Identical outputs
@@ -34,7 +29,6 @@ constexpr double kPsnrCap = 99.0;
 
 double psnr(const std::vector<std::uint8_t> &a,
             const std::vector<std::uint8_t> &b);
-double psnr(const util::Image &a, const util::Image &b);
 
 /**
  * MSE over the positions where @p mask is non-zero only. Incidental

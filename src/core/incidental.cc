@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "nvm/nvm_array.h"
+#include "nvm/retention_policy.h"
 #include "util/bit_ops.h"
 #include "util/logging.h"
 
@@ -98,8 +98,8 @@ IncidentalController::onRestore(double outage_tenth_ms,
     core_->memory().applyOutageDecay(outage_tenth_ms);
 
     // Retention decay of the backed-up approximable register bits.
-    const int cutoff = nvm::NvmArray::expiredCutoff(config_.backup_policy,
-                                                    outage_tenth_ms);
+    const int cutoff =
+        nvm::expiredCutoff(config_.backup_policy, outage_tenth_ms);
     if (cutoff > 0) {
         ++stats_.reg_decay_events;
         for (ResumeEntry &e : pending_)
@@ -424,17 +424,8 @@ IncidentalController::requestRecompute(std::uint16_t frame, int min_bits,
 void
 IncidentalController::emitCompletion(const FrameCompletion &completion)
 {
-    completions_.push_back(completion);
     if (completion_callback_)
         completion_callback_(completion);
-}
-
-std::vector<FrameCompletion>
-IncidentalController::takeCompletions()
-{
-    std::vector<FrameCompletion> out;
-    out.swap(completions_);
-    return out;
 }
 
 } // namespace inc::core

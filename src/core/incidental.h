@@ -134,13 +134,10 @@ class IncidentalController
     /** Request @p times recompute passes of @p frame at >= @p min_bits. */
     void requestRecompute(std::uint16_t frame, int min_bits, int times);
 
-    /** Drain the completed-frame event list. */
-    std::vector<FrameCompletion> takeCompletions();
-
     /**
-     * Immediate completion hook, invoked the moment a frame finishes —
-     * before its output ring slot can be recycled by a newer frame. Use
-     * this (rather than takeCompletions) when the handler must read the
+     * Completion hook, the one delivery path for finished frames. It is
+     * invoked the moment a frame finishes, before its output ring slot
+     * can be recycled by a newer frame, so the handler may read the
      * finished output buffer.
      */
     void setCompletionCallback(
@@ -171,7 +168,6 @@ class IncidentalController
     void emitCompletion(const FrameCompletion &completion);
 
     std::vector<ResumeEntry> pending_; ///< captured at last backup
-    std::vector<FrameCompletion> completions_;
     std::function<void(const FrameCompletion &)> completion_callback_;
     std::set<std::uint32_t> started_;
     std::uint32_t window_start_ = 0;

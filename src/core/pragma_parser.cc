@@ -263,13 +263,4 @@ parseAnnotated(const std::string &source)
     return result;
 }
 
-AnnotatedProgram
-parseAnnotatedOrDie(const std::string &source)
-{
-    PragmaParseResult r = parseAnnotated(source);
-    if (!r.ok)
-        util::fatal("pragma parse failed: %s", r.error.c_str());
-    return std::move(r.annotated);
-}
-
 } // namespace inc::core

@@ -116,9 +116,6 @@ struct PragmaParseResult
 /** Parse annotated assembly source. */
 PragmaParseResult parseAnnotated(const std::string &source);
 
-/** Parse; fatal() with the error on failure. */
-AnnotatedProgram parseAnnotatedOrDie(const std::string &source);
-
 } // namespace inc::core
 
 #endif // INC_CORE_PRAGMA_PARSER_H

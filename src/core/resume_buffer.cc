@@ -50,14 +50,6 @@ ResumeBuffer::at(int index)
     return entries_[static_cast<size_t>(index)];
 }
 
-const ResumeEntry &
-ResumeBuffer::at(int index) const
-{
-    if (index < 0 || index >= kCapacity)
-        util::panic("ResumeBuffer index out of range: %d", index);
-    return entries_[static_cast<size_t>(index)];
-}
-
 void
 ResumeBuffer::invalidate(int index)
 {

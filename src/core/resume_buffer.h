@@ -44,7 +44,6 @@ class ResumeBuffer
 
     /** Entry access (slot order is storage order, not age order). */
     ResumeEntry &at(int index);
-    const ResumeEntry &at(int index) const;
     static constexpr int capacity() { return kCapacity; }
 
     /** Invalidate one slot. */

@@ -78,10 +78,4 @@ Capacitor::drain(double amount_nj)
     return drained;
 }
 
-void
-Capacitor::setEnergyNj(double energy_nj)
-{
-    energy_nj_ = std::clamp(energy_nj, 0.0, params_.capacity_nj);
-}
-
 } // namespace inc::energy

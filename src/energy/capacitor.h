@@ -74,9 +74,6 @@ class Capacitor
      */
     double drain(double amount_nj);
 
-    /** Set the state of charge directly (tests / scenario setup). */
-    void setEnergyNj(double energy_nj);
-
     /** Cumulative income energy banked so far, nJ. */
     double totalIncomeNj() const { return total_income_nj_; }
 

@@ -36,6 +36,12 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Shards planned per worker, so a lost worker costs a small share. */
+constexpr std::size_t kShardsPerWorker = 4;
+/** Reassignments a shard may take after losing its worker; one more
+ *  loss is fatal. */
+constexpr int kMaxShardRetries = 3;
+
 /** One accepted socket connection (unclaimed until its HELLO). */
 struct Connection
 {
@@ -151,8 +157,6 @@ Coordinator::Coordinator(const ServeOptions &options)
 
     if (options_.workers < 1)
         util::fatal("fleet: --workers must be >= 1");
-    if (options_.max_shard_retries < 0)
-        util::fatal("fleet: --max-shard-retries must be >= 0");
 
     if (!util::ensureDir(options_.fleet_dir))
         util::fatal("cannot create fleet dir '%s'",
@@ -185,11 +189,9 @@ Coordinator::Coordinator(const ServeOptions &options)
                        ? options_.fleet_dir + "/fleet.sock"
                        : options_.socket_path;
 
-    const std::size_t target_shards =
-        options_.shards > 0
-            ? options_.shards
-            : static_cast<std::size_t>(options_.workers) * 4;
-    plan_ = runner::planShards(jobs_.size(), target_shards);
+    plan_ = runner::planShards(
+        jobs_.size(),
+        static_cast<std::size_t>(options_.workers) * kShardsPerWorker);
     dispatch_count_.assign(plan_.size(), 0);
     shard_completed_.assign(plan_.size(), false);
     for (const runner::ShardRange &shard : plan_)
@@ -222,12 +224,8 @@ Coordinator::spawnWorker(bool first_generation)
         options_.campaign_path,
         "--fleet-dir",
         options_.fleet_dir,
-        "--jobs",
-        std::to_string(options_.worker_jobs),
         "--collect-metrics",
         options_.collect_metrics ? "1" : "0",
-        "--progress-every",
-        std::to_string(options_.progress_every),
     };
     if (first_generation && options_.kill_worker_after > 0) {
         argv_strings.push_back("--kill-after");
@@ -441,8 +439,7 @@ Coordinator::workerLost(WorkerProc &worker, const char *why)
     if (worker.shard >= 0) {
         const auto shard_id = static_cast<std::size_t>(worker.shard);
         worker.shard = -1;
-        if (dispatch_count_[shard_id] >
-            options_.max_shard_retries)
+        if (dispatch_count_[shard_id] > kMaxShardRetries)
             util::fatal("fleet: shard %zu lost its worker %d times "
                         "(last: %s); retry budget exhausted",
                         shard_id, dispatch_count_[shard_id], why);

@@ -62,17 +62,12 @@ struct ServeOptions
      *  (/proc/self/exe, resolved by the CLI). */
     std::string nvpsim_path;
     int workers = 1;
-    int worker_jobs = 1;    ///< threads per worker process
-    std::size_t shards = 0; ///< 0 = auto (4 per worker)
-    int max_shard_retries = 3;
     double heartbeat_timeout_s = 120.0;
     bool collect_metrics = false;
     /** Live status endpoint socket path; empty = no status socket. */
     std::string status_socket;
     /** Merged fleet-wide Chrome-trace output path; empty = no trace. */
     std::string trace_out;
-    /** Worker PROGRESS cadence in delivered jobs (0 = disabled). */
-    std::size_t progress_every = 1;
     /** Test hook: first-generation workers get --kill-after K, so
      *  every worker dies exactly once (respawns run clean). */
     std::size_t kill_worker_after = 0;

@@ -22,10 +22,13 @@ namespace inc::fleet
 namespace
 {
 
-/** Pending-span ring bound: at the default cadence a batch holds a
- *  couple of events, but with --progress-every 0 spans would pile up
- *  forever without this. */
+/** Pending-span ring bound: every delivered job flushes the ring in its
+ *  PROGRESS frame, so a batch holds a couple of events; the bound keeps
+ *  memory bounded regardless. */
 constexpr std::size_t kSpanRingCapacity = 4096;
+
+/** Sweep threads per worker process: a fleet scales by worker count. */
+constexpr int kWorkerThreads = 1;
 
 /** "sobel x profile2" — the PROGRESS label and job-span name. */
 std::string
@@ -86,8 +89,8 @@ runShard(const runner::SweepSpec &spec, const std::string &fingerprint,
     // in delivery order — a prefix-consistent approximation of the
     // final job-index-order fold; see DESIGN.md §16), completed trace
     // spans stamped with this process's real pid on the shared wall
-    // clock, and PROGRESS frames on the jobs cadence. Everything here
-    // is send-only: the result plane never reads it.
+    // clock, and a PROGRESS frame per delivered job. Everything here is
+    // send-only: the result plane never reads it.
     const long pid = static_cast<long>(::getpid());
     obs::MetricsRegistry live_metrics;
     obs::SpanBatch spans(kSpanRingCapacity);
@@ -124,9 +127,6 @@ runShard(const runner::SweepSpec &spec, const std::string &fingerprint,
                 static_cast<double>(result.result.restores);
             spans.add(std::move(restores));
         }
-        if (options.progress_every == 0 ||
-            (done % options.progress_every != 0 && done != total))
-            return;
         ProgressUpdate update;
         update.shard_id = shard.id;
         update.jobs_done = done;
@@ -154,7 +154,7 @@ runShard(const runner::SweepSpec &spec, const std::string &fingerprint,
 
     runner.run();
 
-    if (options.progress_every > 0) {
+    {
         // Closing frame: the shard-lifecycle span (it only completes
         // here) plus the final snapshot, so the coordinator's live
         // view of a finished shard is its complete prefix.
@@ -199,7 +199,7 @@ runWorker(const WorkerOptions &options)
 
     runner::SweepSpec spec =
         buildSweepSpec(campaign, options.collect_metrics);
-    spec.jobs = options.jobs;
+    spec.jobs = kWorkerThreads;
     const std::vector<runner::JobSpec> jobs = runner::expandSweep(spec);
     const std::string fingerprint = runner::SweepJournal::fingerprint(
         spec, jobs,

@@ -14,14 +14,14 @@
  * the coordinator already folded, and every frame doubles as a
  * heartbeat.
  *
- * Live telemetry plane (DESIGN.md §16): alongside each RESULT the
- * worker emits PROGRESS frames on a jobs-based cadence
- * (progress_every) carrying the shard position, the last job label,
- * a cumulative canonical-JSON metrics snapshot of the shard so far,
- * and a batch of completed trace spans (shard/job lifecycle, per-job
- * backup/restore counts) stamped with the worker's real pid on the
- * shared wall clock. The plane is strictly one-way and lossy-safe:
- * nothing in the result path reads it back.
+ * Live telemetry plane (DESIGN.md §16): after each RESULT the worker
+ * emits a PROGRESS frame, plus one closing frame before DONE, carrying
+ * the shard position, the last job label, a cumulative canonical-JSON
+ * metrics snapshot of the shard so far, and a batch of completed trace
+ * spans (shard/job lifecycle, per-job backup/restore counts) stamped
+ * with the worker's real pid on the shared wall clock. The plane is
+ * strictly one-way and lossy-safe: nothing in the result path reads it
+ * back.
  */
 
 #ifndef INC_FLEET_WORKER_H
@@ -38,11 +38,7 @@ struct WorkerOptions
     std::string socket_path;
     std::string campaign_path;
     std::string fleet_dir;
-    int jobs = 1;                ///< threads per worker process
     bool collect_metrics = false;
-    /** Emit a PROGRESS frame every N delivered jobs (0 = never).
-     *  A final frame always precedes DONE when enabled. */
-    std::size_t progress_every = 1;
     /** Test hook: SIGKILL self after this many jobs have been
      *  journaled (0 = disabled) — the fleet kill/reassign matrix. */
     std::size_t kill_after = 0;

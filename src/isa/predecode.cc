@@ -1,6 +1,5 @@
 #include "isa/predecode.h"
 
-#include "isa/encoding.h"
 #include "util/logging.h"
 
 namespace inc::isa
@@ -10,10 +9,8 @@ DecodedInst
 predecode(const Instruction &inst)
 {
     // The fast-path interpreter indexes the register file without bounds
-    // checks, so reject out-of-range operands here (binary encodings are
-    // 4-bit fields and can never trip this; only hand-built Instructions
-    // can). The reference engine panics on the same instruction at
-    // execution time.
+    // checks, so reject out-of-range operands here. The reference engine
+    // panics on the same instruction at execution time.
     if (inst.rd >= kNumRegs || inst.rs1 >= kNumRegs ||
         inst.rs2 >= kNumRegs)
         util::panic("predecode: register operand out of range in '%s'",
@@ -31,47 +28,11 @@ predecode(const Instruction &inst)
     return d;
 }
 
-std::optional<DecodedInst>
-predecodeWord(std::uint32_t word)
-{
-    // Delegating to decode() makes "reject identically" true by
-    // construction: the two decoders cannot drift apart on which words
-    // are valid, only on resolved metadata — which the differential
-    // tests pin.
-    const std::optional<Instruction> inst = decode(word);
-    if (!inst)
-        return std::nullopt;
-    return predecode(*inst);
-}
-
 PredecodedProgram::PredecodedProgram(const Program &program)
 {
     code_.reserve(program.size());
     for (const Instruction &inst : program.code())
         code_.push_back(predecode(inst));
-}
-
-std::optional<PredecodedProgram>
-PredecodedProgram::fromWords(const std::vector<std::uint32_t> &words)
-{
-    PredecodedProgram p;
-    p.code_.reserve(words.size());
-    for (const std::uint32_t w : words) {
-        const auto d = predecodeWord(w);
-        if (!d)
-            return std::nullopt;
-        p.code_.push_back(*d);
-    }
-    return p;
-}
-
-std::optional<PredecodedProgram>
-PredecodedProgram::fromImage(const std::vector<std::uint8_t> &bytes)
-{
-    const auto words = imageToWords(bytes);
-    if (!words)
-        return std::nullopt;
-    return fromWords(*words);
 }
 
 const DecodedInst &

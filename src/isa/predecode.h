@@ -14,20 +14,14 @@
  * operand-b source (register vs immediate) and ALU-noise candidacy are
  * all precomputed, so the predecoded engine's dispatch loop touches a
  * single cache-friendly array and never calls back into the metadata
- * tables.
- *
- * Validation contract: predecoding accepts a binary word if and only if
- * isa::decode() accepts it, and the decoded operand fields agree
- * exactly. Malformed or truncated images must never silently diverge
- * between the two decoders — tests/test_isa.cc sweeps the full opcode
- * space and truncated images to enforce this.
+ * tables. tests/test_isa.cc checks the precomputed metadata against
+ * those tables for every opcode.
  */
 
 #ifndef INC_ISA_PREDECODE_H
 #define INC_ISA_PREDECODE_H
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "isa/isa.h"
@@ -58,14 +52,8 @@ struct DecodedInst
     bool operator==(const DecodedInst &other) const = default;
 };
 
-/** Resolve one (already decoded) instruction. */
+/** Resolve one instruction. */
 DecodedInst predecode(const Instruction &inst);
-
-/**
- * Predecode one binary word. Returns nullopt exactly when
- * isa::decode() returns nullopt (same acceptance set by contract).
- */
-std::optional<DecodedInst> predecodeWord(std::uint32_t word);
 
 /** A program resolved into the dense fast-path form. */
 class PredecodedProgram
@@ -87,21 +75,6 @@ class PredecodedProgram
     }
 
     const std::vector<DecodedInst> &code() const { return code_; }
-
-    /**
-     * Predecode a whole binary image; nullopt if any word is invalid —
-     * the same acceptance set as isa::decodeAll().
-     */
-    static std::optional<PredecodedProgram>
-    fromWords(const std::vector<std::uint32_t> &words);
-
-    /**
-     * Predecode a raw byte image (little-endian 32-bit words); nullopt
-     * on truncated images (length not a multiple of 4) or any invalid
-     * word — the same acceptance set as isa::decodeImage().
-     */
-    static std::optional<PredecodedProgram>
-    fromImage(const std::vector<std::uint8_t> &bytes);
 
   private:
     static const DecodedInst &haltSentinel();

@@ -64,6 +64,30 @@ retentionSec(RetentionPolicy policy, int bit_index)
     return retentionTenthMs(policy, bit_index) * 1e-4;
 }
 
+int
+expiredCutoff(RetentionPolicy policy, double age_tenth_ms)
+{
+    if (policy == RetentionPolicy::full)
+        return age_tenth_ms >= retentionTenthMs(policy, 1) ? 8 : 0;
+    int cutoff = 0;
+    for (int b = 1; b <= 8; ++b) {
+        if (retentionTenthMs(policy, b) < age_tenth_ms)
+            cutoff = b;
+        else
+            break; // retention is monotone in bit index
+    }
+    return cutoff;
+}
+
+std::uint64_t
+RetentionFailureCounts::totalViolations() const
+{
+    std::uint64_t sum = 0;
+    for (auto v : violations)
+        sum += v;
+    return sum;
+}
+
 RetentionEnergyTable::RetentionEnergyTable(const SttModel &model)
 {
     const RetentionPolicy policies[kNumPolicies] = {

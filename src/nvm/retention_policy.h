@@ -20,6 +20,7 @@
 #define INC_NVM_RETENTION_POLICY_H
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "nvm/stt_model.h"
@@ -50,6 +51,22 @@ double retentionTenthMs(RetentionPolicy policy, int bit_index);
 
 /** Same, in seconds. */
 double retentionSec(RetentionPolicy policy, int bit_index);
+
+/**
+ * Highest bit index (1..8) whose shaped retention under @p policy is
+ * below @p age_tenth_ms; 0 if none expired. Retention is monotonically
+ * increasing in bit index, so "which bits expired" is this one cutoff.
+ */
+int expiredCutoff(RetentionPolicy policy, double age_tenth_ms);
+
+/** Per-bit retention-violation counters (index 0 -> bit 1 = LSB). */
+struct RetentionFailureCounts
+{
+    std::array<std::uint64_t, 8> violations{}; ///< expired bit events
+    std::array<std::uint64_t, 8> flips{};      ///< of those, value changed
+
+    std::uint64_t totalViolations() const;
+};
 
 /**
  * Precomputed per-policy write-energy table: energy to write one 8-bit

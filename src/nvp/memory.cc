@@ -72,17 +72,6 @@ DataMemory::addVersionedRegion(std::uint32_t start, std::uint32_t length,
     versioned_.push_back(std::move(region));
 }
 
-void
-DataMemory::clearRegions()
-{
-    if (backend_) {
-        for (const VersionedRegion &r : versioned_)
-            backend_->release(r.block_name);
-    }
-    ac_regions_.clear();
-    versioned_.clear();
-}
-
 nvm::RetentionPolicy
 DataMemory::policyAt(std::uint32_t addr) const
 {
@@ -107,16 +96,6 @@ DataMemory::VersionedRegion *
 DataMemory::findVersioned(std::uint32_t addr)
 {
     for (VersionedRegion &r : versioned_) {
-        if (addr >= r.start && addr < r.start + r.length)
-            return &r;
-    }
-    return nullptr;
-}
-
-const DataMemory::VersionedRegion *
-DataMemory::findVersioned(std::uint32_t addr) const
-{
-    for (const VersionedRegion &r : versioned_) {
         if (addr >= r.start && addr < r.start + r.length)
             return &r;
     }
@@ -294,7 +273,7 @@ DataMemory::applyOutageDecay(double duration_tenth_ms)
         if (region.policy == nvm::RetentionPolicy::full)
             continue;
         const int cutoff =
-            nvm::NvmArray::expiredCutoff(region.policy, duration_tenth_ms);
+            nvm::expiredCutoff(region.policy, duration_tenth_ms);
         if (cutoff == 0)
             continue;
         // One violation event per (outage, bit index) — Fig. 22 counts.

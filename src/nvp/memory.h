@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "isa/isa.h"
-#include "nvm/nvm_array.h"
 #include "nvm/retention_policy.h"
 #include "obs/obs.h"
 #include "util/rng.h"
@@ -103,9 +102,6 @@ class DataMemory
      */
     void addVersionedRegion(std::uint32_t start, std::uint32_t length,
                             bool write_through = true);
-
-    /** Remove all region declarations (memory contents kept). */
-    void clearRegions();
 
     /** Policy of the AC region containing @p addr (full if none). */
     nvm::RetentionPolicy policyAt(std::uint32_t addr) const;
@@ -178,7 +174,6 @@ class DataMemory
     {
         return failures_;
     }
-    void resetFailures() { failures_.reset(); }
 
     // ---- host (sensor DMA / harness) access ------------------------------
 
@@ -265,7 +260,6 @@ class DataMemory
     };
 
     VersionedRegion *findVersioned(std::uint32_t addr);
-    const VersionedRegion *findVersioned(std::uint32_t addr) const;
     void checkAddr(std::uint32_t addr) const;
 
     void markDirty(std::uint32_t addr)

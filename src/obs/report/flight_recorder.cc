@@ -67,15 +67,6 @@ FlightRecorder::appendFrame()
     return &frames_.back();
 }
 
-void
-FlightRecorder::clear()
-{
-    outages_.clear();
-    frames_.clear();
-    dropped_outages_ = 0;
-    dropped_frames_ = 0;
-}
-
 JsonValue
 outageToJson(const OutageRecord &o)
 {
@@ -111,26 +102,6 @@ frameToJson(const FrameRecord &f)
     rec.set("coverage", JsonValue::of(f.coverage));
     rec.set("bits", JsonValue::of(std::uint64_t(f.bits)));
     return rec;
-}
-
-JsonValue
-FlightRecorder::toJsonValue() const
-{
-    JsonValue doc = JsonValue::object();
-
-    JsonValue outages = JsonValue::array();
-    for (const OutageRecord &o : outages_)
-        outages.push(outageToJson(o));
-    doc.set("outages", std::move(outages));
-    doc.set("outages_dropped", JsonValue::of(dropped_outages_));
-
-    JsonValue frames = JsonValue::array();
-    for (const FrameRecord &f : frames_)
-        frames.push(frameToJson(f));
-    doc.set("frames", std::move(frames));
-    doc.set("frames_dropped", JsonValue::of(dropped_frames_));
-
-    return doc;
 }
 
 } // namespace inc::obs

@@ -49,8 +49,7 @@ const char *resumeKindName(ResumeKind kind);
 struct OutageRecord;
 struct FrameRecord;
 
-/** Canonical JSON form of one record (shared by the recorder dump and
- *  the run report). */
+/** Canonical JSON form of one record (as embedded in the run report). */
 JsonValue outageToJson(const OutageRecord &record);
 JsonValue frameToJson(const FrameRecord &record);
 
@@ -113,11 +112,6 @@ class FlightRecorder
     const std::vector<FrameRecord> &frames() const { return frames_; }
     std::uint64_t droppedOutages() const { return dropped_outages_; }
     std::uint64_t droppedFrames() const { return dropped_frames_; }
-
-    void clear();
-
-    /** Canonical JSON object (embedded in the run report). */
-    JsonValue toJsonValue() const;
 
   private:
     std::size_t max_outages_;

@@ -132,7 +132,8 @@ RunReport buildRunReport(const MetricsRegistry &m,
                          std::vector<KernelEfficiency> kernels = {});
 
 /** FNV-1a 64-bit digest, "fnv1a:" + 16 hex digits — the stable
- *  fingerprint bench/snapshot stores for report drift detection. */
+ *  fingerprint the SuiteDigests golden (tests/test_golden_metrics.cc)
+ *  pins for report drift detection. */
 std::string reportDigest(const std::string &text);
 
 } // namespace inc::obs

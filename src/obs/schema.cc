@@ -60,7 +60,8 @@ class Checker
 } // namespace
 
 std::vector<std::string>
-verifySimMetricIdentities(const MetricsRegistry &m, double rel_tol)
+verifySimMetricIdentities(const MetricsRegistry &m,
+                          [[maybe_unused]] double rel_tol)
 {
     Checker ck(m);
     if (!m.has(kSimSamples)) {

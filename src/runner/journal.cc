@@ -80,7 +80,10 @@ SweepJournal::fingerprint(const SweepSpec &spec,
     for (const ConfigVariant &v : spec.variants)
         crc = crcString(crc, v.name);
     crc = crcU64(crc, spec.master_seed);
-    crc = crcU64(crc, spec.derive_config_seeds ? 1 : 0);
+    // A retired spec field, hashed as its constant 0 so arenas already
+    // on disk keep their fingerprints;
+    // Campaign.FingerprintsMatchJournalsWrittenBeforeTheKnobTable pins them.
+    crc = crcU64(crc, 0);
     crc = crcU64(crc, jobs.size());
     for (const JobSpec &j : jobs)
         crc = crcU64(crc, j.rng_seed);

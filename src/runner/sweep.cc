@@ -77,8 +77,6 @@ expandSweep(const SweepSpec &spec)
                 job.variant = spec.variants[v].name;
                 job.config = spec.variants[v].make(job.kernel);
                 job.rng_seed = master.next();
-                if (spec.derive_config_seeds)
-                    job.config.seed = job.rng_seed;
                 jobs.push_back(std::move(job));
             }
         }
@@ -168,11 +166,6 @@ SweepReport::failureReport() const
             << ": " << f->error << "\n";
     }
     return out.str();
-}
-
-ResultSink::ResultSink(std::size_t num_jobs)
-    : ResultSink(0, num_jobs)
-{
 }
 
 ResultSink::ResultSink(std::size_t begin, std::size_t end)

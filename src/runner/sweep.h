@@ -61,15 +61,6 @@ struct SweepSpec
     /** Root of the per-job RNG tree (see expandSweep()). */
     std::uint64_t master_seed = 2017;
 
-    /**
-     * When true, each job's SimConfig.seed is overwritten with the
-     * job's forked rng_seed, giving every grid point an independent
-     * random stream. The figure reproductions keep this false: the
-     * paper's experiments run every configuration on the same seed so
-     * columns are comparable.
-     */
-    bool derive_config_seeds = false;
-
     /** Worker threads; 0 = ThreadPool::defaultThreads(). */
     int jobs = 0;
 
@@ -168,15 +159,13 @@ struct SweepReport
 
 /**
  * Collects JobResults from worker threads and hands them back sorted
- * into job-index order. Thread safe. The two-argument constructor
- * restricts the sink to the job-index range [begin, end) — the shape a
- * fleet shard executes (see runner/shard.h); out-of-range deliveries
- * panic just like out-of-bounds ones.
+ * into job-index order. Thread safe. The sink covers the job-index
+ * range [begin, end) — a whole sweep, or the shape a fleet shard
+ * executes (see runner/shard.h); out-of-range deliveries panic.
  */
 class ResultSink
 {
   public:
-    explicit ResultSink(std::size_t num_jobs);
     ResultSink(std::size_t begin, std::size_t end);
 
     /** Deliver a finished job (any thread). */

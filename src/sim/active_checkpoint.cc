@@ -1,7 +1,7 @@
 #include "sim/active_checkpoint.h"
 
 #include "energy/capacitor.h"
-#include "nvm/nvm_array.h"
+#include "nvm/retention_policy.h"
 #include "obs/observer.h"
 #include "obs/report/flight_recorder.h"
 #include "obs/schema.h"
@@ -117,9 +117,8 @@ runActiveCheckpoint(const trace::PowerTrace &trace,
                 std::uint64_t expiries = 0;
                 if (has_image) {
                     ++result.restores;
-                    expiries = static_cast<std::uint64_t>(
-                        nvm::NvmArray::expiredCutoff(
-                            config.checkpoint_policy, off_tenth_ms));
+                    expiries = static_cast<std::uint64_t>(nvm::expiredCutoff(
+                        config.checkpoint_policy, off_tenth_ms));
                     result.restore_bit_expirations += expiries;
                 }
                 if (flight) {

@@ -112,8 +112,8 @@ struct ActiveCheckpointResult
 
     /**
      * Sum over restores of the highest expired bit index of the
-     * checkpoint image (nvm::NvmArray::expiredCutoff of the off
-     * duration under checkpoint_policy). 0 with full retention.
+     * checkpoint image (nvm::expiredCutoff of the off duration
+     * under checkpoint_policy). 0 with full retention.
      */
     std::uint64_t restore_bit_expirations = 0;
 };

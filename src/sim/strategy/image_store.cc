@@ -53,12 +53,6 @@ ImageStore::inactiveIndex() const
     return meta_[1] != 0 ? 0 : 1;
 }
 
-std::uint8_t *
-ImageStore::inactiveSlot()
-{
-    return image_ ? image_ + inactiveIndex() * state_bytes_ : nullptr;
-}
-
 const std::uint8_t *
 ImageStore::committedSlot() const
 {

@@ -93,7 +93,6 @@ class ImageStore
     /** Index of the slot in-flight writes target. */
     std::size_t inactiveIndex() const;
 
-    std::uint8_t *inactiveSlot();
     const std::uint8_t *committedSlot() const;
 
     /** Write one byte of in-flight image state at @p offset of the

@@ -41,14 +41,6 @@ bit(std::uint64_t value, unsigned index)
     return (value >> index) & 1ULL;
 }
 
-/** Set/clear bit @p index. */
-constexpr std::uint64_t
-setBit(std::uint64_t value, unsigned index, bool on)
-{
-    const std::uint64_t m = 1ULL << index;
-    return on ? (value | m) : (value & ~m);
-}
-
 /** Number of set bits in @p value. */
 constexpr int
 popcount64(std::uint64_t value)

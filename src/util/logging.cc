@@ -7,23 +7,6 @@
 namespace inc::util
 {
 
-namespace
-{
-LogLevel g_level = LogLevel::normal;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 std::string
 vformat(const char *fmt, std::va_list args)
 {
@@ -46,30 +29,6 @@ format(const char *fmt, ...)
     std::string out = vformat(fmt, args);
     va_end(args);
     return out;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level == LogLevel::quiet)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-trace(const char *fmt, ...)
-{
-    if (g_level != LogLevel::verbose)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "trace: %s\n", msg.c_str());
 }
 
 void

@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: fatal() is for user errors that make
  * continuing impossible (bad configuration, malformed input); panic() is
- * for internal invariant violations, i.e. library bugs. inform()/warn()
- * never stop execution.
+ * for internal invariant violations, i.e. library bugs. warn() never
+ * stops execution.
  */
 
 #ifndef INC_UTIL_LOGGING_H
@@ -16,26 +16,6 @@
 
 namespace inc::util
 {
-
-/** Verbosity levels for informational output. */
-enum class LogLevel
-{
-    quiet,   ///< only warnings and errors
-    normal,  ///< informational messages included
-    verbose  ///< per-event tracing included
-};
-
-/** Set the global verbosity (default: normal). */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
-
-/** Informational message; printed at normal verbosity or above. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Verbose tracing message; printed only at verbose verbosity. */
-void trace(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Non-fatal warning about questionable conditions. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -1,43 +1,11 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 
 namespace inc::util
 {
-
-void
-RunningStats::add(double x)
-{
-    ++n_;
-    sum_ += x;
-    if (n_ == 1) {
-        mean_ = x;
-        min_ = x;
-        max_ = x;
-        m2_ = 0.0;
-        return;
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-double
-RunningStats::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 Histogram::Histogram(double lo, double hi, int bins)
     : lo_(lo), width_((hi - lo) / bins),
@@ -60,20 +28,6 @@ double
 Histogram::edge(int bin) const
 {
     return lo_ + bin * width_;
-}
-
-double
-percentile(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    p = std::clamp(p, 0.0, 100.0);
-    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
 }
 
 } // namespace inc::util

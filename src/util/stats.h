@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming statistics and histogram helpers used by trace analysis and
- * the experiment harnesses.
+ * Fixed-width histogram used by trace analysis and the experiment
+ * harnesses.
  */
 
 #ifndef INC_UTIL_STATS_H
@@ -12,29 +12,6 @@
 
 namespace inc::util
 {
-
-/** Welford-style streaming mean/variance plus min/max. */
-class RunningStats
-{
-  public:
-    void add(double x);
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 /** Fixed-width-bin histogram over [lo, hi); out-of-range values clamp. */
 class Histogram
@@ -57,9 +34,6 @@ class Histogram
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
 };
-
-/** Exact percentile (linear interpolation) of a sample vector. */
-double percentile(std::vector<double> values, double p);
 
 } // namespace inc::util
 

@@ -18,7 +18,7 @@
 #include "arena/arena.h"
 #include "arena/backend.h"
 #include "energy/energy_model.h"
-#include "nvm/nvm_array.h"
+#include "nvm/retention_policy.h"
 #include "obs/observer.h"
 #include "obs/schema.h"
 #include "sim/active_checkpoint.h"
@@ -138,32 +138,24 @@ TEST(ActiveCheckpointBoundary, ExpiredCutoffIsExclusiveAtTheExactLimit)
     // (one-day) limit the whole byte is gone at once.
     const double lin2 =
         nvm::retentionTenthMs(nvm::RetentionPolicy::linear, 2);
-    EXPECT_EQ(nvm::NvmArray::expiredCutoff(nvm::RetentionPolicy::linear,
-                                           lin2),
-              1);
-    EXPECT_EQ(nvm::NvmArray::expiredCutoff(
-                  nvm::RetentionPolicy::linear,
-                  std::nextafter(lin2, lin2 + 1.0)),
+    EXPECT_EQ(nvm::expiredCutoff(nvm::RetentionPolicy::linear, lin2), 1);
+    EXPECT_EQ(nvm::expiredCutoff(nvm::RetentionPolicy::linear,
+                                 std::nextafter(lin2, lin2 + 1.0)),
               2);
 
     const double log3 =
         nvm::retentionTenthMs(nvm::RetentionPolicy::log, 3);
-    EXPECT_EQ(
-        nvm::NvmArray::expiredCutoff(nvm::RetentionPolicy::log, log3),
-        2);
-    EXPECT_EQ(nvm::NvmArray::expiredCutoff(
-                  nvm::RetentionPolicy::log,
-                  std::nextafter(log3, log3 + 1.0)),
+    EXPECT_EQ(nvm::expiredCutoff(nvm::RetentionPolicy::log, log3), 2);
+    EXPECT_EQ(nvm::expiredCutoff(nvm::RetentionPolicy::log,
+                                 std::nextafter(log3, log3 + 1.0)),
               3);
 
     const double full1 =
         nvm::retentionTenthMs(nvm::RetentionPolicy::full, 1);
-    EXPECT_EQ(nvm::NvmArray::expiredCutoff(nvm::RetentionPolicy::full,
-                                           std::nextafter(full1, 0.0)),
+    EXPECT_EQ(nvm::expiredCutoff(nvm::RetentionPolicy::full,
+                                 std::nextafter(full1, 0.0)),
               0);
-    EXPECT_EQ(
-        nvm::NvmArray::expiredCutoff(nvm::RetentionPolicy::full, full1),
-        8);
+    EXPECT_EQ(nvm::expiredCutoff(nvm::RetentionPolicy::full, full1), 8);
 }
 
 TEST(ActiveCheckpointBoundary, RestoreExpirySteps1TenthMsPastTheLimit)

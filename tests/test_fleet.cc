@@ -21,8 +21,9 @@
  * "lost" worker row) after --kill-worker-after, and enabling
  * --status-socket + --trace-out must leave all four campaign
  * artifacts byte-identical; warm re-serves of a journaled campaign
- * exit 0 with unchanged bytes and no worker printing "fatal:"; and
- * the CLI hard-error surface — a
+ * exit 0 with unchanged bytes and no worker printing "fatal:"; a
+ * `sweep --arena` SIGKILLed by --kill-after and resumed writes the
+ * uninterrupted sweep's bytes; and the CLI hard-error surface — a
  * fingerprint-mismatched fleet dir, a bogus worker count, a
  * non-positive --heartbeat-timeout, dead socket paths, and every
  * subcommand's strict flag parsing (unknown, repeated and value-less
@@ -1206,7 +1207,8 @@ TEST(FleetCli, BadNumbersAndUnknownNamesDieNamingTheInput)
         {"serve " + campaign, "--out o.csv --fleet-dir fd",
          "--workers 1 --workers 2", "--socket",
          "--status-socket[=VALUE]"},
-        {"work", "", "--jobs 1 --jobs 1", "--socket", "--collect-metrics"},
+        {"work", "", "--kill-after 1 --kill-after 1", "--socket",
+         "--collect-metrics"},
         {"status sock", "", "--json --json", "--watch=1", "--json"},
         {"report", "--out r.json", "--kernel sobel --kernel sobel",
          "--from-metrics", "--flight-capacity"},
@@ -1240,6 +1242,62 @@ TEST(FleetCli, BadNumbersAndUnknownNamesDieNamingTheInput)
     EXPECT_TRUE(fs::is_empty(cwd)) << "a rejected command wrote output";
     fs::remove_all(base);
 }
+
+TEST(FleetCli, SweepArenaKillAndResumeMatchesAnUninterruptedSweep)
+{
+    // EXPERIMENTS.md's kill-and-resume recipe, end to end through the
+    // CLI: a journaled sweep SIGKILLed after 2 of 4 jobs, resumed, must
+    // write the uninterrupted sweep's CSV and metrics byte for byte.
+    const std::string base = freshDir("arena-resume");
+    const std::string sweep =
+        "cd " + base + " && " + std::string(INC_NVPSIM_PATH) +
+        " sweep --kernels sobel,median --profiles 2,3 --seconds 0.3"
+        " --jobs 1";
+    std::string log;
+    ASSERT_EQ(runCommand(sweep + " --seed 77 --out golden.csv"
+                                 " --metrics golden_metrics.json",
+                         &log),
+              0)
+        << log;
+
+    const std::string journaled =
+        sweep + " --arena arena --metrics resumed_metrics.json";
+    log.clear();
+    runCommand("( " + journaled + " --seed 77 --kill-after 2; echo exit=$? )",
+               &log);
+    EXPECT_NE(log.find("exit=137"), std::string::npos)
+        << "expected death by SIGKILL: " << log;
+    EXPECT_FALSE(fs::exists(base + "/resumed_metrics.json"));
+
+    log.clear();
+    ASSERT_EQ(
+        runCommand(journaled + " --seed 77 --resume --out resumed.csv", &log),
+        0)
+        << log;
+    EXPECT_NE(log.find("arena: resuming 2 of 4 jobs done"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(readFile(base + "/resumed.csv"),
+              readFile(base + "/golden.csv"));
+    EXPECT_EQ(readFile(base + "/resumed_metrics.json"),
+              readFile(base + "/golden_metrics.json"));
+
+    // A bound arena is never reused silently, nor resumed by another
+    // campaign.
+    log.clear();
+    EXPECT_NE(runCommand(journaled + " --seed 77", &log), 0);
+    EXPECT_NE(log.find("fatal: arena 'arena' already holds a campaign "
+                       "(4 of 4 jobs done); pass --resume"),
+              std::string::npos)
+        << log;
+    log.clear();
+    EXPECT_NE(runCommand(journaled + " --resume --seed 78", &log), 0);
+    EXPECT_NE(log.find("fatal: arena 'arena' holds a different campaign"),
+              std::string::npos)
+        << log;
+    fs::remove_all(base);
+}
+
 TEST(FleetCli, TraceOutCreatesItsParentDirectory)
 {
     // Every nvpsim output goes through one writer that creates the

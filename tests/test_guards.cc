@@ -14,7 +14,6 @@
 #include "trace/power_trace.h"
 #include "util/image.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 using namespace inc;
 
@@ -92,12 +91,4 @@ TEST(Guards, GracefulErrorReturns)
     EXPECT_FALSE(util::writePgm(gen.frame(0), "/no/such/dir/x.pgm"));
     EXPECT_TRUE(
         trace::PowerTrace::loadCsv("/definitely/not/here.csv").empty());
-}
-
-TEST(Guards, PercentileClampsOutOfRangeRequests)
-{
-    std::vector<double> v{1, 2, 3};
-    EXPECT_DOUBLE_EQ(util::percentile(v, -10), 1.0);
-    EXPECT_DOUBLE_EQ(util::percentile(v, 200), 3.0);
-    EXPECT_DOUBLE_EQ(util::percentile({}, 50), 0.0);
 }

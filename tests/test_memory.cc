@@ -215,8 +215,8 @@ struct DecayOracle
         for (const AcRegion &region : regions) {
             if (region.policy == RetentionPolicy::full)
                 continue;
-            const int cutoff = inc::nvm::NvmArray::expiredCutoff(
-                region.policy, duration_tenth_ms);
+            const int cutoff =
+                inc::nvm::expiredCutoff(region.policy, duration_tenth_ms);
             if (cutoff == 0)
                 continue;
             for (int b = 1; b <= cutoff; ++b)
@@ -297,8 +297,7 @@ TEST(DataMemory, OutageDecayKeepsTheByteLoopStream)
         for (int cutoff = 0; cutoff <= 8; ++cutoff) {
             const double d = durationForCutoff(policy, cutoff);
             if (policy != RetentionPolicy::full) {
-                ASSERT_EQ(inc::nvm::NvmArray::expiredCutoff(policy, d),
-                          cutoff);
+                ASSERT_EQ(inc::nvm::expiredCutoff(policy, d), cutoff);
             }
             durations.push_back(d);
         }

@@ -1,11 +1,10 @@
 /**
- * STT-RAM device model, retention-shaping policies (Eq. 1-3), the Fig. 7
- * write driver and the retention-tracked NVM array.
+ * STT-RAM device model, retention-shaping policies (Eq. 1-3) and their
+ * expiry cutoffs, and the Fig. 7 write driver.
  */
 
 #include <gtest/gtest.h>
 
-#include "nvm/nvm_array.h"
 #include "nvm/retention_policy.h"
 #include "nvm/stt_model.h"
 #include "nvm/write_driver.h"
@@ -173,70 +172,10 @@ TEST(WriteDriver, OverheadUnder200Transistors)
 TEST(NvmArray, ExpiredCutoffMatchesPolicies)
 {
     // Linear: bit1 expires after 0.1 ms, bit8 after 299 ms.
-    EXPECT_EQ(NvmArray::expiredCutoff(RetentionPolicy::linear, 0.5), 0);
-    EXPECT_EQ(NvmArray::expiredCutoff(RetentionPolicy::linear, 1.5), 1);
-    EXPECT_EQ(NvmArray::expiredCutoff(RetentionPolicy::linear, 500.0), 2);
-    EXPECT_EQ(NvmArray::expiredCutoff(RetentionPolicy::linear, 3000.0), 8);
-    EXPECT_EQ(NvmArray::expiredCutoff(RetentionPolicy::full, 3000.0), 0);
-    EXPECT_EQ(NvmArray::expiredCutoff(RetentionPolicy::parabola, 100.0),
-              0);
-}
-
-TEST(NvmArray, FreshReadsAreExact)
-{
-    NvmArray arr(64, inc::util::Rng(3));
-    arr.setRegionPolicy(0, 64, RetentionPolicy::linear);
-    arr.write(5, 0xA7, 100.0);
-    EXPECT_EQ(arr.read(5, 100.05), 0xA7);
-    EXPECT_EQ(arr.failures().totalViolations(), 0u);
-}
-
-TEST(NvmArray, ExpiredLowBitsSettleOnceAndAreCounted)
-{
-    NvmArray arr(256, inc::util::Rng(4));
-    arr.setRegionPolicy(0, 256, RetentionPolicy::linear);
-    for (std::size_t i = 0; i < 256; ++i)
-        arr.write(i, 0xFF, 0.0);
-
-    // Age 500 (0.1 ms units): linear bits 1-2 expired.
-    int changed = 0;
-    for (std::size_t i = 0; i < 256; ++i) {
-        const std::uint8_t v = arr.read(i, 500.0);
-        EXPECT_EQ(v & 0xFC, 0xFC) << i; // upper bits intact
-        if ((v & 0x03) != 0x03)
-            ++changed;
-    }
-    // ~75% of bytes should have at least one of two random bits flip.
-    EXPECT_GT(changed, 140);
-    EXPECT_EQ(arr.failures().violations[0], 256u);
-    EXPECT_EQ(arr.failures().violations[1], 256u);
-    EXPECT_EQ(arr.failures().violations[2], 0u);
-
-    // A second read at the same age settles nothing new.
-    arr.resetFailures();
-    for (std::size_t i = 0; i < 256; ++i)
-        arr.read(i, 500.0);
-    EXPECT_EQ(arr.failures().totalViolations(), 0u);
-}
-
-TEST(NvmArray, RewriteRestoresFullFidelityClock)
-{
-    NvmArray arr(16, inc::util::Rng(5));
-    arr.setRegionPolicy(0, 16, RetentionPolicy::log);
-    arr.write(0, 0x55, 0.0);
-    arr.read(0, 5000.0); // expire a lot
-    arr.write(0, 0x55, 5000.0);
-    EXPECT_EQ(arr.read(0, 5000.5), 0x55);
-}
-
-TEST(NvmArray, WriteEnergyFollowsPolicy)
-{
-    inc::util::Rng rng(6);
-    NvmArray full(16, rng);
-    NvmArray log_arr(16, rng);
-    log_arr.setRegionPolicy(0, 16, RetentionPolicy::log);
-    const double e_full = full.write(0, 1, 0.0);
-    const double e_log = log_arr.write(0, 1, 0.0);
-    EXPECT_LT(e_log, e_full);
-    EXPECT_GT(log_arr.totalWriteEnergyFj(), 0.0);
+    EXPECT_EQ(expiredCutoff(RetentionPolicy::linear, 0.5), 0);
+    EXPECT_EQ(expiredCutoff(RetentionPolicy::linear, 1.5), 1);
+    EXPECT_EQ(expiredCutoff(RetentionPolicy::linear, 500.0), 2);
+    EXPECT_EQ(expiredCutoff(RetentionPolicy::linear, 3000.0), 8);
+    EXPECT_EQ(expiredCutoff(RetentionPolicy::full, 3000.0), 0);
+    EXPECT_EQ(expiredCutoff(RetentionPolicy::parabola, 100.0), 0);
 }

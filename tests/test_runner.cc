@@ -219,15 +219,6 @@ TEST(SweepExpansion, KernelMajorOrderAndStableSeeds)
     EXPECT_NE(jobs[1].rng_seed, jobs[2].rng_seed);
 }
 
-TEST(SweepExpansion, DeriveConfigSeedsForksPerJob)
-{
-    auto spec = tinySpec(1);
-    spec.derive_config_seeds = true;
-    const auto jobs = runner::expandSweep(spec);
-    EXPECT_EQ(jobs[0].config.seed, jobs[0].rng_seed);
-    EXPECT_NE(jobs[0].config.seed, jobs[1].config.seed);
-}
-
 // ---------------------------------------------------------------------
 // Parallel determinism
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "trace/outage_stats.h"
@@ -39,11 +40,17 @@ TEST(PowerTrace, CsvRoundTrip)
 namespace
 {
 
-/** Load a CSV written from @p content; @p error receives the reason. */
+/** Load a CSV written from @p content; @p error receives the reason.
+ *  The file sits in a directory of its own per test, because ctest runs
+ *  the tests that call this in parallel processes. */
 PowerTrace
 loadText(const std::string &content, std::string *error)
 {
-    const std::string path = ::testing::TempDir() + "/strict.csv";
+    const std::string dir =
+        ::testing::TempDir() + "/" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/strict.csv";
     std::ofstream(path, std::ios::binary) << content;
     error->clear();
     return PowerTrace::loadCsv(path, "strict", error);

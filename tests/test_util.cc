@@ -50,27 +50,6 @@ TEST(BitOps, ClampU8)
     EXPECT_EQ(u::clampU8(42), 42);
 }
 
-TEST(RunningStats, Basic)
-{
-    u::RunningStats s;
-    for (double v : {1.0, 2.0, 3.0, 4.0, 5.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 5u);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_NEAR(s.variance(), 2.5, 1e-12);
-    EXPECT_DOUBLE_EQ(s.sum(), 15.0);
-}
-
-TEST(RunningStats, EmptyIsZero)
-{
-    u::RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(Histogram, BinsAndClamping)
 {
     u::Histogram h(0.0, 10.0, 5);
@@ -82,15 +61,6 @@ TEST(Histogram, BinsAndClamping)
     EXPECT_EQ(h.count(0), 2u);
     EXPECT_EQ(h.count(4), 2u);
     EXPECT_DOUBLE_EQ(h.edge(1), 2.0);
-}
-
-TEST(Percentile, Interpolation)
-{
-    std::vector<double> v{1, 2, 3, 4, 5};
-    EXPECT_DOUBLE_EQ(u::percentile(v, 0), 1.0);
-    EXPECT_DOUBLE_EQ(u::percentile(v, 100), 5.0);
-    EXPECT_DOUBLE_EQ(u::percentile(v, 50), 3.0);
-    EXPECT_DOUBLE_EQ(u::percentile(v, 25), 2.0);
 }
 
 TEST(Table, RendersAlignedCells)

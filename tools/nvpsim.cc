@@ -84,10 +84,10 @@
  *       shard plan and delivery order only schedule when a job runs,
  *       never what it computes. Workers journal each shard into a
  *       per-shard persistence arena under --fleet-dir (default
- *       CAMPAIGN.json.fleet): a worker that crashes (detected by
- *       socket EOF) or stalls past --heartbeat-timeout is SIGKILLed
- *       and its shard reassigned (bounded by --max-shard-retries,
- *       default 3) to a respawned worker, which warm-restarts from
+ *       CAMPAIGN.json.fleet; 4 shards per worker, 1 thread each): a
+ *       worker that crashes (detected by socket EOF) or stalls past
+ *       --heartbeat-timeout is SIGKILLed and its shard reassigned (at
+ *       most 3 times) to a respawned worker, which warm-restarts from
  *       the journal instead of recomputing. Serving the same campaign
  *       into the same --fleet-dir resumes it; a fleet dir whose
  *       fingerprint marker names a different campaign is a hard
@@ -102,19 +102,18 @@
  *       aid: first-generation workers SIGKILL themselves after K
  *       journaled jobs (respawned replacements run clean), the
  *       kill/reassign matrix of tests/test_fleet.cc.
- *       Live telemetry plane (DESIGN.md §16): workers stream PROGRESS
- *       frames every --progress-every delivered jobs (default 1, 0
- *       disables) carrying shard position, a cumulative metrics
- *       snapshot and completed trace spans. --status-socket[=PATH]
- *       opens a second Unix socket (default <fleet-dir>/status.sock)
- *       that streams point-in-time STATE snapshots to every
- *       connection — see `nvpsim status`. --trace-out merges worker
- *       span batches with coordinator scheduling events
- *       (spawn/hello/assign/reassign/loss) into one Chrome-trace /
- *       Perfetto JSON with a process-name record per worker, on a
- *       shared wall-clock time base. The entire plane is read-only
- *       over the result path: all campaign outputs stay byte-identical
- *       whether or not any of these flags are set.
+ *       Live telemetry plane (DESIGN.md §16): workers stream a PROGRESS
+ *       frame after every delivered job, carrying shard position, a
+ *       cumulative metrics snapshot and completed trace spans.
+ *       --status-socket[=PATH] opens a second Unix socket (default
+ *       <fleet-dir>/status.sock) that streams point-in-time STATE
+ *       snapshots to every connection — see `nvpsim status`.
+ *       --trace-out merges worker span batches with coordinator
+ *       scheduling events (spawn/hello/assign/reassign/loss) into one
+ *       Chrome-trace / Perfetto JSON with a process-name record per
+ *       worker, on a shared wall-clock time base. The entire plane is
+ *       read-only over the result path: all campaign outputs stay
+ *       byte-identical whether or not any of these flags are set.
  *
  *   nvpsim work
  *       Fleet worker entry point (spawned by `nvpsim serve`; usable
@@ -641,9 +640,6 @@ cmdServe(const Flags &flags)
     opt.socket_path = flags.text("socket");
     opt.nvpsim_path = selfExePath();
     opt.workers = flags.num("workers", 1);
-    opt.worker_jobs = flags.num("worker-jobs", 1);
-    opt.shards = flags.num<std::size_t>("shards", 0);
-    opt.max_shard_retries = flags.num("max-shard-retries", 3);
     // Its range excludes 0, which would silently mean "never detect a
     // stalled worker".
     opt.heartbeat_timeout_s = flags.num("heartbeat-timeout", 120.0);
@@ -655,7 +651,6 @@ cmdServe(const Flags &flags)
                                 ? opt.fleet_dir + "/status.sock"
                                 : flags.text("status-socket");
     opt.trace_out = flags.text("trace-out");
-    opt.progress_every = flags.num<std::size_t>("progress-every", 1);
     opt.kill_worker_after = flags.num<std::size_t>("kill-worker-after", 0);
 
     const fleet::FleetOutcome outcome = fleet::serveCampaign(opt);
@@ -716,9 +711,7 @@ cmdWork(const Flags &flags)
         opt.fleet_dir.empty())
         flags.fail("--socket, --campaign and --fleet-dir are required "
                    "(normally spawned by `nvpsim serve`)");
-    opt.jobs = flags.num("jobs", 1);
     opt.collect_metrics = flags.num("collect-metrics", 0) != 0;
-    opt.progress_every = flags.num<std::size_t>("progress-every", 1);
     opt.kill_after = flags.num<std::size_t>("kill-after", 0);
     return fleet::runWorker(opt);
 }
@@ -1028,19 +1021,15 @@ commands()
         {"serve", {"CAMPAIGN.json"},
          join(outputs,
               {{"workers", K::integer, 1, int_max}, {"fleet-dir"},
-               {"worker-jobs", K::integer, 1, int_max}, {"socket"},
-               {"shards", K::integer}, {"fleet-metrics"},
-               {"max-shard-retries", K::integer, 0, int_max},
+               {"socket"}, {"fleet-metrics"},
                {"heartbeat-timeout", K::number, 0.001, 1e9},
                {"status-socket", K::optional}, {"trace-out"},
-               {"progress-every", K::integer},
                {"kill-worker-after", K::integer}}),
          cmdServe},
         {"work", {},
          {{"socket"}, {"campaign"}, {"fleet-dir"},
-          {"jobs", K::integer, 1, int_max},
           {"collect-metrics", K::integer, 0, 1},
-          {"progress-every", K::integer}, {"kill-after", K::integer}},
+          {"kill-after", K::integer}},
          cmdWork},
         {"status", {"SOCKET|FLEET-DIR"},
          {{"json", K::toggle}, {"watch", K::toggle}}, cmdStatus},
