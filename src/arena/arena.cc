@@ -9,8 +9,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-#include "obs/schema.h"
 #include "util/crc32.h"
 #include "util/fs.h"
 #include "util/logging.h"
@@ -582,20 +580,6 @@ Arena::syncData()
     if (data_ != nullptr &&
         ::msync(data_, data_capacity_, MS_SYNC) != 0)
         util::warn("arena: msync failed: %s", std::strerror(errno));
-}
-
-void
-publishArenaStats(const ArenaStats &stats, obs::MetricsRegistry &registry)
-{
-    registry.counter(obs::kArenaLogBytes).inc(stats.log_bytes);
-    registry.counter(obs::kArenaLogRecords).inc(stats.log_records);
-    registry.counter(obs::kArenaCommits).inc(stats.commits);
-    registry.counter(obs::kArenaReplayedRecords)
-        .inc(stats.replayed_records);
-    registry.counter(obs::kArenaDiscardedTailBytes)
-        .inc(stats.discarded_tail_bytes);
-    registry.counter(obs::kArenaRecoveries).inc(stats.recovered ? 1 : 0);
-    registry.gauge(obs::kArenaRecoveryMs).add(stats.recovery_ms);
 }
 
 } // namespace inc::arena

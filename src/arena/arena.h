@@ -1,13 +1,11 @@
 /**
  * @file
- * The persistence arena: an mmap-backed, file-resident store for the
- * simulator's "nonvolatile" state (DESIGN.md §12).
- *
- * Everything the stack previously kept in transient heap arrays — data
- * memory images, the RAC version store, active-checkpoint images,
- * sweep-campaign progress — can live here instead, so a killed process
- * (or a whole fleet campaign) survives exactly the way the paper's NVM
- * premise says it should. An arena is a directory with two files:
+ * The persistence arena: an mmap-backed, file-resident store for
+ * campaign progress (DESIGN.md §12). runner::SweepJournal keeps each
+ * completed job's result here, so a killed `sweep --arena` or fleet
+ * worker resumes where it stopped. The simulated NVM is not stored
+ * here: its power loss is modelled inside each run, so nothing needs
+ * it to outlive the process. An arena is a directory with two files:
  *
  *   arena.dat  sparse, mmap'd data heap. Named blocks are carved out
  *              of it by a bump allocator; callers read and write the
@@ -51,15 +49,10 @@
 #include <string>
 #include <vector>
 
-namespace inc::obs
-{
-class MetricsRegistry;
-}
-
 namespace inc::arena
 {
 
-/** Session statistics (exported via obs::publishArenaStats). */
+/** Session statistics (`sweep --arena` prints them to stderr). */
 struct ArenaStats
 {
     std::uint64_t log_bytes = 0;    ///< log bytes appended this session
@@ -210,10 +203,6 @@ class Arena
 
     ArenaStats stats_;
 };
-
-/** Fold @p stats into @p registry under the arena.* schema names. */
-void publishArenaStats(const ArenaStats &stats,
-                       obs::MetricsRegistry &registry);
 
 } // namespace inc::arena
 

@@ -63,11 +63,9 @@
  *     the `active` baseline byte-for-byte — strategies are an
  *     observation overlay and may never perturb the simulated
  *     trajectory. The overlay itself is then checked: the ckpt.*
- *     identities of obs/schema.h hold per strategy, the freezer's
- *     dirty-word backup never writes more bytes than the full-image
- *     baseline, and every committed image CRC-verifies. Every third
- *     trial re-runs the active/freezer pair against an arena-backed
- *     store and requires the committed image to survive reopen.
+ *     identities of obs/schema.h hold per strategy, and the
+ *     freezer's dirty-word backup never writes more bytes than the
+ *     full-image baseline.
  *
  *   fleet_merge — the fleet campaign service's shard/merge contract
  *     (src/fleet, DESIGN.md §15): a fuzzed mini-sweep is run un-sharded

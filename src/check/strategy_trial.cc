@@ -1,20 +1,13 @@
 #include "check/strategy_trial.h"
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "arena/arena.h"
-#include "arena/backend.h"
 #include "check/program_fuzzer.h"
 #include "obs/observer.h"
 #include "obs/schema.h"
 #include "sim/result_io.h"
-#include "sim/strategy/image_store.h"
 #include "sim/strategy/strategy.h"
 #include "sim/system_sim.h"
 
@@ -23,8 +16,6 @@ namespace inc::check
 
 namespace
 {
-
-namespace fs = std::filesystem;
 
 Divergence
 strategyDivergence(const std::string &invariant,
@@ -43,11 +34,6 @@ struct StrategyRun
     std::string result;          ///< serialized SimResult
     sim::StrategyStats stats;
     std::string metrics_problem; ///< first identity violation, "" = ok
-    bool image_ok = false;
-    std::string image_why;
-    bool has_committed = false;
-    std::uint64_t committed_seq = 0;
-    std::size_t state_bytes = 0;
 };
 
 /**
@@ -74,12 +60,10 @@ trialConfig(const TrialSpec &spec)
 
 StrategyRun
 runOne(const kernels::Kernel &kernel, const trace::PowerTrace &power,
-       const sim::SimConfig &base, sim::StrategyKind kind,
-       arena::PersistenceBackend *persistence)
+       const sim::SimConfig &base, sim::StrategyKind kind)
 {
     sim::SimConfig cfg = base;
     cfg.strategy = kind;
-    cfg.persistence = persistence;
     obs::Observer observer;
     cfg.obs = &observer;
 
@@ -91,10 +75,6 @@ runOne(const kernels::Kernel &kernel, const trace::PowerTrace &power,
         obs::verifySimMetricIdentities(observer.registry);
     if (!problems.empty())
         run.metrics_problem = problems.front();
-    run.image_ok = sim.strategy().verifyImage(&run.image_why);
-    run.has_committed = sim.strategy().image().hasCommitted();
-    run.committed_seq = sim.strategy().image().committedSeq();
-    run.state_bytes = sim.strategy().image().stateBytes();
     return run;
 }
 
@@ -113,71 +93,6 @@ firstDiffLine(const std::string &want, const std::string &got)
     return "(length mismatch)";
 }
 
-/** Scratch directory unique to this (process, trial, strategy). */
-std::string
-trialDir(const TrialSpec &spec, const char *which)
-{
-    std::ostringstream name;
-    name << "inc-strategy-fuzz-" << ::getpid() << "-" << spec.seed
-         << "-" << spec.index << "-" << which;
-    return (fs::temp_directory_path() / name.str()).string();
-}
-
-/**
- * The persistence leg: run @p kind arena-backed, require the result to
- * still match the heap baseline, then close and reopen the arena and
- * require the committed "ckpt" image to have survived — same sequence
- * number, matching CRC.
- */
-Divergence
-runArenaLeg(const kernels::Kernel &kernel,
-            const trace::PowerTrace &power, const sim::SimConfig &base,
-            sim::StrategyKind kind, const std::string &baseline,
-            const std::string &dir)
-{
-    StrategyRun run;
-    {
-        std::unique_ptr<arena::Arena> store = arena::Arena::open(dir);
-        arena::ArenaBackend backend(store.get());
-        run = runOne(kernel, power, base, kind, &backend);
-    } // no shutdown path: recovery must find the committed image
-
-    const char *name = sim::strategyName(kind);
-    if (run.result != baseline)
-        return strategyDivergence(
-            "strategy_arena_result",
-            std::string("arena-backed ") + name +
-                " diverged from the heap baseline: " +
-                firstDiffLine(baseline, run.result));
-    if (!run.image_ok)
-        return strategyDivergence("strategy_arena_image",
-                                  std::string(name) + ": " +
-                                      run.image_why);
-
-    std::unique_ptr<arena::Arena> store = arena::Arena::open(dir);
-    arena::ArenaBackend backend(store.get());
-    sim::ImageStore image(&backend, "ckpt", run.state_bytes,
-                          sim::ImageStore::kMetaBytesCrc);
-    if (image.warmStart() != run.has_committed)
-        return strategyDivergence(
-            "strategy_arena_reopen",
-            std::string(name) + ": reopened warmStart=" +
-                (image.warmStart() ? "true" : "false") +
-                " but the run " +
-                (run.has_committed ? "committed" : "never committed"));
-    if (image.committedSeq() != run.committed_seq)
-        return strategyDivergence(
-            "strategy_arena_reopen",
-            std::string(name) + ": reopened committed seq " +
-                std::to_string(image.committedSeq()) + " != " +
-                std::to_string(run.committed_seq));
-    std::string why;
-    if (!image.verifyCommitted(&why))
-        return strategyDivergence("strategy_arena_crc",
-                                  std::string(name) + ": " + why);
-    return {};
-}
-
 } // namespace
 
 Divergence
@@ -189,34 +104,11 @@ runStrategyTrial(const TrialSpec &spec)
     const trace::PowerTrace power = buildTrace(spec);
     const sim::SimConfig base = trialConfig(spec);
 
-    // Heap legs: active first (the baseline), then every other
-    // registered strategy over the identical spec. Each is bound to a
-    // HeapBackend so its image materializes and verifies a real CRC,
-    // and re-run unbound, where the inert store must account the same.
+    // Active first (the baseline), then every other registered
+    // strategy over the identical spec.
     std::vector<StrategyRun> runs;
-    for (const sim::StrategyKind kind : sim::allStrategies()) {
-        arena::HeapBackend heap;
-        runs.push_back(runOne(fp.kernel, power, base, kind, &heap));
-        const StrategyRun unbound =
-            runOne(fp.kernel, power, base, kind, nullptr);
-        if (unbound.result != runs.back().result ||
-            !(unbound.stats == runs.back().stats) ||
-            unbound.has_committed != runs.back().has_committed ||
-            unbound.committed_seq != runs.back().committed_seq)
-            return strategyDivergence(
-                "strategy_unbound",
-                std::string(sim::strategyName(kind)) +
-                    ": unbound accounting differs from the heap-bound "
-                    "run (backup bytes " +
-                    std::to_string(unbound.stats.backup_bytes) +
-                    " vs " +
-                    std::to_string(runs.back().stats.backup_bytes) +
-                    ", restore bytes " +
-                    std::to_string(unbound.stats.restore_bytes) +
-                    " vs " +
-                    std::to_string(runs.back().stats.restore_bytes) +
-                    ")");
-    }
+    for (const sim::StrategyKind kind : sim::allStrategies())
+        runs.push_back(runOne(fp.kernel, power, base, kind));
     const StrategyRun &active = runs.front();
 
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -233,20 +125,6 @@ runStrategyTrial(const TrialSpec &spec)
             return strategyDivergence("strategy_metrics",
                                       std::string(name) + ": " +
                                           run.metrics_problem);
-        if (!run.image_ok)
-            return strategyDivergence("strategy_image",
-                                      std::string(name) + ": " +
-                                          run.image_why);
-        // Any strategy's image either never committed or committed as
-        // often as the shared trajectory backed up (plus snapshots).
-        if (run.has_committed !=
-            (run.stats.backups + run.stats.snapshots > 0))
-            return strategyDivergence(
-                "strategy_commits",
-                std::string(name) + ": hasCommitted=" +
-                    (run.has_committed ? "true" : "false") + " with " +
-                    std::to_string(run.stats.backups) + " backups + " +
-                    std::to_string(run.stats.snapshots) + " snapshots");
     }
 
     // The freezer backs up a subset of the words the baseline copies
@@ -260,31 +138,7 @@ runStrategyTrial(const TrialSpec &spec)
                 std::to_string(freezer.stats.backup_bytes) +
                 " backup bytes > active's full-image " +
                 std::to_string(active.stats.backup_bytes));
-
-    // Every third trial also proves the arena round-trip for the
-    // full-image and dirty-word strategies.
-    Divergence result;
-    if (spec.index % 3 == 0) {
-        const std::string active_dir = trialDir(spec, "active");
-        const std::string freezer_dir = trialDir(spec, "freezer");
-        std::error_code ec;
-        fs::remove_all(active_dir, ec);
-        fs::remove_all(freezer_dir, ec);
-        try {
-            result = runArenaLeg(fp.kernel, power, base,
-                                 sim::StrategyKind::active,
-                                 active.result, active_dir);
-            if (!result.violated)
-                result = runArenaLeg(fp.kernel, power, base,
-                                     sim::StrategyKind::freezer,
-                                     active.result, freezer_dir);
-        } catch (const std::exception &e) {
-            result = strategyDivergence("strategy_exception", e.what());
-        }
-        fs::remove_all(active_dir, ec);
-        fs::remove_all(freezer_dir, ec);
-    }
-    return result;
+    return {};
 }
 
 } // namespace inc::check

@@ -2,31 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstring>
 
-#include "arena/backend.h"
 #include "util/bit_ops.h"
 #include "util/logging.h"
 
 namespace inc::nvp
 {
 
-DataMemory::DataMemory(util::Rng rng, std::size_t size,
-                       arena::PersistenceBackend *backend,
-                       std::string name_prefix)
-    : size_(size), backend_(backend),
-      name_prefix_(std::move(name_prefix)), rng_(rng)
+DataMemory::DataMemory(util::Rng rng, std::size_t size)
+    : size_(size), main_(size), main_prec_(size), rng_(rng)
 {
-    if (backend_) {
-        main_ = backend_->acquire(name_prefix_ + ".main", size_);
-        main_prec_ = backend_->acquire(name_prefix_ + ".prec", size_);
-    } else {
-        own_main_.assign(size_, 0);
-        own_prec_.assign(size_, 0);
-        main_ = own_main_.data();
-        main_prec_ = own_prec_.data();
-    }
 }
 
 void
@@ -56,19 +42,7 @@ DataMemory::addVersionedRegion(std::uint32_t start, std::uint32_t length,
     region.start = start;
     region.length = length;
     region.write_through = write_through;
-    if (backend_) {
-        char name[64];
-        std::snprintf(name, sizeof name, "%s.ver%zu",
-                      name_prefix_.c_str(), versioned_.size());
-        region.block_name = name;
-        region.cells = reinterpret_cast<VersionedRegion::Cell *>(
-            backend_->acquire(region.block_name,
-                              length *
-                                  sizeof(VersionedRegion::Cell)));
-    } else {
-        region.own_cells.resize(length);
-        region.cells = region.own_cells.data();
-    }
+    region.cells.resize(length);
     versioned_.push_back(std::move(region));
 }
 
@@ -285,11 +259,10 @@ DataMemory::applyOutageDecay(double duration_tenth_ms)
         constexpr std::uint64_t kLanes = 0x0101010101010101ULL;
         const std::uint64_t expired =
             kLanes * util::lowMask(static_cast<unsigned>(cutoff));
-        // A local generator: stores through main_ (a byte pointer) may
-        // alias rng_, which would force its state through memory on
-        // every draw.
+        // A local generator: byte stores into main_ may alias rng_,
+        // which would force its state through memory on every draw.
         util::Rng rng = rng_;
-        std::uint8_t *const bytes = main_;
+        std::uint8_t *const bytes = main_.data();
         const bool track = !dirty_.empty();
         std::array<std::uint64_t, 8> flips{};
         // Settles n <= 8 bytes at addr with one draw per byte, in
@@ -380,7 +353,7 @@ DataMemory::hostWriteBlock(std::uint32_t addr,
     if (addr + data.size() > size_)
         util::panic("hostWriteBlock out of range");
     markDirtyRange(addr, data.size());
-    std::copy(data.begin(), data.end(), main_ + addr);
+    std::copy(data.begin(), data.end(), main_.begin() + addr);
 }
 
 std::vector<std::uint8_t>
@@ -388,7 +361,8 @@ DataMemory::snapshot(std::uint32_t start, std::uint32_t len) const
 {
     if (start + len > size_)
         util::panic("snapshot out of range");
-    return std::vector<std::uint8_t>(main_ + start, main_ + start + len);
+    return std::vector<std::uint8_t>(main_.begin() + start,
+                                     main_.begin() + start + len);
 }
 
 std::vector<std::uint8_t>

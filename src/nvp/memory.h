@@ -28,18 +28,12 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "isa/isa.h"
 #include "nvm/retention_policy.h"
 #include "obs/obs.h"
 #include "util/rng.h"
-
-namespace inc::arena
-{
-class PersistenceBackend;
-}
 
 namespace inc::nvp
 {
@@ -64,26 +58,8 @@ class DataMemory
     /** Number of SIMD versions per word (paper: 8 -> 32 bits). */
     static constexpr int kMaxVersions = 4;
 
-    /**
-     * @param backend  where the byte arrays live. nullptr (the default)
-     *     keeps them on the heap, bit-compatible with the pre-arena
-     *     behaviour; an arena::PersistenceBackend places them in named
-     *     blocks ("<prefix>.main", "<prefix>.prec", "<prefix>.verN")
-     *     whose contents survive process death. Not owned; must outlive
-     *     this object.
-     */
     explicit DataMemory(util::Rng rng,
-                        std::size_t size = isa::kDataMemBytes,
-                        arena::PersistenceBackend *backend = nullptr,
-                        std::string name_prefix = "mem");
-
-    // Storage is pointer-based (heap vectors or backend blocks), so
-    // copying would alias or dangle; moving keeps the underlying
-    // buffers and stays valid.
-    DataMemory(const DataMemory &) = delete;
-    DataMemory &operator=(const DataMemory &) = delete;
-    DataMemory(DataMemory &&) = default;
-    DataMemory &operator=(DataMemory &&) = default;
+                        std::size_t size = isa::kDataMemBytes);
 
     std::size_t size() const { return size_; }
 
@@ -226,10 +202,6 @@ class DataMemory
      *  is disabled. */
     const std::vector<std::uint64_t> &dirtyBits() const { return dirty_; }
 
-    /** Main-version byte array (strategies copy checkpoint images from
-     *  here). Valid for size() bytes. */
-    const std::uint8_t *mainData() const { return main_; }
-
   private:
     struct VersionedRegion
     {
@@ -251,12 +223,7 @@ class DataMemory
             std::array<std::uint8_t, kMaxVersions> merged_value{};
             std::uint8_t merged = 0;
         };
-        // Cell is all-bytes, zero-initialized == default-constructed, so
-        // a zero-filled backend block *is* a fresh cell array and a
-        // persisted one resumes exactly where the killed process left it.
-        Cell *cells = nullptr;
-        std::vector<Cell> own_cells; ///< heap-mode storage
-        std::string block_name;      ///< backend-mode block
+        std::vector<Cell> cells;
     };
 
     VersionedRegion *findVersioned(std::uint32_t addr);
@@ -282,20 +249,14 @@ class DataMemory
     }
 
     std::size_t size_ = 0;
-    std::uint8_t *main_ = nullptr;      ///< size_ bytes
-    std::uint8_t *main_prec_ = nullptr; ///< size_ precision tags
-    std::vector<std::uint8_t> own_main_; ///< heap-mode storage
-    std::vector<std::uint8_t> own_prec_;
-    arena::PersistenceBackend *backend_ = nullptr;
-    std::string name_prefix_;
+    std::vector<std::uint8_t> main_;      ///< size_ bytes
+    std::vector<std::uint8_t> main_prec_; ///< size_ precision tags
     std::vector<AcRegion> ac_regions_;
     std::vector<VersionedRegion> versioned_;
     util::Rng rng_;
     nvm::RetentionFailureCounts failures_;
     obs::MemCounters *obs_ = nullptr;
-    /** One bit per 4-byte main_ word; empty = tracking disabled. Heap
-     *  only (never persisted): a warm restart re-syncs conservatively
-     *  by treating every word as dirty. */
+    /** One bit per 4-byte main_ word; empty = tracking disabled. */
     std::vector<std::uint64_t> dirty_;
 };
 

@@ -6,11 +6,10 @@
  * write through raw pointers (see obs/obs.h for the macro contract).
  *
  * Ownership: whoever drives a run (nvpsim, a sweep job, a test, a fuzz
- * trial) stack-allocates one Observer, points `SimConfig::obs` (or the
- * active-checkpoint config) at it, and reads/merges/serializes it after
- * the run returns. The simulator folds the hot-counter structs into
- * named registry metrics at publish time; nothing here is touched from
- * more than one thread.
+ * trial) stack-allocates one Observer, points `SimConfig::obs` at it,
+ * and reads/merges/serializes it after the run returns. The simulator
+ * folds the hot-counter structs into named registry metrics at publish
+ * time; nothing here is touched from more than one thread.
  */
 
 #ifndef INC_OBS_OBSERVER_H

@@ -179,26 +179,4 @@ verifySimMetricIdentities(const MetricsRegistry &m,
     return ck.take();
 }
 
-std::vector<std::string>
-verifyCheckpointMetricIdentities(const MetricsRegistry &m)
-{
-    Checker ck(m);
-    if (!m.has(kAcAttempts)) {
-        std::vector<std::string> p;
-        p.push_back("registry has no ac.checkpoint.attempts — not an "
-                    "active-checkpoint metrics registry");
-        return p;
-    }
-
-    ck.equal("ac attempts == committed + torn + in_flight_at_end",
-             ck.c(kAcAttempts),
-             ck.c(kAcCommitted) + ck.c(kAcTorn) +
-                 ck.c(kAcInFlightAtEnd));
-    ck.atMost("ac.restore.successes <= ac.checkpoint.committed",
-              ck.c(kAcRestores), ck.c(kAcCommitted));
-    ck.atMost("ac.forward_progress <= ac.instructions.executed",
-              ck.c(kAcForwardProgress), ck.c(kAcInstrExecuted));
-    return ck.take();
-}
-
 } // namespace inc::obs

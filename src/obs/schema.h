@@ -6,8 +6,8 @@
  * Names are dotted paths grouped by producer: `sim.*` and `energy.*`
  * from sim/system_sim, `ctrl.*` from the incidental controller's stats,
  * `bits.ticks.N` from the bitwidth controller, `core.*` / `mem.*` /
- * `queue.*` from the hot-path counter structs, `ac.*` from
- * sim/active_checkpoint, `runner.*` from runner-level aggregation.
+ * `queue.*` from the hot-path counter structs, `runner.*` from
+ * runner-level aggregation.
  *
  * The identities verified here are the obs layer's test surface: they
  * are exact (or 1e-9-relative, for energy ledgers) consequences of the
@@ -104,19 +104,6 @@ inline constexpr char kQueueDropped[] = "queue.dropped";
 // ---- incidental-controller stats ---------------------------------------
 inline constexpr char kCtrlPrefix[] = "ctrl.";
 
-// ---- active-checkpoint baseline ----------------------------------------
-inline constexpr char kAcAttempts[] = "ac.checkpoint.attempts";
-inline constexpr char kAcCommitted[] = "ac.checkpoint.committed";
-inline constexpr char kAcTorn[] = "ac.checkpoint.torn";
-/** A copy still mid-flight when the trace ended (0 or 1 per run). */
-inline constexpr char kAcInFlightAtEnd[] = "ac.checkpoint.in_flight_at_end";
-inline constexpr char kAcRestores[] = "ac.restore.successes";
-inline constexpr char kAcBitExpirations[] = "ac.restore.bit_expirations";
-inline constexpr char kAcInstrExecuted[] = "ac.instructions.executed";
-inline constexpr char kAcInstrLost[] = "ac.instructions.lost";
-inline constexpr char kAcForwardProgress[] = "ac.forward_progress";
-inline constexpr char kAcCheckpointEnergy[] = "ac.energy.checkpoint_nj";
-
 // ---- checkpoint strategies (src/sim/strategy; DESIGN.md §14) ------------
 /** Image commits at in-situ backup events (== sim.backup.committed). */
 inline constexpr char kCkptBackups[] = "ckpt.backup.events";
@@ -142,16 +129,6 @@ inline constexpr char kCkptStrategyPrefix[] = "ckpt.strategy.";
 // ---- runner aggregation -------------------------------------------------
 inline constexpr char kRunnerJobsTotal[] = "runner.jobs_total";
 inline constexpr char kRunnerJobsFailed[] = "runner.jobs_failed";
-
-// ---- persistence arena (src/arena; published via publishArenaStats) -----
-inline constexpr char kArenaLogBytes[] = "arena.log_bytes";
-inline constexpr char kArenaLogRecords[] = "arena.log_records";
-inline constexpr char kArenaCommits[] = "arena.commits";
-inline constexpr char kArenaReplayedRecords[] = "arena.replayed_records";
-inline constexpr char kArenaDiscardedTailBytes[] =
-    "arena.discarded_tail_bytes";
-inline constexpr char kArenaRecoveries[] = "arena.recoveries";
-inline constexpr char kArenaRecoveryMs[] = "arena.recovery_ms";
 
 // ---- flight recorder (bounded-log overflow accounting) ------------------
 inline constexpr char kFlightDroppedOutages[] = "flight.dropped_outages";
@@ -205,10 +182,6 @@ inline constexpr char kTraceCapSeries[] = "cap_nj";
 std::vector<std::string>
 verifySimMetricIdentities(const MetricsRegistry &m,
                           double rel_tol = 1e-9);
-
-/** Identity check for an active-checkpoint baseline registry. */
-std::vector<std::string>
-verifyCheckpointMetricIdentities(const MetricsRegistry &m);
 
 } // namespace inc::obs
 

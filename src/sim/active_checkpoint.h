@@ -9,6 +9,10 @@
  * checkpoint is lost on every brown-out, and reboot runs a software
  * restore path. Contrast with the NVP's passive, in-situ,
  * microarchitectural backup (SystemSimulator).
+ *
+ * The FeRAM image is modelled by its size and the progress of its copy
+ * loop (the energy, instructions and tears it costs); no image bytes
+ * are materialised.
  */
 
 #ifndef INC_SIM_ACTIVE_CHECKPOINT_H
@@ -19,16 +23,6 @@
 #include "energy/energy_model.h"
 #include "nvm/retention_policy.h"
 #include "trace/power_trace.h"
-
-namespace inc::obs
-{
-struct Observer;
-}
-
-namespace inc::arena
-{
-class PersistenceBackend;
-}
 
 namespace inc::sim
 {
@@ -63,23 +57,6 @@ struct ActiveCheckpointConfig
     nvm::RetentionPolicy checkpoint_policy = nvm::RetentionPolicy::full;
 
     energy::EnergyParams energy{};
-
-    /** Optional observability sink (publishes the `ac.*` schema of
-     *  obs/schema.h). Not owned; may be null. */
-    obs::Observer *obs = nullptr;
-
-    /**
-     * Where the FeRAM checkpoint image lives. nullptr keeps the image
-     * abstract (pre-arena behaviour, no bytes materialised). With a
-     * backend, the double-buffered image ("ac.image", two state_bytes
-     * slots) and its commit metadata ("ac.meta": valid flag, active
-     * slot, attempt counter) are real persisted bytes: a process killed
-     * mid-copy leaves the previous slot intact, and a re-run on the
-     * same arena warm-restarts with the committed image (its first
-     * power-up runs the restore path instead of a cold boot). Not
-     * owned; must outlive the run.
-     */
-    arena::PersistenceBackend *persistence = nullptr;
 };
 
 /** Run metrics. */

@@ -1,16 +1,25 @@
 #include "sim/strategy/strategy.h"
 
-#include <cstring>
-
 #include "nvp/memory.h"
 #include "obs/metrics.h"
 #include "obs/schema.h"
-#include "sim/strategy/image_store.h"
 #include "util/bit_ops.h"
 #include "util/logging.h"
 
 namespace inc::sim
 {
+
+namespace
+{
+
+/** Modeled restore copy-loop cost per image byte, us (2 cycles @ 1 MHz). */
+constexpr double kRestoreUsPerByte = 2.0;
+
+/** ondemand: stored-energy fractions whose downward crossing triggers a
+ *  snapshot. */
+constexpr std::array<double, 2> kWatermarks{0.6, 0.3};
+
+} // namespace
 
 const std::array<StrategyKind, kNumStrategies> &
 allStrategies()
@@ -59,17 +68,13 @@ strategyFromName(const std::string &name)
     return std::nullopt;
 }
 
-CheckpointStrategy::CheckpointStrategy(const StrategyConfig &config,
+CheckpointStrategy::CheckpointStrategy(StrategyKind kind,
+                                       double backup_nj_per_byte,
                                        nvp::DataMemory *mem)
-    : config_(config), mem_(mem)
+    : mem_(mem), backup_nj_per_byte_(backup_nj_per_byte), kind_(kind)
 {
     if (!mem_)
         util::fatal("CheckpointStrategy requires a data memory");
-    image_ = std::make_unique<ImageStore>(config_.persistence,
-                                          config_.name_prefix,
-                                          mem_->size(),
-                                          ImageStore::kMetaBytesCrc);
-    seq_ = image_->bootSeq();
 }
 
 CheckpointStrategy::~CheckpointStrategy() = default;
@@ -83,12 +88,11 @@ void
 CheckpointStrategy::onRestore(std::size_t)
 {
     ++stats_.restores;
-    if (image_->hasCommitted()) {
-        const auto bytes =
-            static_cast<std::uint64_t>(image_->stateBytes());
+    if (commits_ > 0) {
+        const auto bytes = static_cast<std::uint64_t>(mem_->size());
         stats_.restore_bytes += bytes;
         stats_.restore_latency_us +=
-            static_cast<double>(bytes) * config_.restore_us_per_byte;
+            static_cast<double>(bytes) * kRestoreUsPerByte;
     }
 }
 
@@ -97,25 +101,25 @@ CheckpointStrategy::onColdBoot(std::size_t)
 {
 }
 
-bool
-CheckpointStrategy::verifyImage(std::string *why) const
+void
+CheckpointStrategy::commit()
 {
-    return image_->verifyCommitted(why);
+    next_slot_ ^= 1;
+    ++commits_;
 }
 
 void
 CheckpointStrategy::commitFullImage()
 {
     const std::size_t bytes = mem_->size();
-    image_->writeSpan(0, mem_->mainData(), bytes);
-    image_->commit(++seq_);
+    commit();
     const std::uint64_t words =
         bytes / nvp::DataMemory::kDirtyWordBytes;
     stats_.backup_bytes += bytes;
     stats_.words_written += words;
     stats_.words_tracked += words;
     stats_.backup_energy_nj +=
-        static_cast<double>(bytes) * config_.backup_nj_per_byte;
+        static_cast<double>(bytes) * backup_nj_per_byte_;
 }
 
 void
@@ -133,8 +137,7 @@ CheckpointStrategy::publish(obs::MetricsRegistry &m) const
     count(obs::kCkptWordsTracked, stats_.words_tracked);
     m.gauge(obs::kCkptBackupEnergy).value += stats_.backup_energy_nj;
     m.gauge(obs::kCkptRestoreLatency).value += stats_.restore_latency_us;
-    m.counter(std::string(obs::kCkptStrategyPrefix) +
-              strategyName(config_.kind))
+    m.counter(std::string(obs::kCkptStrategyPrefix) + strategyName(kind_))
         .value += 1;
 }
 
@@ -145,10 +148,7 @@ namespace
 class ActiveStrategy final : public CheckpointStrategy
 {
   public:
-    ActiveStrategy(const StrategyConfig &config, nvp::DataMemory *mem)
-        : CheckpointStrategy(config, mem)
-    {
-    }
+    using CheckpointStrategy::CheckpointStrategy;
 
     void onBackup(std::size_t) override
     {
@@ -166,15 +166,18 @@ class ActiveStrategy final : public CheckpointStrategy
  * A at backup N is still stale in slot B at backup N+1. pending_[s]
  * accumulates words slot s has not absorbed yet; a backup folds the
  * memory's bitmap into BOTH pendings, clears it, then flushes the
- * inactive slot's pending set. Both pendings start all-ones so a warm
- * restart (or a fresh store over pre-initialized memory) conservatively
- * resyncs every word before trusting incremental deltas.
+ * pending set of the slot it commits. Both pendings start all-ones so
+ * the first commit to each slot copies every word of the
+ * pre-initialized memory before trusting incremental deltas. The
+ * simulated memory (isa::kDataMemBytes) is a whole number of 64-word
+ * bitmap entries, so every pending bit names a real word.
  */
 class FreezerStrategy final : public CheckpointStrategy
 {
   public:
-    FreezerStrategy(const StrategyConfig &config, nvp::DataMemory *mem)
-        : CheckpointStrategy(config, mem)
+    FreezerStrategy(StrategyKind kind, double backup_nj_per_byte,
+                    nvp::DataMemory *mem)
+        : CheckpointStrategy(kind, backup_nj_per_byte, mem)
     {
         mem_->enableDirtyTracking();
         mem_->clearDirty();
@@ -193,37 +196,21 @@ class FreezerStrategy final : public CheckpointStrategy
         }
         mem_->clearDirty();
 
-        const std::size_t slot = image_->inactiveIndex();
-        std::vector<std::uint64_t> &pend = pending_[slot];
-        const std::uint8_t *mem_bytes = mem_->mainData();
-        const std::size_t bytes = mem_->size();
-        const std::size_t total_words =
-            bytes / nvp::DataMemory::kDirtyWordBytes;
         std::uint64_t written = 0;
-        for (std::size_t i = 0; i < pend.size(); ++i) {
-            std::uint64_t bits = pend[i];
-            while (bits) {
-                const int b = __builtin_ctzll(bits);
-                bits &= bits - 1;
-                const std::size_t w = i * 64 + static_cast<std::size_t>(b);
-                if (w >= total_words)
-                    break;
-                const std::size_t off =
-                    w * nvp::DataMemory::kDirtyWordBytes;
-                image_->writeSpan(off, mem_bytes + off,
-                                  nvp::DataMemory::kDirtyWordBytes);
-                ++written;
-            }
-            pend[i] = 0;
+        for (std::uint64_t &bits : pending_[next_slot_]) {
+            written += static_cast<std::uint64_t>(util::popcount64(bits));
+            bits = 0;
         }
-        image_->commit(++seq_);
+        commit();
+        const std::size_t total_words =
+            mem_->size() / nvp::DataMemory::kDirtyWordBytes;
         const std::uint64_t copied =
             written * nvp::DataMemory::kDirtyWordBytes;
         stats_.backup_bytes += copied;
         stats_.words_written += written;
         stats_.words_tracked += total_words;
         stats_.backup_energy_nj +=
-            static_cast<double>(copied) * config_.backup_nj_per_byte;
+            static_cast<double>(copied) * backup_nj_per_byte_;
     }
 
   private:
@@ -241,10 +228,7 @@ class FreezerStrategy final : public CheckpointStrategy
 class OndemandStrategy final : public CheckpointStrategy
 {
   public:
-    OndemandStrategy(const StrategyConfig &config, nvp::DataMemory *mem)
-        : CheckpointStrategy(config, mem)
-    {
-    }
+    using CheckpointStrategy::CheckpointStrategy;
 
     void onBackup(std::size_t) override
     {
@@ -256,7 +240,7 @@ class OndemandStrategy final : public CheckpointStrategy
     void onSample(std::size_t, double stored_fraction) override
     {
         if (have_prev_) {
-            for (double mark : config_.watermarks) {
+            for (double mark : kWatermarks) {
                 if (prev_fraction_ >= mark && stored_fraction < mark) {
                     ++stats_.snapshots;
                     commitFullImage();
@@ -284,18 +268,21 @@ class OndemandStrategy final : public CheckpointStrategy
 } // namespace
 
 std::unique_ptr<CheckpointStrategy>
-makeStrategy(const StrategyConfig &config, nvp::DataMemory *mem)
+makeStrategy(StrategyKind kind, double backup_nj_per_byte,
+             nvp::DataMemory *mem)
 {
-    switch (config.kind) {
+    switch (kind) {
       case StrategyKind::active:
-        return std::make_unique<ActiveStrategy>(config, mem);
+        return std::make_unique<ActiveStrategy>(kind, backup_nj_per_byte,
+                                                mem);
       case StrategyKind::freezer:
-        return std::make_unique<FreezerStrategy>(config, mem);
+        return std::make_unique<FreezerStrategy>(kind, backup_nj_per_byte,
+                                                 mem);
       case StrategyKind::ondemand:
-        return std::make_unique<OndemandStrategy>(config, mem);
+        return std::make_unique<OndemandStrategy>(kind,
+                                                  backup_nj_per_byte, mem);
     }
-    util::panic("makeStrategy: bad kind %d",
-                static_cast<int>(config.kind));
+    util::panic("makeStrategy: bad kind %d", static_cast<int>(kind));
 }
 
 } // namespace inc::sim

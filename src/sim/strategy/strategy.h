@@ -10,9 +10,8 @@
  * co-simulator's checkpoint events so those baselines run head-to-head
  * on every existing bench, report and fuzzer invariant:
  *
- *   active   — the full-image double-buffered software checkpoint
- *              (today's sim/active_checkpoint image discipline): every
- *              backup persists the complete main data image.
+ *   active   — the full-image double-buffered software checkpoint:
+ *              every backup persists the complete main data image.
  *   freezer  — Freezer-style dirty-state tracking (arXiv 2101.09968):
  *              a write-intercept bitmap in nvp::DataMemory marks
  *              4-byte words touched since each image slot last synced;
@@ -25,14 +24,14 @@
  *              writes for a fresher image (lower recovery latency).
  *
  * Shared contract, enforced by tests/test_strategy_conformance.cc and
- * the fuzzer's strategy_diff mode: a strategy is a persistence +
- * accounting overlay. It observes the simulation (onBackup/onRestore/
- * onSample) and writes its image through an ImageStore, but it NEVER
- * feeds back into the capacitor, core, controller or data memory —
- * crash-free runs are bit-identical across all registered strategies
- * and all execution engines, the backup-energy comparison lives purely
- * in the ckpt.* metrics (obs/schema.h), and any-crash-point recovery
- * finds a CRC-consistent committed frame (ImageStore discipline).
+ * the fuzzer's strategy_diff mode: a strategy is an accounting
+ * overlay. It observes the simulation (onBackup/onRestore/onSample)
+ * and counts what its image commits would write, but it NEVER feeds
+ * back into the capacitor, core, controller or data memory — crash-
+ * free runs are bit-identical across all registered strategies and
+ * all execution engines, and the backup-energy comparison lives purely
+ * in the ckpt.* metrics (obs/schema.h). No image bytes are copied:
+ * every figure depends only on which words a commit covers.
  *
  * The registry mirrors nvp::allExecEngines(): tests, benches and the
  * CLI iterate allStrategies() so a newly registered strategy is
@@ -54,11 +53,6 @@ namespace inc::obs
 class MetricsRegistry;
 }
 
-namespace inc::arena
-{
-class PersistenceBackend;
-}
-
 namespace inc::nvp
 {
 class DataMemory;
@@ -66,8 +60,6 @@ class DataMemory;
 
 namespace inc::sim
 {
-
-class ImageStore;
 
 /** Registered checkpoint strategies. */
 enum class StrategyKind : int
@@ -120,31 +112,6 @@ struct StrategyStats
     bool operator==(const StrategyStats &) const = default;
 };
 
-/** Strategy construction parameters (SystemSimulator fills these). */
-struct StrategyConfig
-{
-    StrategyKind kind = StrategyKind::active;
-
-    /** Backing store for the image. nullptr = an inert ImageStore: no
-     *  image is copied or checksummed, but the ckpt.* accounting is
-     *  identical to a bound run's. */
-    arena::PersistenceBackend *persistence = nullptr;
-
-    /** Block-name prefix ("<prefix>.image" / "<prefix>.meta"). Distinct
-     *  from the active-checkpoint baseline's "ac" namespace. */
-    std::string name_prefix = "ckpt";
-
-    /** Modeled energy per image byte (ld8+st8 pair), nJ. */
-    double backup_nj_per_byte = 0.0;
-
-    /** Modeled restore copy-loop cost per byte, us (2 cycles @ 1 MHz). */
-    double restore_us_per_byte = 2.0;
-
-    /** ondemand: stored-energy fractions whose downward crossing
-     *  triggers a snapshot. */
-    std::array<double, 2> watermarks{0.6, 0.3};
-};
-
 /**
  * One checkpoint strategy attached to a SystemSimulator run.
  *
@@ -157,12 +124,14 @@ struct StrategyConfig
 class CheckpointStrategy
 {
   public:
+    CheckpointStrategy(StrategyKind kind, double backup_nj_per_byte,
+                       nvp::DataMemory *mem);
     virtual ~CheckpointStrategy();
 
     CheckpointStrategy(const CheckpointStrategy &) = delete;
     CheckpointStrategy &operator=(const CheckpointStrategy &) = delete;
 
-    StrategyKind kind() const { return config_.kind; }
+    StrategyKind kind() const { return kind_; }
 
     /** A committed in-situ backup event at @p sample. */
     virtual void onBackup(std::size_t sample) = 0;
@@ -179,34 +148,37 @@ class CheckpointStrategy
 
     const StrategyStats &stats() const { return stats_; }
 
-    /** The underlying image (conformance tests inspect commits). */
-    const ImageStore &image() const { return *image_; }
-
-    /** CRC-verify the committed image slot (true when consistent, and
-     *  when no persistence backend is bound: nothing to verify). */
-    bool verifyImage(std::string *why = nullptr) const;
-
     /** Fold this run's ckpt.* metrics into @p registry. */
     void publish(obs::MetricsRegistry &registry) const;
 
   protected:
-    CheckpointStrategy(const StrategyConfig &config,
-                       nvp::DataMemory *mem);
+    /** Count one image commit into slot next_slot_; the next commit
+     *  fills the other slot. */
+    void commit();
 
-    /** Copy the full main image into the inactive slot and commit. */
+    /** Commit the full main image (every word written). */
     void commitFullImage();
 
-    StrategyConfig config_;
     nvp::DataMemory *mem_ = nullptr;
-    std::unique_ptr<ImageStore> image_;
+    /** Modeled energy per image byte (ld8+st8 pair), nJ. */
+    double backup_nj_per_byte_ = 0.0;
     StrategyStats stats_;
-    std::uint64_t seq_ = 0;
+    /** The double-buffered image slot the next commit fills. */
+    std::size_t next_slot_ = 1;
+    /** Commits so far (a restore reads the image back only once one
+     *  exists). */
+    std::uint64_t commits_ = 0;
+
+  private:
+    StrategyKind kind_;
 };
 
-/** Build the strategy named by @p config.kind over @p mem (the freezer
- *  enables mem's dirty-word tracking as a side effect). */
+/** Build the @p kind strategy over @p mem, charging
+ *  @p backup_nj_per_byte per image byte (the freezer enables mem's
+ *  dirty-word tracking as a side effect). */
 std::unique_ptr<CheckpointStrategy>
-makeStrategy(const StrategyConfig &config, nvp::DataMemory *mem);
+makeStrategy(StrategyKind kind, double backup_nj_per_byte,
+             nvp::DataMemory *mem);
 
 } // namespace inc::sim
 

@@ -34,8 +34,7 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
     if (!kernel_.adoption_safe)
         config_.controller.simd_adoption = false;
 
-    mem_ = std::make_unique<nvp::DataMemory>(
-        rng_.split(), isa::kDataMemBytes, config_.persistence);
+    mem_ = std::make_unique<nvp::DataMemory>(rng_.split());
     for (const auto &[addr, data] : kernel_.init_blocks)
         mem_->hostWriteBlock(addr, data);
     mem_->addAcRegion({kernel_.layout.in_base,
@@ -67,15 +66,11 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
     // after the memory image and regions are initialized, so a freezer
     // strategy's dirty tracking starts from a clean interval. The
     // modeled per-byte cost is the software copy loop's ld8+st8 pair.
-    {
-        StrategyConfig sc;
-        sc.kind = config_.strategy;
-        sc.persistence = config_.persistence;
-        sc.backup_nj_per_byte =
-            energy_model_.instructionEnergyNj(isa::Op::ld8, 8) +
-            energy_model_.instructionEnergyNj(isa::Op::st8, 8);
-        strategy_ = makeStrategy(sc, mem_.get());
-    }
+    strategy_ = makeStrategy(
+        config_.strategy,
+        energy_model_.instructionEnergyNj(isa::Op::ld8, 8) +
+            energy_model_.instructionEnergyNj(isa::Op::st8, 8),
+        mem_.get());
 
     obs_ = config_.obs;
     if (obs_) {

@@ -44,11 +44,6 @@ namespace inc::obs
 struct Observer;
 }
 
-namespace inc::arena
-{
-class PersistenceBackend;
-}
-
 namespace inc::sim
 {
 
@@ -108,25 +103,12 @@ struct SimConfig
     obs::Observer *obs = nullptr;
 
     /**
-     * Persistence backend for the simulated NVM state (data memory,
-     * RAC version store; sim/active_checkpoint reads it too). nullptr
-     * = transient heap buffers, bit-compatible with the pre-arena
-     * behaviour. When an arena::ArenaBackend is supplied, the NVM
-     * images live in its mmap'd file and survive process death. Not
-     * owned; must outlive the simulator.
-     */
-    arena::PersistenceBackend *persistence = nullptr;
-
-    /**
      * Backup strategy attached to the run (DESIGN.md §14). Strategies
-     * are a persistence + ckpt.* accounting overlay over the
-     * simulation: they never feed back into the capacitor, core or
-     * data memory, so crash-free results are bit-identical across all
-     * registered strategies (enforced by tests/test_strategy_conformance
-     * and fuzz --modes strategy_diff). The strategy's checkpoint image
-     * lives in `persistence` under the "ckpt" prefix. When persistence
-     * is null no image exists: the strategy only keeps its ckpt.*
-     * accounting, which equals a bound run's.
+     * are a ckpt.* accounting overlay over the simulation: they never
+     * feed back into the capacitor, core or data memory, so crash-free
+     * results are bit-identical across all registered strategies
+     * (enforced by tests/test_strategy_conformance and fuzz --modes
+     * strategy_diff).
      */
     StrategyKind strategy = StrategyKind::active;
 };
@@ -231,7 +213,7 @@ class SystemSimulator
     nvp::DataMemory &memory() { return *mem_; }
 
     /** The attached backup strategy (conformance tests inspect its
-     *  stats and image). */
+     *  stats). */
     const CheckpointStrategy &strategy() const { return *strategy_; }
 
     /** Derived thresholds (for inspection / tests). */

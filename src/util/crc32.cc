@@ -13,10 +13,7 @@ namespace
  * Slicing-by-8 tables: table[0] is the classic bytewise table;
  * table[k][b] is the CRC of byte b followed by k zero bytes. Eight
  * bytes are then folded per step instead of one — same polynomial,
- * bit-identical results, ~8x the throughput. Throughput matters when a
- * checkpoint ImageStore is bound to a persistence backend (`nvpsim run
- * --arena`, the conformance tests and fuzzer): it checksums the full
- * 64 KiB memory image on every commit. Unbound stores checksum nothing.
+ * bit-identical results, ~8x the throughput.
  */
 constexpr std::array<std::array<std::uint32_t, 256>, 8>
 makeTables()

@@ -9,18 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <filesystem>
-#include <string>
 
-#include <unistd.h>
-
-#include "arena/arena.h"
-#include "arena/backend.h"
-#include "energy/energy_model.h"
 #include "nvm/retention_policy.h"
-#include "obs/observer.h"
-#include "obs/schema.h"
 #include "sim/active_checkpoint.h"
 #include "trace/power_trace.h"
 
@@ -199,87 +189,4 @@ TEST(ActiveCheckpointBoundary, RestoreExpirySteps1TenthMsPastTheLimit)
     }
     ASSERT_TRUE(stepped)
         << "sweep never crossed the bit-2 retention limit";
-}
-
-TEST(ActiveCheckpointBoundary, TornCopyOnTheFinalWordKeepsCommitted)
-{
-    // The hardest torn-copy case: the copy loop dies with exactly one
-    // byte left. The double-buffered image must still present the
-    // previous checkpoint untouched, with the in-flight slot holding
-    // state_bytes-1 bytes of the torn attempt. The tear point is walked
-    // onto the final byte by growing the capacitor in exact
-    // copy-byte-energy steps: each step funds exactly one more byte of
-    // the dark-phase copy before the brown-out.
-    ActiveCheckpointConfig base;
-    base.state_bytes = 64;
-    base.checkpoint_interval_instr = 100;
-    const energy::EnergyModel model(base.energy);
-    const double byte_energy =
-        model.instructionEnergyNj(isa::Op::ld8, 8) +
-        model.instructionEnergyNj(isa::Op::st8, 8);
-    const auto state = static_cast<std::size_t>(base.state_bytes);
-    const auto trace = phasedTrace({{2000.0, 200}, {0.0, 400}});
-
-    bool found_final_word_tear = false;
-    for (int step = 0; step <= 2 * base.state_bytes; ++step) {
-        const std::string dir =
-            (std::filesystem::temp_directory_path() /
-             ("inc-ac-torn-" + std::to_string(::getpid()) + "-" +
-              std::to_string(step)))
-                .string();
-        std::filesystem::remove_all(dir);
-
-        ActiveCheckpointConfig cfg = base;
-        cfg.capacity_nj =
-            2000.0 + static_cast<double>(step) * byte_energy;
-        obs::Observer observer;
-        cfg.obs = &observer;
-        ActiveCheckpointResult r;
-        std::uint64_t attempts = 0;
-        std::size_t torn_prefix = 0;
-        std::uint64_t committed_seq = 0;
-        bool committed_intact = false;
-        {
-            auto store = arena::Arena::open(dir);
-            arena::ArenaBackend backend(store.get());
-            cfg.persistence = &backend;
-            r = runActiveCheckpoint(trace, cfg);
-            attempts =
-                observer.registry.counterValue(obs::kAcAttempts);
-
-            const std::uint8_t *meta = store->blockData("ac.meta");
-            const std::uint8_t *image = store->blockData("ac.image");
-            std::memcpy(&committed_seq, meta + 8, sizeof committed_seq);
-            // Committed slot: the full pattern of the committed attempt.
-            const std::uint8_t *active = image + meta[1] * state;
-            committed_intact = meta[0] == 1;
-            for (std::size_t j = 0; j < state && committed_intact; ++j)
-                committed_intact =
-                    active[j] == static_cast<std::uint8_t>(
-                                     (committed_seq * 31 + j * 7) &
-                                     0xff);
-            // In-flight slot: prefix of the LAST attempt's pattern
-            // (zero income after the tear, so no later attempt starts).
-            const std::uint8_t *inactive =
-                image + (1 - meta[1]) * state;
-            while (torn_prefix < state &&
-                   inactive[torn_prefix] ==
-                       static_cast<std::uint8_t>(
-                           (attempts * 31 + torn_prefix * 7) & 0xff))
-                ++torn_prefix;
-        }
-        std::filesystem::remove_all(dir);
-
-        if (r.torn_checkpoints > 0 && attempts == committed_seq + 1 &&
-            torn_prefix == state - 1) {
-            // Torn exactly on the final word — and the previous image
-            // is still byte-perfect behind it.
-            EXPECT_TRUE(committed_intact);
-            EXPECT_GT(r.checkpoints, 0u);
-            found_final_word_tear = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(found_final_word_tear)
-        << "capacity sweep never tore a copy at its final byte";
 }

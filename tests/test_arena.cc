@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "arena/arena.h"
-#include "arena/backend.h"
 
 using namespace inc;
 using arena::Arena;
@@ -297,31 +296,4 @@ TEST_F(ArenaCrashMatrix, TornLastPageAfterCommitIsDiscarded)
     std::string v;
     ASSERT_TRUE(a->get("huge", &v));
     EXPECT_EQ(v, big);
-}
-
-TEST_F(ArenaTest, HeapAndArenaBackendsAcquireIdentically)
-{
-    arena::HeapBackend heap;
-    auto store = Arena::open(dir_);
-    arena::ArenaBackend persisted(store.get());
-
-    for (arena::PersistenceBackend *b :
-         {static_cast<arena::PersistenceBackend *>(&heap),
-          static_cast<arena::PersistenceBackend *>(&persisted)}) {
-        bool existed = true;
-        std::uint8_t *p = b->acquire("buf", 128, &existed);
-        ASSERT_NE(p, nullptr);
-        EXPECT_FALSE(existed);
-        for (int i = 0; i < 128; ++i)
-            ASSERT_EQ(p[i], 0x00) << "byte " << i;
-        p[7] = 0x77;
-        std::uint8_t *q = b->acquire("buf", 128, &existed);
-        EXPECT_TRUE(existed);
-        EXPECT_EQ(q, p);
-        EXPECT_EQ(q[7], 0x77);
-        b->release("buf");
-        std::uint8_t *r = b->acquire("buf", 128, &existed);
-        EXPECT_FALSE(existed);
-        EXPECT_EQ(r[7], 0x00);
-    }
 }

@@ -1,23 +1,16 @@
 /**
  * @file
  * End-to-end warm-restart tests for the persistence arena (src/arena):
- *
- *  - a real fork()ed child journals one sweep job into an arena and is
- *    SIGKILLed mid-campaign; the parent recovers the arena, resumes the
- *    campaign, and the per-job results and merged metrics must equal an
- *    uninterrupted golden run byte-for-byte (ISSUE 6's acceptance
- *    criterion, without going through the nvpsim CLI);
- *
- *  - the NVM-state owners ported onto PersistenceBackend (DataMemory,
- *    the active-checkpoint baseline) behave bit-identically on the
- *    arena backend and warm-restart with the bytes a killed process
- *    left behind.
+ * a real fork()ed child journals one sweep job into an arena and is
+ * SIGKILLed mid-campaign; the parent recovers the arena, resumes the
+ * campaign, and the per-job results and merged metrics must equal an
+ * uninterrupted golden run byte-for-byte (the kill-and-resume
+ * contract, without going through the nvpsim CLI).
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -25,12 +18,8 @@
 #include <unistd.h>
 
 #include "arena/arena.h"
-#include "arena/backend.h"
-#include "kernels/kernel.h"
-#include "nvp/memory.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
-#include "sim/active_checkpoint.h"
 #include "sim/result_io.h"
 #include "sim/system_sim.h"
 #include "trace/trace_generator.h"
@@ -180,121 +169,5 @@ TEST(ArenaSweep, ResumeAfterFullCampaignRunsNothingAndMatches)
     EXPECT_EQ(fresh_runs, 0);
     EXPECT_EQ(r.mergedMetrics().toJson(), first_merged);
 
-    fs::remove_all(dir);
-}
-
-TEST(ArenaBackend, SystemSimResultMatchesHeapBackendByteForByte)
-{
-    const std::string dir = uniqueDir("simeq");
-    trace::TraceGenerator gen(trace::paperProfile(2), 99);
-    const trace::PowerTrace t = gen.generate(10000);
-    const kernels::Kernel kernel = kernels::makeKernel("sobel");
-
-    sim::SimConfig cfg;
-    cfg.seed = 7;
-    sim::SystemSimulator heap_sim(kernel, &t, cfg);
-    const std::string heap_result =
-        sim::serializeResult(heap_sim.run());
-
-    auto store = Arena::open(dir);
-    arena::ArenaBackend backend(store.get());
-    cfg.persistence = &backend;
-    sim::SystemSimulator arena_sim(kernel, &t, cfg);
-    const std::string arena_result =
-        sim::serializeResult(arena_sim.run());
-
-    EXPECT_EQ(arena_result, heap_result);
-    fs::remove_all(dir);
-}
-
-TEST(ArenaBackend, DataMemoryWarmRestartsWithPersistedBytes)
-{
-    const std::string dir = uniqueDir("datamem");
-    {
-        auto store = Arena::open(dir);
-        arena::ArenaBackend backend(store.get());
-        nvp::DataMemory mem(util::Rng(1), 4096, &backend, "mem");
-        mem.hostWrite8(100, 0x42);
-        mem.hostWrite8(4095, 0x99);
-        mem.addVersionedRegion(0, 16, /*write_through=*/true);
-        mem.store8(/*lane=*/1, 4, 0x33, /*bits=*/6,
-                   /*approx_mem=*/false);
-    } // killed: no destructor-side persistence needed
-
-    auto store = Arena::open(dir);
-    arena::ArenaBackend backend(store.get());
-    nvp::DataMemory mem(util::Rng(1), 4096, &backend, "mem");
-    EXPECT_EQ(mem.hostRead8(100), 0x42);
-    EXPECT_EQ(mem.hostRead8(4095), 0x99);
-    EXPECT_EQ(mem.hostRead8(101), 0x00);
-    // The versioned-region cell array (lane-private values, precision
-    // tags, written bits) is part of the persisted NVM state too.
-    mem.addVersionedRegion(0, 16, /*write_through=*/true);
-    EXPECT_EQ(mem.load8(/*lane=*/1, 4, 8, false), 0x33);
-    EXPECT_EQ(mem.precisionAt(4), 6);
-    fs::remove_all(dir);
-}
-
-TEST(ArenaBackend, ActiveCheckpointMatchesHeapAndWarmRestarts)
-{
-    const std::string dir = uniqueDir("accheck");
-    std::vector<double> flat(20000, 400.0);
-    const trace::PowerTrace t(std::move(flat), "flat");
-
-    sim::ActiveCheckpointConfig cfg;
-    const sim::ActiveCheckpointResult plain =
-        sim::runActiveCheckpoint(t, cfg);
-    ASSERT_GT(plain.checkpoints, 0u);
-
-    // Materialising the image in an arena must not perturb the model.
-    sim::ActiveCheckpointResult first;
-    {
-        auto store = Arena::open(dir);
-        arena::ArenaBackend backend(store.get());
-        cfg.persistence = &backend;
-        first = sim::runActiveCheckpoint(t, cfg);
-    }
-    EXPECT_EQ(first.checkpoints, plain.checkpoints);
-    EXPECT_EQ(first.torn_checkpoints, plain.torn_checkpoints);
-    EXPECT_EQ(first.restores, plain.restores);
-    EXPECT_EQ(first.forward_progress, plain.forward_progress);
-    EXPECT_EQ(first.instructions_executed, plain.instructions_executed);
-
-    // The committed image survives: valid flag set, and the active
-    // slot holds the deterministic (attempt, offset) byte pattern of
-    // the attempt recorded in the metadata.
-    {
-        auto store = Arena::open(dir);
-        ASSERT_TRUE(store->hasBlock("ac.meta"));
-        ASSERT_TRUE(store->hasBlock("ac.image"));
-        const std::uint8_t *meta = store->blockData("ac.meta");
-        EXPECT_EQ(meta[0], 1);
-        std::uint64_t attempt = 0;
-        std::memcpy(&attempt, meta + 8, sizeof attempt);
-        EXPECT_GE(attempt, first.checkpoints);
-        const std::uint8_t *image = store->blockData("ac.image");
-        const auto state_bytes =
-            static_cast<std::size_t>(cfg.state_bytes);
-        const std::uint8_t *active = image + meta[1] * state_bytes;
-        for (std::size_t j = 0; j < state_bytes; ++j)
-            ASSERT_EQ(active[j],
-                      static_cast<std::uint8_t>(
-                          (attempt * 31 + j * 7) & 0xff))
-                << "image byte " << j;
-    }
-
-    // Warm restart: the only behavioural difference on an identical
-    // trace is that the first power-up runs the restore path instead
-    // of a cold boot (the energy cost of both is the reboot overhead),
-    // so every counter matches except restores, which gains exactly 1.
-    auto store = Arena::open(dir);
-    arena::ArenaBackend backend(store.get());
-    cfg.persistence = &backend;
-    const sim::ActiveCheckpointResult second =
-        sim::runActiveCheckpoint(t, cfg);
-    EXPECT_EQ(second.restores, first.restores + 1);
-    EXPECT_EQ(second.checkpoints, first.checkpoints);
-    EXPECT_EQ(second.torn_checkpoints, first.torn_checkpoints);
-    EXPECT_EQ(second.forward_progress, first.forward_progress);
     fs::remove_all(dir);
 }

@@ -1170,6 +1170,12 @@ TEST(FleetCli, BadNumbersAndUnknownNamesDieNamingTheInput)
                 {"unknown --profiles '2x'"});
     expectFatal(nvpsim + " sweep --kernels sobel --kill-after 1",
                 {"nvpsim sweep: --kill-after requires --arena"});
+    // Only `sweep` journals into an arena: every `run` starts from a
+    // fresh memory, so `run --arena` is an unknown flag, not a store.
+    expectFatal(nvpsim + " run --kernel sobel --seconds 0.1 --arena " +
+                    base + "/nvm",
+                {"nvpsim run: unknown flag '--arena'"});
+    EXPECT_FALSE(fs::exists(base + "/nvm"));
     // --status-socket takes its path only as `=PATH`.
     expectFatal(nvpsim + " serve " + campaign +
                     " --status-socket s.sock",

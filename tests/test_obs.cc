@@ -19,7 +19,6 @@
 #include "obs/observer.h"
 #include "obs/schema.h"
 #include "runner/sweep.h"
-#include "sim/active_checkpoint.h"
 #include "sim/system_sim.h"
 #include "trace/trace_generator.h"
 
@@ -275,26 +274,6 @@ TEST(ObsSim, PublishedCountersMatchResultRecord)
     }
 }
 
-TEST(ObsSim, ActiveCheckpointIdentitiesHold)
-{
-    const trace::PowerTrace t = smallTrace(3, 99, 4000);
-    obs::Observer observer;
-    sim::ActiveCheckpointConfig cfg;
-    cfg.obs = &observer;
-    const sim::ActiveCheckpointResult r =
-        sim::runActiveCheckpoint(t, cfg);
-
-    const std::vector<std::string> problems =
-        obs::verifyCheckpointMetricIdentities(observer.registry);
-    EXPECT_TRUE(problems.empty())
-        << problems.size() << " identity violations; first: "
-        << problems.front();
-    EXPECT_EQ(observer.registry.counterValue(obs::kAcCommitted),
-              r.checkpoints);
-    EXPECT_EQ(observer.registry.counterValue(obs::kAcTorn),
-              r.torn_checkpoints);
-}
-
 // ---------------------------------------------------------------------
 // Identity-checker failure paths: a deliberately corrupted registry
 // must produce a violation naming the broken identity, not a silent
@@ -374,34 +353,6 @@ TEST(SchemaCheckers, CorruptEnergySplitYieldsNamedViolation)
         << "first violation: " << problems.front();
 }
 #endif
-
-TEST(SchemaCheckers, CheckpointCheckerRejectsAndNamesViolations)
-{
-    // A system-sim registry is not an active-checkpoint registry.
-    obs::MetricsRegistry sim_registry = consistentSimRegistry();
-    const std::vector<std::string> wrong_kind =
-        obs::verifyCheckpointMetricIdentities(sim_registry);
-    ASSERT_EQ(wrong_kind.size(), 1u);
-    EXPECT_NE(wrong_kind.front().find("ac.checkpoint.attempts"),
-              std::string::npos);
-
-    // A genuine ac registry with a phantom attempt names the broken
-    // partition identity.
-    const trace::PowerTrace t = smallTrace(3, 99, 4000);
-    obs::Observer observer;
-    sim::ActiveCheckpointConfig cfg;
-    cfg.obs = &observer;
-    sim::runActiveCheckpoint(t, cfg);
-    ASSERT_TRUE(
-        obs::verifyCheckpointMetricIdentities(observer.registry)
-            .empty());
-    observer.registry.counter(obs::kAcAttempts).value += 1;
-    const std::vector<std::string> problems =
-        obs::verifyCheckpointMetricIdentities(observer.registry);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_TRUE(anyProblemMentions(problems, "ac attempts"))
-        << "first violation: " << problems.front();
-}
 
 // ---------------------------------------------------------------------
 // Sweep aggregation determinism

@@ -2,7 +2,7 @@
  * @file
  * Conformance tier for the backup-strategy zoo (src/sim/strategy,
  * DESIGN.md §14). The shared contract, asserted over a strategy ×
- * kernel × profile matrix on both persistence backends:
+ * kernel × profile matrix:
  *
  *  - crash-free overlay identity: every registered strategy's
  *    serialized SimResult is byte-identical to the `active` baseline
@@ -13,22 +13,7 @@
  *  - the freezer's dirty-word backups never write more bytes than the
  *    full-image baseline over the same trajectory;
  *
- *  - a run with no persistence backend materializes no image, yet its
- *    StrategyStats and metrics equal those of the same run bound to a
- *    HeapBackend (the inert ImageStore keeps the commit metadata the
- *    accounting reads);
- *
- *  - arena-backed runs are byte-identical to heap-backed runs and the
- *    committed "ckpt" image survives closing and reopening the arena
- *    with its sequence number and per-slot CRC intact;
- *
- *  - in-flight (uncommitted) image writes never corrupt the committed
- *    slot — the torn-copy discipline at the ImageStore layer;
- *
- *  - a real fork()ed child running an arena-backed simulation is
- *    SIGKILLed after its first committed backup; the parent recovers
- *    the arena and must find a CRC-consistent committed frame (the
- *    any-crash-point criterion), and a journaled strategy sweep killed
+ *  - a journaled strategy sweep whose fork()ed child is SIGKILLed
  *    mid-campaign resumes to byte-identical results.
  */
 
@@ -36,9 +21,7 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,14 +29,13 @@
 #include <unistd.h>
 
 #include "arena/arena.h"
-#include "arena/backend.h"
+#include "isa/isa.h"
 #include "kernels/kernel.h"
 #include "obs/observer.h"
 #include "obs/schema.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
 #include "sim/result_io.h"
-#include "sim/strategy/image_store.h"
 #include "sim/strategy/strategy.h"
 #include "sim/system_sim.h"
 #include "trace/trace_generator.h"
@@ -100,37 +82,22 @@ struct RunOut
 {
     std::string result;
     sim::StrategyStats stats;
-    std::string metrics_json;
     std::vector<std::string> metric_problems;
-    bool materialized = false;
-    bool image_ok = false;
-    std::string image_why;
-    bool has_committed = false;
-    std::uint64_t committed_seq = 0;
-    std::size_t state_bytes = 0;
 };
 
 RunOut
 runStrategy(const std::string &kernel, const trace::PowerTrace &power,
-            sim::StrategyKind kind,
-            arena::PersistenceBackend *persistence)
+            sim::StrategyKind kind)
 {
     sim::SimConfig cfg = trialConfig(kind);
-    cfg.persistence = persistence;
     obs::Observer observer;
     cfg.obs = &observer;
     sim::SystemSimulator sim(kernels::makeKernel(kernel), &power, cfg);
     RunOut out;
     out.result = sim::serializeResult(sim.run());
     out.stats = sim.strategy().stats();
-    out.metrics_json = observer.registry.toJson();
     out.metric_problems =
         obs::verifySimMetricIdentities(observer.registry);
-    out.materialized = sim.strategy().image().materialized();
-    out.image_ok = sim.strategy().verifyImage(&out.image_why);
-    out.has_committed = sim.strategy().image().hasCommitted();
-    out.committed_seq = sim.strategy().image().committedSeq();
-    out.state_bytes = sim.strategy().image().stateBytes();
     return out;
 }
 
@@ -165,14 +132,9 @@ TEST_P(StrategyConformance, CrashFreeRunMatchesActiveBaseline)
     trace::TraceGenerator gen(trace::paperProfile(p.profile), 23);
     const trace::PowerTrace power = gen.generate(kSamples);
 
-    // Bound to a heap backend, so the image materializes and
-    // verifyImage checks a real CRC.
-    arena::HeapBackend active_heap;
-    arena::HeapBackend heap;
-    const RunOut active = runStrategy(
-        p.kernel, power, sim::StrategyKind::active, &active_heap);
-    const RunOut run = runStrategy(p.kernel, power, p.kind, &heap);
-    ASSERT_TRUE(run.materialized);
+    const RunOut active =
+        runStrategy(p.kernel, power, sim::StrategyKind::active);
+    const RunOut run = runStrategy(p.kernel, power, p.kind);
 
     // Overlay identity: the simulated trajectory never depends on the
     // strategy observing it.
@@ -183,12 +145,6 @@ TEST_P(StrategyConformance, CrashFreeRunMatchesActiveBaseline)
     // The ckpt.* accounting is internally consistent (schema block).
     EXPECT_TRUE(run.metric_problems.empty())
         << "first: " << run.metric_problems.front();
-
-    // The committed image CRC-verifies, and it exists iff the run ever
-    // committed.
-    EXPECT_TRUE(run.image_ok) << run.image_why;
-    EXPECT_EQ(run.has_committed,
-              run.stats.backups + run.stats.snapshots > 0);
 
     // Strategy-shape expectations over the shared trajectory.
     EXPECT_EQ(run.stats.backups, active.stats.backups);
@@ -203,34 +159,8 @@ TEST_P(StrategyConformance, CrashFreeRunMatchesActiveBaseline)
     }
     if (p.kind == sim::StrategyKind::active) {
         EXPECT_EQ(run.stats.backup_bytes,
-                  run.stats.backups * run.state_bytes);
+                  run.stats.backups * isa::kDataMemBytes);
     }
-}
-
-TEST_P(StrategyConformance, UnboundRunAccountsLikeABoundOne)
-{
-    const MatrixParam p = GetParam();
-    trace::TraceGenerator gen(trace::paperProfile(p.profile), 23);
-    const trace::PowerTrace power = gen.generate(kSamples);
-
-    arena::HeapBackend heap;
-    const RunOut bound = runStrategy(p.kernel, power, p.kind, &heap);
-    const RunOut unbound = runStrategy(p.kernel, power, p.kind, nullptr);
-
-    EXPECT_TRUE(bound.materialized);
-    EXPECT_FALSE(unbound.materialized)
-        << "an unhosted strategy must not copy or checksum an image";
-    ASSERT_GT(bound.stats.backups, 0u)
-        << "trace produced no backups; matrix misconfigured";
-    EXPECT_EQ(unbound.result, bound.result);
-    EXPECT_TRUE(unbound.stats == bound.stats)
-        << "backup_bytes " << unbound.stats.backup_bytes << " vs "
-        << bound.stats.backup_bytes << ", restore_bytes "
-        << unbound.stats.restore_bytes << " vs "
-        << bound.stats.restore_bytes;
-    EXPECT_EQ(unbound.metrics_json, bound.metrics_json);
-    EXPECT_EQ(unbound.has_committed, bound.has_committed);
-    EXPECT_EQ(unbound.committed_seq, bound.committed_seq);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -240,137 +170,6 @@ INSTANTIATE_TEST_SUITE_P(
                info.param.kernel + "_p" +
                std::to_string(info.param.profile);
     });
-
-TEST(StrategyArena, RunMatchesHeapAndImageSurvivesReopen)
-{
-    trace::TraceGenerator gen(trace::paperProfile(2), 31);
-    const trace::PowerTrace power = gen.generate(kSamples);
-
-    for (const sim::StrategyKind kind : sim::allStrategies()) {
-        SCOPED_TRACE(sim::strategyName(kind));
-        const std::string dir =
-            uniqueDir(std::string("reopen-") + sim::strategyName(kind));
-
-        const RunOut heap =
-            runStrategy("sobel", power, kind, nullptr);
-        RunOut arena_run;
-        {
-            auto store = Arena::open(dir);
-            arena::ArenaBackend backend(store.get());
-            arena_run = runStrategy("sobel", power, kind, &backend);
-        } // no shutdown path — recovery must find the image
-
-        EXPECT_EQ(arena_run.result, heap.result)
-            << "arena backend perturbed the simulation";
-        ASSERT_TRUE(arena_run.has_committed)
-            << "trace produced no backups; matrix misconfigured";
-
-        auto store = Arena::open(dir);
-        arena::ArenaBackend backend(store.get());
-        sim::ImageStore image(&backend, "ckpt", arena_run.state_bytes,
-                              sim::ImageStore::kMetaBytesCrc);
-        EXPECT_TRUE(image.warmStart());
-        EXPECT_EQ(image.committedSeq(), arena_run.committed_seq);
-        std::string why;
-        EXPECT_TRUE(image.verifyCommitted(&why)) << why;
-        fs::remove_all(dir);
-    }
-}
-
-TEST(StrategyArena, TornInFlightWritesNeverCorruptCommittedImage)
-{
-    const std::string dir = uniqueDir("torn");
-    constexpr std::size_t kState = 512;
-    std::vector<std::uint8_t> committed(kState);
-    for (std::size_t i = 0; i < kState; ++i)
-        committed[i] = static_cast<std::uint8_t>(i * 13 + 5);
-
-    {
-        auto store = Arena::open(dir);
-        arena::ArenaBackend backend(store.get());
-        sim::ImageStore image(&backend, "ckpt", kState,
-                              sim::ImageStore::kMetaBytesCrc);
-        image.writeSpan(0, committed.data(), kState);
-        image.commit(1);
-        // In-flight overwrite of the now-inactive slot, including the
-        // final word, then the process "dies" before commit().
-        for (std::size_t i = 0; i < kState; ++i)
-            image.writeByte(i, 0xee);
-    }
-
-    auto store = Arena::open(dir);
-    arena::ArenaBackend backend(store.get());
-    sim::ImageStore image(&backend, "ckpt", kState,
-                          sim::ImageStore::kMetaBytesCrc);
-    ASSERT_TRUE(image.warmStart());
-    EXPECT_EQ(image.committedSeq(), 1u);
-    std::string why;
-    EXPECT_TRUE(image.verifyCommitted(&why)) << why;
-    EXPECT_EQ(std::memcmp(image.committedSlot(), committed.data(),
-                          kState),
-              0)
-        << "torn in-flight writes leaked into the committed slot";
-    fs::remove_all(dir);
-}
-
-TEST(StrategyCrash, SigkillAfterBackupLeavesConsistentImage)
-{
-    trace::TraceGenerator gen(trace::paperProfile(2), 47);
-    const trace::PowerTrace power = gen.generate(6000);
-
-    // Dry heap run: the matrix only makes sense when the trace commits
-    // backups and completes frames afterwards.
-    const RunOut dry = runStrategy("sobel", power,
-                                   sim::StrategyKind::freezer, nullptr);
-    ASSERT_GT(dry.stats.backups, 0u);
-
-    for (const sim::StrategyKind kind : sim::allStrategies()) {
-        SCOPED_TRACE(sim::strategyName(kind));
-        const std::string dir =
-            uniqueDir(std::string("kill-") + sim::strategyName(kind));
-
-        const pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            // Child: run arena-backed and die — a real SIGKILL, no
-            // cleanup — at the first frame completion that follows a
-            // committed backup, so a committed image is guaranteed to
-            // be on disk at the crash instant.
-            auto store = Arena::open(dir);
-            arena::ArenaBackend backend(store.get());
-            sim::SimConfig cfg = trialConfig(kind);
-            cfg.persistence = &backend;
-            sim::SystemSimulator sim(kernels::makeKernel("sobel"),
-                                     &power, cfg);
-            sim.controller().setCompletionCallback(
-                [&sim](const core::FrameCompletion &) {
-                    if (sim.strategy().stats().backups > 0)
-                        std::raise(SIGKILL);
-                });
-            sim.run();
-            ::_exit(2); // not reached when the trace backs up
-        }
-
-        int status = 0;
-        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-        ASSERT_TRUE(WIFSIGNALED(status))
-            << "child should die by signal, got status " << status;
-        EXPECT_EQ(WTERMSIG(status), SIGKILL);
-
-        // Parent: recover. Whatever instant the kill hit, the committed
-        // slot must be a complete, CRC-consistent frame.
-        auto store = Arena::open(dir);
-        EXPECT_TRUE(store->stats().recovered);
-        arena::ArenaBackend backend(store.get());
-        sim::ImageStore image(&backend, "ckpt", dry.state_bytes,
-                              sim::ImageStore::kMetaBytesCrc);
-        ASSERT_TRUE(image.warmStart());
-        EXPECT_GE(image.committedSeq(), 1u);
-        std::string why;
-        EXPECT_TRUE(image.verifyCommitted(&why)) << why;
-        fs::remove_all(dir);
-    }
-}
 
 namespace
 {

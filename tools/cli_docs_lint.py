@@ -6,7 +6,7 @@ DESIGN.md and .claude/skills/verify/SKILL.md must pass <cmd> only flags
 that subcommand accepts. A command line is a line of a fenced code
 block, with `\\` continuations joined, or an inline code span; the
 flags after one `nvpsim <cmd>` run up to the next one, a shell comment
-or a pipe. `nvpsim run|sweep --arena` checks both subcommands.
+or a pipe. `nvpsim run|sweep --engine` checks both subcommands.
 
 The accepted flags come from the binary itself: its top-level usage
 names the subcommands, and `nvpsim <cmd> --help` is rejected like any

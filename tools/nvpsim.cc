@@ -31,18 +31,14 @@
  *       Chrome-trace / Perfetto JSON timeline (power phases, backups,
  *       restores, frame lifetimes, capacitor level); it is named
  *       --trace-out rather than --trace because --trace already means
- *       "input power-trace CSV". --arena DIR backs the simulated NVM
- *       (data memory + RAC version store) with a persistence arena
- *       (src/arena) at DIR instead of heap buffers; with --metrics the
- *       arena.* session statistics are folded into the registry.
- *       --strategy selects the backup strategy attached to the run
- *       (sim::allStrategies(): active, freezer, ondemand; DESIGN.md
- *       §14). Strategies are an observation overlay — the simulated
- *       trajectory is bit-identical across all of them — that reports
- *       its backup cost in the ckpt.* metric block. Only with --arena
- *       does it also persist a CRC-verified checkpoint image
- *       ("ckpt.image"/"ckpt.meta"); without it no image is copied, and
- *       the ckpt.* accounting is the same.
+ *       "input power-trace CSV". --strategy selects the backup
+ *       strategy attached to the run (sim::allStrategies(): active,
+ *       freezer, ondemand; DESIGN.md §14). Strategies are an
+ *       observation overlay — the simulated trajectory is
+ *       bit-identical across all of them — that reports its backup
+ *       cost in the ckpt.* metric block. Each run starts from a fresh
+ *       memory: the NVM's power loss is modelled inside the run, and
+ *       nothing of it is kept between processes.
  *
  *   nvpsim sweep
  *       Run the --kernels x --profiles grid in parallel on --jobs
@@ -190,7 +186,6 @@
 #include <unistd.h>
 
 #include "arena/arena.h"
-#include "arena/backend.h"
 #include "check/diff_harness.h"
 #include "core/pragma_parser.h"
 #include "fleet/campaign.h"
@@ -347,16 +342,6 @@ cmdRun(const Flags &flags)
     if (want_metrics || want_trace)
         cfg.obs = &observer;
 
-    // --arena: back the simulated NVM with a file-resident persistence
-    // arena so the data-memory image survives the process.
-    std::unique_ptr<arena::Arena> store;
-    std::unique_ptr<arena::ArenaBackend> backend;
-    if (flags.has("arena")) {
-        store = openArenaOrDie(flags.text("arena"));
-        backend = std::make_unique<arena::ArenaBackend>(store.get());
-        cfg.persistence = backend.get();
-    }
-
     sim::SystemSimulator s(kernel, &t, cfg);
     const sim::SimResult r = s.run();
 
@@ -400,8 +385,6 @@ cmdRun(const Flags &flags)
     }
     if (want_metrics) {
         const std::string path = flags.text("metrics");
-        if (store)
-            arena::publishArenaStats(store->stats(), observer.registry);
         writeOrDie(path, observer.registry.toJson(), "metrics");
         return reportViolations(
             obs::verifySimMetricIdentities(observer.registry));
@@ -1010,8 +993,7 @@ commands()
         {"out"}, {"metrics"}, {"report", K::toggle}, {"report-out"}};
     return {
         {"trace", {}, trace, cmdTrace},
-        {"run", {}, join(sim, {{"metrics"}, {"trace-out"}, {"arena"}}),
-         cmdRun},
+        {"run", {}, join(sim, {{"metrics"}, {"trace-out"}}), cmdRun},
         {"sweep", {},
          join(join(fleet::campaignFlags(true), outputs),
               {{"jobs", K::integer, 1, int_max}, {"arena"},
