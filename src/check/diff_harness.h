@@ -42,19 +42,18 @@
  *     Observation is non-perturbing by contract, so this rides along
  *     without changing the trial distribution or any result.
  *
- *   arena_recovery — the persistence arena's crash-consistency
- *     contract (src/arena, DESIGN.md §12): a deterministic op script is
- *     first dry-run to measure its log; a fault point is then sampled
- *     at byte granularity and the same script re-run with the arena's
- *     log dying at that byte. Reopening the faulted arena must recover
- *     exactly the state of the crash-free oracle at the last successful
- *     commit — epoch, key/value index, block index, and block contents
- *     under NVM semantics (data writes to a surviving extent persist
- *     even when uncommitted index changes roll back). Every third trial
- *     additionally runs a mini 2-job sweep through a SweepJournal and
- *     requires the partially-journaled, recovered, resumed campaign to
- *     reproduce the uninterrupted campaign's per-job results and merged
- *     metrics byte-for-byte.
+ *   arena_recovery — the sweep journal's crash-consistency contract
+ *     (src/runner/journal, DESIGN.md §12): a deterministic script binds
+ *     a journal and records synthetic job results (failed, repeated
+ *     and out-of-range ones among them); it is first dry-run to measure
+ *     its log, then re-run with the log dying at a byte sampled from
+ *     it. A record is durable exactly when its append returned true, so
+ *     the reopened journal must hold exactly that binding, completed
+ *     job set and result bytes, with the log cut back to its durable
+ *     prefix. Every third trial additionally runs a mini 2-job sweep
+ *     through a SweepJournal and requires the partially-journaled,
+ *     recovered, resumed campaign to reproduce the uninterrupted
+ *     campaign's per-job results and merged metrics byte-for-byte.
  *
  *   strategy_diff — the backup-strategy zoo's conformance contract
  *     (sim/strategy, DESIGN.md §14): a fuzzed co-simulator trial runs
@@ -74,7 +73,7 @@
  *     stream fragmentation) into a ResultFolder. The folded per-job
  *     serialized results, status fields and merged metrics JSON must
  *     equal the oracle's byte-for-byte. Every third trial replays
- *     shard 0 from a reopened arena journal (the reassigned-shard warm
+ *     shard 0 from a reopened sweep journal (the reassigned-shard warm
  *     restart) and requires the replayed wire frames to be
  *     byte-identical to the fresh run's.
  *

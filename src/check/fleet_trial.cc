@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include "arena/arena.h"
 #include "fleet/folder.h"
 #include "fleet/protocol.h"
 #include "runner/journal.h"
@@ -281,24 +280,22 @@ runFleetMergeTrial(const TrialSpec &spec)
         for (const runner::ShardRange &shard : plan) {
             if (shard.id == 0 && journal_shard0) {
                 // The reassigned-shard warm restart: journal the shard,
-                // reopen the arena, replay it purely from the journal.
+                // reopen the journal, replay the shard purely from it.
                 const std::string fp =
                     runner::SweepJournal::fingerprint(
                         campaign.sweep, jobs, "fleet-fuzz");
                 std::vector<std::string> fresh;
                 {
-                    std::unique_ptr<arena::Arena> a =
-                        arena::Arena::open(dir);
-                    runner::SweepJournal journal(a.get());
-                    journal.bind(fp, jobs.size());
+                    std::unique_ptr<runner::SweepJournal> journal =
+                        runner::SweepJournal::open(dir);
+                    journal->bind(fp, jobs.size());
                     fresh = runShardFrames(campaign, shard.begin,
-                                           shard.end, &journal);
+                                           shard.end, journal.get());
                 }
-                std::unique_ptr<arena::Arena> a =
-                    arena::Arena::open(dir);
-                runner::SweepJournal journal(a.get());
-                if (!journal.bound() ||
-                    journal.boundFingerprint() != fp) {
+                std::unique_ptr<runner::SweepJournal> journal =
+                    runner::SweepJournal::open(dir);
+                if (!journal->bound() ||
+                    journal->boundFingerprint() != fp) {
                     result = fleetDivergence(
                         "fleet_replay",
                         "shard journal lost its campaign binding "
@@ -307,7 +304,7 @@ runFleetMergeTrial(const TrialSpec &spec)
                 }
                 const std::vector<std::string> replayed =
                     runShardFrames(campaign, shard.begin, shard.end,
-                                   &journal);
+                                   journal.get());
                 if (replayed != fresh) {
                     result = fleetDivergence(
                         "fleet_replay",

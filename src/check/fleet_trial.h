@@ -21,7 +21,7 @@
  * determinism surface: per-job serialized SimResults (hexfloat,
  * sim/result_io.h), ok/attempts/error fields, and the merged metrics
  * JSON. Every third trial additionally routes shard 0 through a
- * per-shard arena SweepJournal, reopens the arena, and replays the
+ * per-shard SweepJournal, reopens the journal, and replays the
  * shard from the journal (the reassigned-shard warm restart): the
  * replayed wire frames must equal the fresh run's frames byte-for-byte
  * and are the ones fed to the merge.

@@ -3,14 +3,13 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "arena/arena.h"
+#include "obs/schema.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
 #include "sim/result_io.h"
@@ -25,147 +24,81 @@ namespace
 
 namespace fs = std::filesystem;
 
-constexpr int kNumBlocks = 5;
-constexpr int kNumKeys = 7;
-constexpr int kScriptOps = 90;
-
-std::string
-blockName(int i)
-{
-    char buf[8];
-    std::snprintf(buf, sizeof buf, "b%d", i);
-    return buf;
-}
-
-std::string
-keyName(int i)
-{
-    char buf[8];
-    std::snprintf(buf, sizeof buf, "k%d", i);
-    return buf;
-}
+constexpr int kScriptRecords = 24;
 
 /**
- * Crash-free oracle of the arena, mirrored op-by-op alongside the real
- * one. Block contents are tracked per *generation* (a fresh extent from
- * an alloc or grow starts a new generation): the recovered content of a
- * committed block must equal its committed generation's mirror as it
- * stands at the crash instant — later data writes only ever target the
- * newest generation, so a superseded extent is frozen, while writes
- * into the still-current extent persist (NVM semantics) even though the
- * index mutations around them roll back.
+ * Crash-free oracle of the journal, mirrored call by call alongside the
+ * real one: a record is durable exactly when its append returned true,
+ * so a reopen must find the binding, the job set and each job's result
+ * bytes the calls that returned true left behind, and a log cut back to
+ * the size it had after the last of them.
  */
 struct Shadow
 {
-    struct State
-    {
-        std::map<std::string, std::string> kv;
-        std::map<std::string, int> block_gen;
-        std::map<std::string, std::size_t> block_size;
-    };
-
-    State live;
-    State committed;
-    /** name -> generation -> content mirror */
-    std::map<std::string, std::map<int, std::vector<std::uint8_t>>>
-        content;
-    std::uint64_t commits_ok = 0;
-    int next_gen = 1;
+    bool bound = false;
+    std::string fingerprint;
+    std::size_t jobs = 0;
+    std::map<std::size_t, runner::JobResult> durable;
+    std::uintmax_t durable_size = 0; ///< log file size after the last
+                                     ///< append that returned true
 };
 
+/** A job result drawn from @p rng: some failed, some with metrics, every
+ *  field that reaches the journal's payload varied. */
+runner::JobResult
+syntheticResult(util::Rng &rng, std::size_t index)
+{
+    runner::JobResult jr;
+    jr.spec.index = index;
+    jr.ok = rng.nextBounded(6) != 0;
+    jr.attempts = 1 + static_cast<int>(rng.nextBounded(2));
+    jr.result.forward_progress = rng.next();
+    jr.result.backups = rng.nextBounded(100000);
+    jr.result.on_time_fraction = rng.nextDouble();
+    jr.result.consumed_energy_nj = rng.nextDouble() * 1e6;
+    jr.result.mean_psnr = rng.nextDouble() * 60.0;
+    if (rng.nextBool())
+        jr.metrics.counter(obs::kSimSamples)
+            .inc(rng.nextBounded(1u << 20));
+    return jr;
+}
+
 /**
- * Run the deterministic op script. The rng draw sequence is identical
- * in the dry and faulted runs (no draw depends on arena outcomes); the
- * faulted run simply stops at the crash instant — the first op after
- * which the injected fault has tripped — exactly as a killed process
- * would.
+ * Run the deterministic script: bind 1–8 jobs, then record synthetic
+ * results, including failed ones, repeats and indices past the
+ * campaign, which the journal must refuse without appending. The rng
+ * draw sequence is identical in the dry and faulted runs (no draw
+ * depends on journal outcomes); the faulted run simply stops at the
+ * crash instant — the first call after which the injected fault has
+ * tripped — exactly as a killed process would.
  */
 void
-runScript(arena::Arena *a, util::Rng rng, Shadow *sh)
+runScript(runner::SweepJournal *journal, const std::string &log_path,
+          util::Rng rng, Shadow *sh)
 {
-    for (int i = 0; i < kScriptOps; ++i) {
-        const std::uint64_t op = rng.nextBounded(100);
-        const int bi = static_cast<int>(rng.nextBounded(kNumBlocks));
-        const int ki = static_cast<int>(rng.nextBounded(kNumKeys));
-        const std::uint64_t aux = rng.next();
-        const std::string bname = blockName(bi);
-        const std::string kname = keyName(ki);
-
-        if (op < 25) { // put
-            std::string value;
-            const std::size_t len = 1 + aux % 24;
-            for (std::size_t j = 0; j < len; ++j)
-                value.push_back(static_cast<char>(
-                    'a' + (aux >> (j % 48)) % 26));
-            a->put(kname, value);
-            sh->live.kv[kname] = value;
-        } else if (op < 35) { // erase
-            a->erase(kname);
-            sh->live.kv.erase(kname);
-        } else if (op < 55) { // alloc (get-or-create / size change)
-            const std::size_t size = 64 * (1 + aux % 6);
-            a->alloc(bname, size);
-            const auto it = sh->live.block_gen.find(bname);
-            if (it == sh->live.block_gen.end() ||
-                sh->live.block_size[bname] != size) {
-                const int gen = sh->next_gen++;
-                sh->live.block_gen[bname] = gen;
-                sh->live.block_size[bname] = size;
-                sh->content[bname][gen].assign(size, 0);
-            }
-        } else if (op < 63) { // grow
-            if (sh->live.block_gen.count(bname)) {
-                const std::size_t old_size =
-                    sh->live.block_size[bname];
-                const std::size_t size = old_size + 64 * (1 + aux % 4);
-                a->grow(bname, size);
-                const int old_gen = sh->live.block_gen[bname];
-                const int gen = sh->next_gen++;
-                std::vector<std::uint8_t> copy =
-                    sh->content[bname][old_gen];
-                copy.resize(size, 0);
-                sh->live.block_gen[bname] = gen;
-                sh->live.block_size[bname] = size;
-                sh->content[bname][gen] = std::move(copy);
-            }
-        } else if (op < 70) { // free
-            if (sh->live.block_gen.count(bname)) {
-                a->freeBlock(bname);
-                sh->live.block_gen.erase(bname);
-                sh->live.block_size.erase(bname);
-            }
-        } else if (op < 88) { // data write into the live extent
-            if (sh->live.block_gen.count(bname)) {
-                const std::size_t size = sh->live.block_size[bname];
-                std::uint8_t *p = a->blockData(bname);
-                std::vector<std::uint8_t> &mirror =
-                    sh->content[bname][sh->live.block_gen[bname]];
-                const std::size_t off = aux % size;
-                const std::size_t len =
-                    std::min(size - off,
-                             static_cast<std::size_t>(
-                                 1 + (aux >> 8) % 32));
-                const auto pat = static_cast<std::uint8_t>(aux >> 16);
-                for (std::size_t j = 0; j < len; ++j) {
-                    p[off + j] = static_cast<std::uint8_t>(pat + j);
-                    mirror[off + j] =
-                        static_cast<std::uint8_t>(pat + j);
-                }
-            }
-        } else { // commit
-            if (a->commit()) {
-                sh->committed = sh->live;
-                ++sh->commits_ok;
-            }
+    sh->durable_size = fs::file_size(log_path);
+    const std::size_t jobs = 1 + rng.nextBounded(8);
+    char fp[16];
+    std::snprintf(fp, sizeof fp, "%08x",
+                  static_cast<unsigned>(rng.nextBounded(1ull << 32)));
+    if (journal->bind(fp, jobs)) {
+        sh->bound = true;
+        sh->fingerprint = fp;
+        sh->jobs = jobs;
+        sh->durable_size = fs::file_size(log_path);
+    }
+    for (int i = 0; i < kScriptRecords && !journal->failed(); ++i) {
+        const std::size_t index = rng.nextBounded(jobs + 2);
+        const runner::JobResult jr = syntheticResult(rng, index);
+        if (journal->record(jr)) {
+            sh->durable.emplace(index, jr);
+            sh->durable_size = fs::file_size(log_path);
         }
-
-        if (a->failed())
-            return; // the simulated crash instant: the process is dead
     }
 }
 
 Divergence
-arenaDivergence(const std::string &invariant, const std::string &detail)
+journalDivergence(const std::string &invariant, const std::string &detail)
 {
     Divergence d;
     d.violated = true;
@@ -174,84 +107,65 @@ arenaDivergence(const std::string &invariant, const std::string &detail)
     return d;
 }
 
-/** Verify a reopened arena against the shadow's committed state. */
+/** Verify a reopened journal against the shadow. */
 Divergence
-verifyRecovered(arena::Arena &a, const Shadow &sh,
+verifyRecovered(const runner::SweepJournal &journal,
+                const std::string &log_path, const Shadow &sh,
                 std::uint64_t fault_at)
 {
     std::ostringstream ctx;
-    ctx << " (fault_at=" << fault_at
-        << " commits_ok=" << sh.commits_ok << ")";
+    ctx << " (fault_at=" << fault_at << " durable=" << sh.durable.size()
+        << ")";
 
-    if (a.epoch() != sh.commits_ok)
-        return arenaDivergence(
-            "arena_epoch",
-            "recovered epoch " + std::to_string(a.epoch()) +
-                " != successful commits " +
-                std::to_string(sh.commits_ok) + ctx.str());
-    if (a.stats().replayed_commits != sh.commits_ok)
-        return arenaDivergence(
-            "arena_replay",
-            "replayed_commits " +
-                std::to_string(a.stats().replayed_commits) +
-                " != successful commits " +
-                std::to_string(sh.commits_ok) + ctx.str());
-
-    for (int i = 0; i < kNumKeys; ++i) {
-        const std::string k = keyName(i);
-        const auto want = sh.committed.kv.find(k);
-        std::string got;
-        const bool have = a.get(k, &got);
-        if (want == sh.committed.kv.end()) {
-            if (have)
-                return arenaDivergence(
-                    "arena_kv", "key '" + k +
-                                    "' should have rolled back" +
-                                    ctx.str());
-        } else if (!have || got != want->second) {
-            return arenaDivergence(
-                "arena_kv",
-                "key '" + k + "' recovered to '" +
-                    (have ? got : std::string("<absent>")) +
-                    "' expected '" + want->second + "'" + ctx.str());
-        }
+    if (journal.bound() != sh.bound ||
+        journal.boundFingerprint() != sh.fingerprint ||
+        journal.jobsTotal() != sh.jobs)
+        return journalDivergence(
+            "arena_bind", "recovered binding '" +
+                              journal.boundFingerprint() + "' x " +
+                              std::to_string(journal.jobsTotal()) +
+                              " jobs, expected '" + sh.fingerprint +
+                              "' x " + std::to_string(sh.jobs) +
+                              ctx.str());
+    if (journal.completedCount() != sh.durable.size())
+        return journalDivergence(
+            "arena_jobs", "recovered " +
+                              std::to_string(journal.completedCount()) +
+                              " completed jobs" + ctx.str());
+    // Two indices past the campaign, where the script also recorded.
+    for (std::size_t i = 0; i < sh.jobs + 2; ++i) {
+        if (journal.completed(i) != (sh.durable.count(i) > 0))
+            return journalDivergence(
+                "arena_jobs", "job " + std::to_string(i) +
+                                  (journal.completed(i)
+                                       ? " recovered but never durable"
+                                       : " durable but not recovered") +
+                                  ctx.str());
     }
-
-    for (int i = 0; i < kNumBlocks; ++i) {
-        const std::string b = blockName(i);
-        const auto want = sh.committed.block_gen.find(b);
-        if (want == sh.committed.block_gen.end()) {
-            if (a.hasBlock(b))
-                return arenaDivergence(
-                    "arena_block",
-                    "block '" + b + "' should have rolled back" +
-                        ctx.str());
-            continue;
-        }
-        const std::size_t want_size = sh.committed.block_size.at(b);
-        if (!a.hasBlock(b) || a.blockSize(b) != want_size)
-            return arenaDivergence(
-                "arena_block",
-                "block '" + b + "' recovered size " +
-                    std::to_string(a.blockSize(b)) + " expected " +
-                    std::to_string(want_size) + ctx.str());
-        const std::vector<std::uint8_t> &mirror =
-            sh.content.at(b).at(want->second);
-        if (std::memcmp(a.blockData(b), mirror.data(), want_size) != 0) {
-            std::size_t byte = 0;
-            while (byte < want_size &&
-                   a.blockData(b)[byte] == mirror[byte])
-                ++byte;
-            Divergence d = arenaDivergence(
-                "arena_content",
-                "block '" + b + "' content differs at byte " +
-                    std::to_string(byte) + ctx.str());
-            d.byte = byte;
-            d.expected = mirror[byte];
-            d.actual = a.blockData(b)[byte];
-            return d;
-        }
+    for (const auto &[index, want] : sh.durable) {
+        runner::JobResult got;
+        std::string error;
+        if (!journal.load(index, &got, &error))
+            return journalDivergence("arena_result",
+                                     "job " + std::to_string(index) +
+                                         " unreadable: " + error +
+                                         ctx.str());
+        if (sim::serializeResult(got.result) !=
+                sim::serializeResult(want.result) ||
+            got.attempts != want.attempts ||
+            got.metrics.toJson() != want.metrics.toJson())
+            return journalDivergence("arena_result",
+                                     "job " + std::to_string(index) +
+                                         " recovered different bytes" +
+                                         ctx.str());
     }
+    const std::uintmax_t size = fs::file_size(log_path);
+    if (size != sh.durable_size)
+        return journalDivergence(
+            "arena_tail", "recovered log is " + std::to_string(size) +
+                              " bytes, the durable prefix " +
+                              std::to_string(sh.durable_size) +
+                              ctx.str());
     return {};
 }
 
@@ -303,9 +217,9 @@ runSweepResumeCheck(const TrialSpec &spec, const std::string &dir)
 
     runner::SweepReport golden = runner::SweepRunner(sw).run();
     if (!golden.allOk())
-        return arenaDivergence("arena_sweep",
-                               "golden mini-sweep failed: " +
-                                   golden.failureReport());
+        return journalDivergence("arena_sweep",
+                                 "golden mini-sweep failed: " +
+                                     golden.failureReport());
     const std::string golden_merged =
         golden.mergedMetrics().toJson();
 
@@ -314,35 +228,35 @@ runSweepResumeCheck(const TrialSpec &spec, const std::string &dir)
         runner::SweepJournal::fingerprint(sw, jobs, "fuzz");
 
     // Partial campaign: one job journaled, then the process "dies"
-    // (the arena is closed with no shutdown path and reopened through
-    // recovery).
+    // (the journal is closed with no shutdown path and reopened
+    // through recovery).
     {
-        std::unique_ptr<arena::Arena> a = arena::Arena::open(dir);
-        runner::SweepJournal journal(a.get());
-        journal.bind(fp, jobs.size());
-        if (!journal.record(golden.results[0]))
-            return arenaDivergence("arena_sweep",
-                                   "journal record failed");
+        std::unique_ptr<runner::SweepJournal> journal =
+            runner::SweepJournal::open(dir);
+        journal->bind(fp, jobs.size());
+        if (!journal->record(golden.results[0]))
+            return journalDivergence("arena_sweep",
+                                     "journal record failed");
     }
 
-    std::unique_ptr<arena::Arena> a = arena::Arena::open(dir);
-    runner::SweepJournal journal(a.get());
-    if (!journal.bound() || journal.boundFingerprint() != fp)
-        return arenaDivergence("arena_sweep",
-                               "journal lost its campaign binding "
-                               "across recovery");
-    if (!journal.completed(0) || journal.completed(1))
-        return arenaDivergence("arena_sweep",
-                               "journal completion bitmap wrong after "
-                               "recovery");
+    std::unique_ptr<runner::SweepJournal> journal =
+        runner::SweepJournal::open(dir);
+    if (!journal->bound() || journal->boundFingerprint() != fp)
+        return journalDivergence("arena_sweep",
+                                 "journal lost its campaign binding "
+                                 "across recovery");
+    if (!journal->completed(0) || journal->completed(1))
+        return journalDivergence("arena_sweep",
+                                 "journal completion set wrong after "
+                                 "recovery");
 
     runner::SweepRunner resumed_runner(sw);
-    resumed_runner.setJournal(&journal);
+    resumed_runner.setJournal(journal.get());
     runner::SweepReport resumed = resumed_runner.run();
     if (!resumed.allOk())
-        return arenaDivergence("arena_sweep",
-                               "resumed mini-sweep failed: " +
-                                   resumed.failureReport());
+        return journalDivergence("arena_sweep",
+                                 "resumed mini-sweep failed: " +
+                                     resumed.failureReport());
 
     for (std::size_t i = 0; i < golden.results.size(); ++i) {
         const std::string want =
@@ -354,7 +268,7 @@ runSweepResumeCheck(const TrialSpec &spec, const std::string &dir)
             while (byte < std::min(want.size(), got.size()) &&
                    want[byte] == got[byte])
                 ++byte;
-            Divergence d = arenaDivergence(
+            Divergence d = journalDivergence(
                 "arena_sweep_result",
                 "resumed job " + std::to_string(i) +
                     " result differs from golden at byte " +
@@ -371,7 +285,7 @@ runSweepResumeCheck(const TrialSpec &spec, const std::string &dir)
                    std::min(resumed_merged.size(), golden_merged.size()) &&
                resumed_merged[byte] == golden_merged[byte])
             ++byte;
-        Divergence d = arenaDivergence(
+        Divergence d = journalDivergence(
             "arena_sweep_metrics",
             "resumed merged metrics differ from golden at byte " +
                 std::to_string(byte));
@@ -389,6 +303,7 @@ runArenaTrial(const TrialSpec &spec)
     const std::string dry_dir = trialDir(spec, "dry");
     const std::string crash_dir = trialDir(spec, "crash");
     const std::string sweep_dir = trialDir(spec, "sweep");
+    const std::string crash_log = crash_dir + "/arena.log";
     std::error_code ec;
     fs::remove_all(dry_dir, ec);
     fs::remove_all(crash_dir, ec);
@@ -402,10 +317,11 @@ runArenaTrial(const TrialSpec &spec)
         std::uint64_t total_log = 0;
         {
             Shadow dry;
-            std::unique_ptr<arena::Arena> a =
-                arena::Arena::open(dry_dir);
-            runScript(a.get(), util::Rng(spec.program_seed), &dry);
-            total_log = a->stats().log_bytes;
+            std::unique_ptr<runner::SweepJournal> journal =
+                runner::SweepJournal::open(dry_dir);
+            runScript(journal.get(), dry_dir + "/arena.log",
+                      util::Rng(spec.program_seed), &dry);
+            total_log = journal->stats().appended_bytes;
         }
 
         util::Rng fault_rng(spec.seed ^ 0xa12ea5eedULL);
@@ -414,17 +330,18 @@ runArenaTrial(const TrialSpec &spec)
 
         Shadow sh;
         {
-            arena::Arena::Options options;
+            runner::SweepJournal::Options options;
             options.fail_after_log_bytes = fault_at;
-            std::unique_ptr<arena::Arena> a =
-                arena::Arena::open(crash_dir, options);
-            runScript(a.get(), util::Rng(spec.program_seed), &sh);
+            std::unique_ptr<runner::SweepJournal> journal =
+                runner::SweepJournal::open(crash_dir, options);
+            runScript(journal.get(), crash_log,
+                      util::Rng(spec.program_seed), &sh);
         } // no shutdown path: the destructor persists nothing extra
 
         {
-            std::unique_ptr<arena::Arena> recovered =
-                arena::Arena::open(crash_dir);
-            result = verifyRecovered(*recovered, sh, fault_at);
+            std::unique_ptr<runner::SweepJournal> recovered =
+                runner::SweepJournal::open(crash_dir);
+            result = verifyRecovered(*recovered, crash_log, sh, fault_at);
         }
 
         // Every third trial also proves the end-to-end warm-restart
@@ -432,7 +349,7 @@ runArenaTrial(const TrialSpec &spec)
         if (!result.violated && spec.index % 3 == 0)
             result = runSweepResumeCheck(spec, sweep_dir);
     } catch (const std::exception &e) {
-        result = arenaDivergence("arena_exception", e.what());
+        result = journalDivergence("arena_exception", e.what());
     }
 
     fs::remove_all(dry_dir, ec);

@@ -1,24 +1,24 @@
 /**
  * @file
- * The arena-recovery fuzzer invariant (TrialMode::arena_recovery).
+ * The journal-recovery fuzzer invariant (TrialMode::arena_recovery).
  *
  * Two layers, both pure in the TrialSpec:
  *
- *  1. Crash-point sweep over the arena's log: a deterministic op script
- *     (puts/erases/allocs/grows/frees/data writes/commits drawn from
- *     spec.program_seed) is dry-run in a scratch arena to measure its
- *     total log length; a fault byte is then sampled and the same
- *     script re-run with Options::fail_after_log_bytes at that byte.
- *     Reopening the faulted arena must recover exactly the crash-free
- *     oracle's state at the last successful commit: epoch, the
- *     key/value index, the block index, and block contents under NVM
- *     semantics (data writes into a still-live extent persist even when
- *     the index mutations around them roll back).
+ *  1. Crash-point sweep over the sweep journal's log: a deterministic
+ *     script (bind 1–8 jobs, then record synthetic results — failed
+ *     ones, repeats and indices past the campaign among them — drawn
+ *     from spec.program_seed) is dry-run in a scratch journal to
+ *     measure its total log length; a fault byte is then sampled and
+ *     the same script re-run with Options::fail_after_log_bytes at that
+ *     byte. A record is durable exactly when its append returned true,
+ *     so reopening the faulted journal must recover exactly what those
+ *     calls left: the binding, the completed job set, each job's result
+ *     bytes, and a log truncated back to its durable prefix.
  *
  *  2. Warm-restart byte-identity (every third trial): a mini 2-job
  *     sweep is run uninterrupted (golden), then replayed as a partially
  *     journaled campaign — one job recorded through a SweepJournal, the
- *     arena closed and recovered, the campaign resumed — and the
+ *     journal closed and recovered, the campaign resumed — and the
  *     resumed run's per-job serialized results and merged metrics JSON
  *     must equal the golden run byte-for-byte.
  */

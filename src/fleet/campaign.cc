@@ -343,7 +343,7 @@ std::string
 campaignFingerprintExtra(const CampaignSpec &spec, bool collect_metrics)
 {
     // Byte-identical to the string `nvpsim sweep --arena` has derived
-    // from its flags since arenas were introduced — changing it would
+    // from its flags since journals were introduced — changing it would
     // orphan every existing journal.
     return util::format(
         "mode=%s bits=%d minbits=%d policy=%s baseline=%d "

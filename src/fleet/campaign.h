@@ -114,7 +114,8 @@ runner::SweepSpec buildSweepSpec(const CampaignSpec &spec,
  * shared by `nvpsim sweep --arena` and the fleet's shard journals, so
  * both agree on campaign identity. Every knob that shapes a job must
  * feed it (tests/test_fleet.cc loops over the knob table); its format
- * is stored in every arena journal and must not change.
+ * must not change, because every journal stores the fingerprint it
+ * feeds.
  */
 std::string campaignFingerprintExtra(const CampaignSpec &spec,
                                      bool collect_metrics);

@@ -11,8 +11,8 @@
  * crashes (socket EOF — SIGKILL closes it instantly) or goes silent
  * past the heartbeat timeout has its in-flight shard re-queued, with a
  * bounded per-shard retry budget, and a fresh worker respawned. A
- * reassigned shard warm-restarts from its per-shard arena journal, so
- * crashes cost only the jobs that had not yet committed.
+ * reassigned shard warm-restarts from its per-shard sweep journal, so
+ * crashes cost only the jobs that had not yet been journaled.
  *
  * Determinism argument (DESIGN.md §15): job identity (specs + seed
  * tree) is fixed at expansion time; shard boundaries and delivery

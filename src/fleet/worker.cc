@@ -7,7 +7,6 @@
 
 #include <unistd.h>
 
-#include "arena/arena.h"
 #include "fleet/campaign.h"
 #include "fleet/protocol.h"
 #include "fleet/socket.h"
@@ -46,9 +45,9 @@ runShard(const runner::SweepSpec &spec, const std::string &fingerprint,
 {
     const std::string arena_dir =
         options.fleet_dir + "/shard-" + std::to_string(shard.id);
-    std::unique_ptr<arena::Arena> store;
+    std::unique_ptr<runner::SweepJournal> journal;
     try {
-        store = arena::Arena::open(arena_dir);
+        journal = runner::SweepJournal::open(arena_dir);
     } catch (const std::exception &e) {
         const std::string msg = util::format(
             "cannot open shard arena '%s': %s", arena_dir.c_str(),
@@ -56,21 +55,20 @@ runShard(const runner::SweepSpec &spec, const std::string &fingerprint,
         writeAll(fd, encodeError(msg).data(), encodeError(msg).size());
         util::fatal("%s", msg.c_str());
     }
-    runner::SweepJournal journal(store.get());
-    if (journal.bound()) {
-        if (journal.boundFingerprint() != fingerprint)
+    if (journal->bound()) {
+        if (journal->boundFingerprint() != fingerprint)
             util::fatal("shard arena '%s' belongs to a different "
                         "campaign (fingerprint %s, this campaign is "
                         "%s)",
                         arena_dir.c_str(),
-                        journal.boundFingerprint().c_str(),
+                        journal->boundFingerprint().c_str(),
                         fingerprint.c_str());
     } else {
-        journal.bind(fingerprint, num_jobs);
+        journal->bind(fingerprint, num_jobs);
     }
 
     runner::SweepRunner runner(spec);
-    runner.setJournal(&journal);
+    runner.setJournal(journal.get());
     runner.setJobRange(shard.begin, shard.end);
 
     // Stream every delivery (fresh or journal-replayed) immediately:

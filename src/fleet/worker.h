@@ -6,9 +6,9 @@
  * campaign fingerprint it derived independently from the campaign
  * file, then executes SHARD assignments until told to EXIT. Each shard
  * runs through a SweepRunner restricted to the shard's job range, with
- * a per-shard arena journal (<fleet-dir>/shard-<id>) bound to the
+ * a per-shard sweep journal (<fleet-dir>/shard-<id>) bound to the
  * campaign fingerprint: a shard reassigned after a crash warm-restarts
- * from whatever the dead incarnation committed instead of recomputing.
+ * from whatever the dead incarnation journaled instead of recomputing.
  * Finished jobs stream back as RESULT frames the moment they are
  * journaled (the delivery hook), so a mid-shard crash loses nothing
  * the coordinator already folded, and every frame doubles as a

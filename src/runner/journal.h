@@ -1,30 +1,34 @@
 /**
  * @file
- * Sweep-campaign journal: persistent warm-restart state for SweepRunner,
- * stored in a persistence arena (src/arena).
+ * Sweep-campaign journal: persistent warm-restart state for SweepRunner
+ * (DESIGN.md §12).
  *
- * A journal binds one campaign to one arena directory via a fingerprint
- * of the fully expanded sweep (kernels, trace contents, variants, seed
- * tree, plus a caller-supplied extra string covering CLI flags). Each
- * successfully completed job is recorded as its bit-exact serialized
- * SimResult plus its metrics JSON, and a completed-job bitmap tracks
- * progress; every record is sealed with an arena commit, so a SIGKILL
- * at any instant loses at most the jobs that had not yet committed.
+ * A journal directory holds one file, arena.log, an append-only record
+ * log: a 32-byte file header (magic "RINALOG1", format version, CRC32),
+ * one bind record (the job count and a fingerprint of the fully
+ * expanded sweep: kernels, trace contents, variants, seed tree, plus a
+ * caller-supplied extra string covering CLI flags), then one job record
+ * per completed job (its bit-exact serialized SimResult plus its
+ * metrics JSON). Every record is CRC32-guarded and fsynced before
+ * bind()/record() returns true, so a SIGKILL at any instant loses at
+ * most the job whose record had not yet returned.
+ *
+ * open() on an existing journal replays the log front to back and stops
+ * at the first record that fails its checks (magic, header CRC, length
+ * within the file, payload CRC, or order: one bind first, then job
+ * records each below the job count and seen once). Everything from that
+ * record on is a torn tail and is truncated away, so the next append
+ * lands right after the durable prefix.
  *
  * On resume, SweepRunner delivers journaled results for completed jobs
  * without re-running them. Because serializeResult() round-trips
  * doubles bit-exactly and merged metrics are folded in job-index order,
  * a killed-and-resumed campaign produces merged metrics and reports
- * byte-identical to an uninterrupted run (the check/ fuzzer's seventh
- * invariant pins this).
+ * byte-identical to an uninterrupted run.
  *
- * Thread safe: every member that touches campaign state — record()
- * and the read-side API (completed(), load(), completedCount()) —
- * takes an internal mutex, and all arena access goes through it, so
- * the single-threaded Arena is never entered concurrently through
- * this class. SweepRunner additionally finishes all read-side calls
- * before submitting any job, so in practice readers and writers never
- * even contend.
+ * Thread safe: every member takes an internal mutex. SweepRunner
+ * additionally finishes all read-side calls before submitting any job,
+ * so in practice readers and writers never even contend.
  */
 
 #ifndef INC_RUNNER_JOURNAL_H
@@ -32,22 +36,58 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "arena/arena.h"
 #include "runner/sweep.h"
 
 namespace inc::runner
 {
 
+/** Session statistics (`sweep --arena` prints them to stderr). */
+struct JournalStats
+{
+    std::uint64_t appended_records = 0; ///< records appended this session
+    std::uint64_t appended_bytes = 0;   ///< log bytes appended this session
+    std::uint64_t replayed_records = 0; ///< records replayed at open
+    std::uint64_t discarded_tail_bytes = 0; ///< torn tail truncated at open
+    double recovery_ms = 0.0; ///< wall time of the open-replay pass
+    bool recovered = false;   ///< opened an existing journal
+};
+
 class SweepJournal
 {
   public:
-    /** Attach to @p arena (not owned) and load any committed campaign
-     *  state already present. */
-    explicit SweepJournal(arena::Arena *arena);
+    struct Options
+    {
+        /**
+         * Fault injection: stop persisting log bytes after this many
+         * have been appended this session (0 = off). The record that
+         * crosses the limit is written only up to it — a torn tail —
+         * and every later append is dropped.
+         */
+        std::uint64_t fail_after_log_bytes = 0;
+    };
+
+    /**
+     * Create @p dir as a fresh journal, or recover the one already
+     * there. Throws std::runtime_error on I/O errors, a corrupt file
+     * header, a log of another format version, or a torn tail that
+     * cannot be truncated.
+     */
+    static std::unique_ptr<SweepJournal> open(const std::string &dir,
+                                              const Options &options);
+    static std::unique_ptr<SweepJournal> open(const std::string &dir)
+    {
+        return open(dir, Options{});
+    }
+
+    ~SweepJournal();
+    SweepJournal(const SweepJournal &) = delete;
+    SweepJournal &operator=(const SweepJournal &) = delete;
 
     /**
      * Identity of a fully expanded campaign: CRC chained over kernel
@@ -60,15 +100,18 @@ class SweepJournal
                                    const std::vector<JobSpec> &jobs,
                                    const std::string &extra);
 
-    /** True once a campaign has been bound (fresh arenas are unbound). */
-    bool bound() const { return jobs_total_ > 0; }
-    const std::string &boundFingerprint() const { return fingerprint_; }
-    std::size_t jobsTotal() const { return jobs_total_; }
+    /** True once a campaign has been bound (fresh journals are not). */
+    bool bound() const;
+    std::string boundFingerprint() const;
+    std::size_t jobsTotal() const;
     std::size_t completedCount() const;
 
-    /** Bind a fresh arena to a campaign (fingerprint + empty bitmap),
-     *  sealing with a commit. */
-    void bind(const std::string &fingerprint, std::size_t num_jobs);
+    /**
+     * Bind a fresh journal to a campaign of @p num_jobs jobs. Returns
+     * whether the bind record persisted; false, with nothing appended,
+     * when the journal is already bound or @p num_jobs is 0.
+     */
+    bool bind(const std::string &fingerprint, std::size_t num_jobs);
 
     bool completed(std::size_t index) const;
 
@@ -82,21 +125,38 @@ class SweepJournal
               std::string *error = nullptr) const;
 
     /**
-     * Persist one successful job and mark it complete, sealing with a
-     * commit. Failed jobs are not recorded — they re-run on resume.
-     * Returns false when the arena's injected fault has tripped.
+     * Persist one successful job. Returns whether its record persisted:
+     * false, with nothing appended, for a failed job (it re-runs on
+     * resume), one outside the bound campaign or one already recorded,
+     * and false once the log is dead.
      */
     bool record(const JobResult &result);
 
-  private:
-    /** completed() without taking mutex_ (callers hold it). */
-    bool completedLocked(std::size_t index) const;
+    /** True once the log is dead — the injected fault tripped, or a
+     *  real fsync failure made durability unknowable — and nothing
+     *  appended since persists. */
+    bool failed() const;
 
-    arena::Arena *arena_;
+    JournalStats stats() const;
+
+  private:
+    SweepJournal() = default;
+
+    void create(const std::string &path);
+    void recover(const std::string &path);
+    bool append(std::uint16_t type, std::uint64_t value,
+                const std::string &payload);
+
     mutable std::mutex mutex_;
+    int fd_ = -1;
+    std::uint64_t end_ = 0; ///< append position in arena.log
+    std::uint64_t fail_after_ = 0; ///< 0 = fault injection off
+    bool failed_ = false;
+    JournalStats stats_;
+
     std::string fingerprint_;
     std::size_t jobs_total_ = 0;
-    std::string done_; ///< bitmap, (jobs_total_+7)/8 bytes
+    std::map<std::size_t, std::string> jobs_; ///< index -> record payload
 };
 
 } // namespace inc::runner

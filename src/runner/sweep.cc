@@ -248,12 +248,11 @@ SweepRunner::run()
     progress_total_ = range_end - range_begin;
 
     // Warm restart: deliver journaled jobs without re-running. All
-    // journal reads (and the underlying single-threaded Arena reads)
-    // happen here, before any job is submitted — once workers start
-    // they call journal_->record(), and interleaving the read side
-    // with that would race. The journaled result text round-trips
-    // bit-exactly, so the resumed campaign's aggregates are
-    // byte-identical to an uninterrupted run's.
+    // journal reads happen here, before any job is submitted, so the
+    // workers' journal_->record() calls never contend with them. The
+    // journaled result text round-trips bit-exactly, so the resumed
+    // campaign's aggregates are byte-identical to an uninterrupted
+    // run's.
     std::vector<const JobSpec *> pending;
     pending.reserve(range_end - range_begin);
     for (std::size_t i = range_begin; i < range_end; ++i) {

@@ -1,7 +1,8 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the checksum guarding
- * the persistence arena's log records and commit markers (src/arena).
+ * the sweep journal's file header and records, and the hash behind its
+ * campaign fingerprint (src/runner/journal).
  */
 
 #ifndef INC_UTIL_CRC32_H

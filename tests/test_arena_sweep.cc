@@ -1,8 +1,8 @@
 /**
  * @file
- * End-to-end warm-restart tests for the persistence arena (src/arena):
- * a real fork()ed child journals one sweep job into an arena and is
- * SIGKILLed mid-campaign; the parent recovers the arena, resumes the
+ * End-to-end warm-restart tests for the sweep journal (src/runner/
+ * journal): a real fork()ed child journals one sweep job and is
+ * SIGKILLed mid-campaign; the parent recovers the journal, resumes the
  * campaign, and the per-job results and merged metrics must equal an
  * uninterrupted golden run byte-for-byte (the kill-and-resume
  * contract, without going through the nvpsim CLI).
@@ -17,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "arena/arena.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
 #include "sim/result_io.h"
@@ -25,7 +24,6 @@
 #include "trace/trace_generator.h"
 
 using namespace inc;
-using arena::Arena;
 
 namespace fs = std::filesystem;
 
@@ -87,11 +85,10 @@ TEST(ArenaSweep, ForkKillResumeIsByteIdentical)
         // Child: journal the campaign and die the instant the first
         // job has been recorded — a real SIGKILL, no cleanup, no
         // stdio flush, exactly like a power cut to the process.
-        auto a = Arena::open(dir);
-        runner::SweepJournal journal(a.get());
-        journal.bind(fp, jobs.size());
+        auto journal = runner::SweepJournal::open(dir);
+        journal->bind(fp, jobs.size());
         runner::SweepRunner sweep(sw);
-        sweep.setJournal(&journal);
+        sweep.setJournal(journal.get());
         sweep.setRecordHook(
             [](std::size_t) { std::raise(SIGKILL); });
         sweep.run();
@@ -105,16 +102,15 @@ TEST(ArenaSweep, ForkKillResumeIsByteIdentical)
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
     // Parent: recover and resume.
-    auto a = Arena::open(dir);
-    EXPECT_TRUE(a->stats().recovered);
-    runner::SweepJournal journal(a.get());
-    ASSERT_TRUE(journal.bound());
-    EXPECT_EQ(journal.boundFingerprint(), fp);
-    ASSERT_EQ(journal.jobsTotal(), jobs.size());
-    EXPECT_EQ(journal.completedCount(), 1u);
+    auto journal = runner::SweepJournal::open(dir);
+    EXPECT_TRUE(journal->stats().recovered);
+    ASSERT_TRUE(journal->bound());
+    EXPECT_EQ(journal->boundFingerprint(), fp);
+    ASSERT_EQ(journal->jobsTotal(), jobs.size());
+    EXPECT_EQ(journal->completedCount(), 1u);
 
     runner::SweepRunner resumed_runner(sw);
-    resumed_runner.setJournal(&journal);
+    resumed_runner.setJournal(journal.get());
     const runner::SweepReport resumed = resumed_runner.run();
     ASSERT_TRUE(resumed.allOk());
     ASSERT_EQ(resumed.results.size(), golden.results.size());
@@ -124,7 +120,7 @@ TEST(ArenaSweep, ForkKillResumeIsByteIdentical)
             << "job " << i;
     }
     EXPECT_EQ(resumed.mergedMetrics().toJson(), golden_merged);
-    EXPECT_EQ(journal.completedCount(), jobs.size());
+    EXPECT_EQ(journal->completedCount(), jobs.size());
 
     fs::remove_all(dir);
 }
@@ -139,22 +135,20 @@ TEST(ArenaSweep, ResumeAfterFullCampaignRunsNothingAndMatches)
 
     std::string first_merged;
     {
-        auto a = Arena::open(dir);
-        runner::SweepJournal journal(a.get());
-        journal.bind(fp, jobs.size());
+        auto journal = runner::SweepJournal::open(dir);
+        journal->bind(fp, jobs.size());
         runner::SweepRunner sweep(sw);
-        sweep.setJournal(&journal);
+        sweep.setJournal(journal.get());
         const runner::SweepReport r = sweep.run();
         ASSERT_TRUE(r.allOk());
         first_merged = r.mergedMetrics().toJson();
-        EXPECT_EQ(journal.completedCount(), jobs.size());
+        EXPECT_EQ(journal->completedCount(), jobs.size());
     }
 
     // Every job is journaled: the "resume" is a pure replay from disk.
-    auto a = Arena::open(dir);
-    runner::SweepJournal journal(a.get());
-    ASSERT_TRUE(journal.bound());
-    EXPECT_EQ(journal.completedCount(), jobs.size());
+    auto journal = runner::SweepJournal::open(dir);
+    ASSERT_TRUE(journal->bound());
+    EXPECT_EQ(journal->completedCount(), jobs.size());
     int fresh_runs = 0;
     runner::SweepRunner sweep(
         sw, [&fresh_runs](const runner::JobSpec &job,
@@ -163,7 +157,7 @@ TEST(ArenaSweep, ResumeAfterFullCampaignRunsNothingAndMatches)
             ++fresh_runs;
             return runner::SweepRunner::simJob(job, trace, rng);
         });
-    sweep.setJournal(&journal);
+    sweep.setJournal(journal.get());
     const runner::SweepReport r = sweep.run();
     ASSERT_TRUE(r.allOk());
     EXPECT_EQ(fresh_runs, 0);

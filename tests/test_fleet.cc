@@ -23,7 +23,8 @@
  * artifacts byte-identical; warm re-serves of a journaled campaign
  * exit 0 with unchanged bytes and no worker printing "fatal:"; a
  * `sweep --arena` SIGKILLed by --kill-after and resumed writes the
- * uninterrupted sweep's bytes; and the CLI hard-error surface — a
+ * uninterrupted sweep's bytes, while a journal in an older format is
+ * refused untouched; and the CLI hard-error surface — a
  * fingerprint-mismatched fleet dir, a bogus worker count, a
  * non-positive --heartbeat-timeout, dead socket paths, and every
  * subcommand's strict flag parsing (unknown, repeated and value-less
@@ -31,8 +32,8 @@
  * fatal message before any work starts.
  *
  * Campaign identity: the journal fingerprint of two campaigns is
- * pinned to the value arenas have stored since before the knob table,
- * and every knob in the table must move it.
+ * pinned to the value it has had since before the knob table, and every
+ * knob in the table must move it.
  */
 
 #include <gtest/gtest.h>
@@ -40,6 +41,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -59,6 +61,7 @@
 #include "runner/shard.h"
 #include "runner/sweep.h"
 #include "sim/result_io.h"
+#include "util/crc32.h"
 
 using namespace inc;
 
@@ -188,8 +191,9 @@ campaignFingerprint(const fleet::CampaignSpec &campaign, bool metrics)
 
 TEST(Campaign, FingerprintsMatchJournalsWrittenBeforeTheKnobTable)
 {
-    // Computed by the per-flag parser the knob table replaced: arenas
-    // journaled by it must still resume.
+    // Computed by the per-flag parser the knob table replaced. Every
+    // journal stores its campaign's fingerprint, so a change here
+    // would orphan journals on disk.
     const fleet::CampaignSpec defaults;
     EXPECT_EQ(campaignFingerprint(defaults, false), "ad3c37ce");
     EXPECT_EQ(campaignFingerprint(defaults, true), "da3b0758");
@@ -1170,6 +1174,11 @@ TEST(FleetCli, BadNumbersAndUnknownNamesDieNamingTheInput)
                 {"unknown --profiles '2x'"});
     expectFatal(nvpsim + " sweep --kernels sobel --kill-after 1",
                 {"nvpsim sweep: --kill-after requires --arena"});
+    // With no journal there is nothing to resume: this once re-ran the
+    // whole campaign and exited 0.
+    expectFatal(nvpsim + " sweep --kernels sobel --profiles 2"
+                         " --seconds 0.05 --jobs 1 --resume",
+                {"nvpsim sweep: --resume requires --arena"});
     // Only `sweep` journals into an arena: every `run` starts from a
     // fresh memory, so `run --arena` is an unknown flag, not a store.
     expectFatal(nvpsim + " run --kernel sobel --seconds 0.1 --arena " +
@@ -1301,6 +1310,24 @@ TEST(FleetCli, SweepArenaKillAndResumeMatchesAnUninterruptedSweep)
     EXPECT_NE(log.find("fatal: arena 'arena' holds a different campaign"),
               std::string::npos)
         << log;
+
+    // A journal in the older format (a version-1 header with a valid
+    // CRC) is refused by name and left as it was.
+    std::string header(32, '\0');
+    const std::uint64_t magic = 0x31474f4c414e4952ULL; // "RINALOG1"
+    const std::uint32_t version = 1;
+    std::memcpy(header.data(), &magic, sizeof magic);
+    std::memcpy(header.data() + 8, &version, sizeof version);
+    const std::uint32_t crc = util::crc32(header.data(), 28);
+    std::memcpy(header.data() + 28, &crc, sizeof crc);
+    fs::create_directories(base + "/old");
+    std::ofstream(base + "/old/arena.log", std::ios::binary) << header;
+    log.clear();
+    EXPECT_NE(runCommand(sweep + " --seed 77 --arena old --resume", &log),
+              0);
+    EXPECT_NE(log.find("cannot open arena"), std::string::npos) << log;
+    EXPECT_NE(log.find("format version 1"), std::string::npos) << log;
+    EXPECT_EQ(readFile(base + "/old/arena.log"), header);
     fs::remove_all(base);
 }
 

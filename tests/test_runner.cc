@@ -1,8 +1,8 @@
 /**
  * Tests for the src/runner experiment-orchestration subsystem: thread
  * pool lifecycle, sweep expansion/seeding, parallel-vs-serial
- * determinism, deterministic aggregation order, and failure capture
- * with bounded retry.
+ * determinism, deterministic aggregation order, failure capture
+ * with bounded retry, and a journal recorded from parallel workers.
  */
 
 #include <atomic>
@@ -15,8 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include "runner/journal.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
+#include "sim/result_io.h"
 #include "trace/trace_generator.h"
 #include "util/fs.h"
 
@@ -258,6 +262,44 @@ TEST(SweepRunner, ParallelBitIdenticalToSerial)
         expectSameResult(serial_report.results[i].result,
                          parallel_report.results[i].result);
     }
+}
+
+TEST(SweepRunner, ParallelJournaledSweepResumesBitIdentical)
+{
+    // Four workers record into one journal at once; the reopened
+    // journal must hold every job, and a resume must reproduce the
+    // serial run's results from it.
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::temp_directory_path() /
+         ("inc_runner_journal_" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
+    const runner::SweepSpec spec = tinySpec(4);
+    const auto jobs = runner::expandSweep(spec);
+    const std::string fp =
+        runner::SweepJournal::fingerprint(spec, jobs, "test");
+    {
+        auto journal = runner::SweepJournal::open(dir);
+        ASSERT_TRUE(journal->bind(fp, jobs.size()));
+        runner::SweepRunner parallel(spec);
+        parallel.setJournal(journal.get());
+        ASSERT_TRUE(parallel.run().allOk());
+    }
+
+    auto journal = runner::SweepJournal::open(dir);
+    ASSERT_EQ(journal->completedCount(), jobs.size());
+    runner::SweepRunner resumed(spec);
+    resumed.setJournal(journal.get());
+    const auto resumed_report = resumed.run();
+    const auto serial_report = runner::SweepRunner(tinySpec(1)).run();
+    ASSERT_TRUE(resumed_report.allOk());
+    ASSERT_EQ(resumed_report.results.size(), serial_report.results.size());
+    for (std::size_t i = 0; i < serial_report.results.size(); ++i)
+        EXPECT_EQ(sim::serializeResult(resumed_report.results[i].result),
+                  sim::serializeResult(serial_report.results[i].result))
+            << "job " << i;
+    fs::remove_all(dir);
 }
 
 TEST(SweepRunner, AggregationOrderIsJobIndexOrder)

@@ -28,7 +28,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "arena/arena.h"
 #include "isa/isa.h"
 #include "kernels/kernel.h"
 #include "obs/observer.h"
@@ -41,7 +40,6 @@
 #include "trace/trace_generator.h"
 
 using namespace inc;
-using arena::Arena;
 
 namespace fs = std::filesystem;
 
@@ -221,11 +219,10 @@ TEST(StrategyCrash, ForkKillResumeOfStrategySweepIsByteIdentical)
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-        auto a = Arena::open(dir);
-        runner::SweepJournal journal(a.get());
-        journal.bind(fp, jobs.size());
+        auto journal = runner::SweepJournal::open(dir);
+        journal->bind(fp, jobs.size());
         runner::SweepRunner sweep(sw);
-        sweep.setJournal(&journal);
+        sweep.setJournal(journal.get());
         sweep.setRecordHook([](std::size_t) { std::raise(SIGKILL); });
         sweep.run();
         ::_exit(2); // not reached: the hook killed us
@@ -236,14 +233,13 @@ TEST(StrategyCrash, ForkKillResumeOfStrategySweepIsByteIdentical)
     ASSERT_TRUE(WIFSIGNALED(status));
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
-    auto a = Arena::open(dir);
-    EXPECT_TRUE(a->stats().recovered);
-    runner::SweepJournal journal(a.get());
-    ASSERT_TRUE(journal.bound());
-    EXPECT_EQ(journal.completedCount(), 1u);
+    auto journal = runner::SweepJournal::open(dir);
+    EXPECT_TRUE(journal->stats().recovered);
+    ASSERT_TRUE(journal->bound());
+    EXPECT_EQ(journal->completedCount(), 1u);
 
     runner::SweepRunner resumed_runner(sw);
-    resumed_runner.setJournal(&journal);
+    resumed_runner.setJournal(journal.get());
     const runner::SweepReport resumed = resumed_runner.run();
     ASSERT_TRUE(resumed.allOk());
     ASSERT_EQ(resumed.results.size(), golden.results.size());

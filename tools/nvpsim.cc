@@ -57,17 +57,17 @@
  *       scheduling artifacts — with --report the sweep header also
  *       omits worker/wall-clock info — so the full stdout and the
  *       saved report are byte-identical at any --jobs value.
- *       --arena DIR journals campaign progress into a persistence
- *       arena: each completed job's bit-exact result is committed to
- *       DIR, and a killed campaign restarted with the same flags plus
- *       --resume re-runs only the unfinished jobs — the merged
- *       metrics/report/CSV output is byte-identical to an
- *       uninterrupted run. Resuming requires --resume (a bound arena
+ *       --arena DIR journals campaign progress into the sweep
+ *       journal DIR/arena.log: each completed job's bit-exact result
+ *       is appended and fsynced, and a killed campaign restarted with
+ *       the same flags plus --resume re-runs only the unfinished jobs —
+ *       the merged metrics/report/CSV output is byte-identical to an
+ *       uninterrupted run. Resuming requires --resume (a bound journal
  *       without it is a fatal error, as is a flag/fingerprint
- *       mismatch). Arena session statistics go to stderr so stdout
- *       stays parallelism- and history-independent. --kill-after N is
- *       a testing aid that SIGKILLs the process after N jobs have been
- *       journaled.
+ *       mismatch, and --resume without --arena). Journal session
+ *       statistics go to stderr so stdout stays parallelism- and
+ *       history-independent. --kill-after N is a testing aid that
+ *       SIGKILLs the process after N jobs have been journaled.
  *
  *   nvpsim serve CAMPAIGN.json
  *       Fleet campaign service (src/fleet, DESIGN.md §15): expand the
@@ -79,7 +79,7 @@
  *       sweep` with the same campaign at ANY --workers count — the
  *       shard plan and delivery order only schedule when a job runs,
  *       never what it computes. Workers journal each shard into a
- *       per-shard persistence arena under --fleet-dir (default
+ *       per-shard sweep journal under --fleet-dir (default
  *       CAMPAIGN.json.fleet; 4 shards per worker, 1 thread each): a
  *       worker that crashes (detected by socket EOF) or stalls past
  *       --heartbeat-timeout is SIGKILLed and its shard reassigned (at
@@ -185,7 +185,6 @@
 
 #include <unistd.h>
 
-#include "arena/arena.h"
 #include "check/diff_harness.h"
 #include "core/pragma_parser.h"
 #include "fleet/campaign.h"
@@ -258,19 +257,6 @@ reportViolations(const std::vector<std::string> &violations)
     for (const auto &v : violations)
         std::fprintf(stderr, "metric identity violated: %s\n", v.c_str());
     return violations.empty() ? 0 : 1;
-}
-
-/** Open (or create/recover) a persistence arena; fatal on corruption
- *  the recovery path cannot skip. */
-std::unique_ptr<arena::Arena>
-openArenaOrDie(const std::string &dir)
-{
-    try {
-        return arena::Arena::open(dir);
-    } catch (const std::exception &e) {
-        util::fatal("cannot open arena '%s': %s", dir.c_str(),
-                    e.what());
-    }
 }
 
 /** --trace F.csv, else --profile N synthesized for the campaign's
@@ -513,6 +499,8 @@ cmdSweep(const Flags &flags)
 {
     if (flags.has("kill-after") && !flags.has("arena"))
         flags.fail("--kill-after requires --arena");
+    if (flags.has("resume") && !flags.has("arena"))
+        flags.fail("--resume requires --arena");
     const fleet::CampaignSpec campaign = fleet::campaignFromFlags(flags);
     runner::SweepSpec spec = fleet::buildSweepSpec(
         campaign, flags.has("metrics") || wantsReport(flags));
@@ -536,7 +524,6 @@ cmdSweep(const Flags &flags)
     // trace bytes, seed tree) plus every flag that shapes a job's
     // SimConfig, so a resume with different flags is refused instead
     // of silently mixing results.
-    std::unique_ptr<arena::Arena> store;
     std::unique_ptr<runner::SweepJournal> journal;
     if (flags.has("arena")) {
         const std::string dir = flags.text("arena");
@@ -544,8 +531,12 @@ cmdSweep(const Flags &flags)
         const std::string fp = runner::SweepJournal::fingerprint(
             spec, jobs,
             fleet::campaignFingerprintExtra(campaign, spec.collect_metrics));
-        store = openArenaOrDie(dir);
-        journal = std::make_unique<runner::SweepJournal>(store.get());
+        try {
+            journal = runner::SweepJournal::open(dir);
+        } catch (const std::exception &e) {
+            util::fatal("cannot open arena '%s': %s", dir.c_str(),
+                        e.what());
+        }
         if (journal->bound()) {
             if (!flags.has("resume"))
                 util::fatal(
@@ -585,18 +576,18 @@ cmdSweep(const Flags &flags)
 
     const runner::SweepReport report = sweep.run();
 
-    // Arena session stats go to stderr: stdout must stay byte-
+    // Journal session stats go to stderr: stdout must stay byte-
     // identical between a fresh run and a resumed one.
-    if (store) {
-        const arena::ArenaStats &st = store->stats();
+    if (journal) {
+        const runner::JournalStats st = journal->stats();
         std::fprintf(stderr,
-                     "arena: epoch %" PRIu64 ", %" PRIu64 " records (%" PRIu64
-                     " commits, %" PRIu64 " bytes) appended; replayed %" PRIu64
-                     " records (%" PRIu64 " commits), discarded %" PRIu64
+                     "arena: %" PRIu64 " records (%" PRIu64
+                     " bytes) appended; replayed %" PRIu64
+                     " records, discarded %" PRIu64
                      " torn bytes, recovery %.2f ms\n",
-                     store->epoch(), st.log_records, st.commits,
-                     st.log_bytes, st.replayed_records, st.replayed_commits,
-                     st.discarded_tail_bytes, st.recovery_ms);
+                     st.appended_records, st.appended_bytes,
+                     st.replayed_records, st.discarded_tail_bytes,
+                     st.recovery_ms);
     }
     return emitSweepOutputs(report, flags);
 }
