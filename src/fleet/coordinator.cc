@@ -414,6 +414,15 @@ Coordinator::handleMessage(Connection &conn, const Message &message)
         return;
     }
     if (kind == "ERROR") {
+        // The campaign has failed. Stop every other worker now (a busy
+        // one would run on to its next delivery and then die on the
+        // closed socket), reap them all and leave no socket behind.
+        for (WorkerProc &other : workers_) {
+            if (other.alive && &other != worker)
+                ::kill(static_cast<pid_t>(other.pid), SIGKILL);
+        }
+        closeStatusPlane();
+        shutdownFleet();
         util::fatal("fleet: worker %ld failed: %s", worker->pid,
                     message.payload.c_str());
     }

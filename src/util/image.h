@@ -12,6 +12,7 @@
 #ifndef INC_UTIL_IMAGE_H
 #define INC_UTIL_IMAGE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,20 +76,34 @@ enum class SceneKind
  * Deterministic synthetic-frame source standing in for the paper's image
  * sensor. Consecutive frames are correlated: the underlying scene drifts
  * slowly, as buffered frames from a real sensor would.
+ *
+ * A frame is a pure function of (width, height, kind, seed, frame
+ * index), and the simulator asks for the same frames many times: at
+ * capture, when scoring, in the frame-period calibration and in every
+ * job of a sweep. frame() therefore serves them from one process-wide
+ * memo of at most kFrameMemoBytes pixel bytes (oldest entry evicted
+ * first, guarded by a mutex); a hit returns exactly the bytes a miss
+ * synthesizes.
  */
 class SceneGenerator
 {
   public:
+    /** Pixel bytes the process-wide frame memo holds at most. */
+    static constexpr std::size_t kFrameMemoBytes = 256 * 1024;
+
     SceneGenerator(int width, int height, SceneKind kind,
                    std::uint64_t seed = 1);
 
-    /** Generate frame number @p frame_index (any order; deterministic). */
+    /** Frame number @p frame_index (any order; deterministic). */
     Image frame(int frame_index) const;
 
     int width() const { return width_; }
     int height() const { return height_; }
 
   private:
+    /** Synthesize frame @p frame_index: the memo's miss path. */
+    Image synthesize(int frame_index) const;
+
     int width_;
     int height_;
     SceneKind kind_;

@@ -24,7 +24,8 @@
  * exit 0 with unchanged bytes and no worker printing "fatal:"; a
  * `sweep --arena` SIGKILLed by --kill-after and resumed writes the
  * uninterrupted sweep's bytes, while a journal in an older format is
- * refused untouched; and the CLI hard-error surface — a
+ * refused untouched, and under `serve` stops the whole fleet with no
+ * socket or worker left behind; and the CLI hard-error surface — a
  * fingerprint-mismatched fleet dir, a bogus worker count, a
  * non-positive --heartbeat-timeout, dead socket paths, and every
  * subcommand's strict flag parsing (unknown, repeated and value-less
@@ -44,6 +45,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -743,6 +745,41 @@ launchBackground(const std::string &cmd, const std::string &exit_file)
     ASSERT_EQ(std::system(shell.c_str()), 0) << shell;
 }
 
+/** A sweep-journal log header in the older format: version 1, valid
+ *  CRC. Journals refuse it by name ("format version 1"). */
+std::string
+versionOneLogHeader()
+{
+    std::string header(32, '\0');
+    const std::uint64_t magic = 0x31474f4c414e4952ULL; // "RINALOG1"
+    const std::uint32_t version = 1;
+    std::memcpy(header.data(), &magic, sizeof magic);
+    std::memcpy(header.data() + 8, &version, sizeof version);
+    const std::uint32_t crc = util::crc32(header.data(), 28);
+    std::memcpy(header.data() + 28, &crc, sizeof crc);
+    return header;
+}
+
+/** Live processes whose command line contains @p needle. */
+std::vector<std::string>
+processesMentioning(const std::string &needle)
+{
+    std::vector<std::string> found;
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator("/proc", ec)) {
+        const std::string pid = entry.path().filename().string();
+        if (pid.find_first_not_of("0123456789") != std::string::npos)
+            continue;
+        std::ifstream f(entry.path() / "cmdline", std::ios::binary);
+        std::string cmdline((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+        std::replace(cmdline.begin(), cmdline.end(), '\0', ' ');
+        if (cmdline.find(needle) != std::string::npos)
+            found.push_back(pid + ": " + cmdline);
+    }
+    return found;
+}
+
 bool
 waitForPath(const std::string &path, double seconds)
 {
@@ -1313,13 +1350,7 @@ TEST(FleetCli, SweepArenaKillAndResumeMatchesAnUninterruptedSweep)
 
     // A journal in the older format (a version-1 header with a valid
     // CRC) is refused by name and left as it was.
-    std::string header(32, '\0');
-    const std::uint64_t magic = 0x31474f4c414e4952ULL; // "RINALOG1"
-    const std::uint32_t version = 1;
-    std::memcpy(header.data(), &magic, sizeof magic);
-    std::memcpy(header.data() + 8, &version, sizeof version);
-    const std::uint32_t crc = util::crc32(header.data(), 28);
-    std::memcpy(header.data() + 28, &crc, sizeof crc);
+    const std::string header = versionOneLogHeader();
     fs::create_directories(base + "/old");
     std::ofstream(base + "/old/arena.log", std::ios::binary) << header;
     log.clear();
@@ -1328,6 +1359,37 @@ TEST(FleetCli, SweepArenaKillAndResumeMatchesAnUninterruptedSweep)
     EXPECT_NE(log.find("cannot open arena"), std::string::npos) << log;
     EXPECT_NE(log.find("format version 1"), std::string::npos) << log;
     EXPECT_EQ(readFile(base + "/old/arena.log"), header);
+    fs::remove_all(base);
+}
+
+TEST(FleetCli, FailedWorkerStopsTheFleetAndLeavesNoSocket)
+{
+    // A worker that cannot open its shard journal reports ERROR. The
+    // coordinator must then stop the other worker, remove its socket
+    // and exit non-zero naming the cause; it once exited at once,
+    // leaving fleet.sock behind and the other worker to die on it.
+    const std::string base = freshDir("worker-error");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
+    const std::string header = versionOneLogHeader();
+    fs::create_directories(base + "/fd/shard-0");
+    std::ofstream(base + "/fd/shard-0/arena.log", std::ios::binary)
+        << header;
+    std::string log;
+    EXPECT_NE(runCommand("cd " + base + " && " +
+                             std::string(INC_NVPSIM_PATH) + " serve " +
+                             campaign + " --workers 2 --fleet-dir fd",
+                         &log),
+              0)
+        << log;
+    EXPECT_NE(log.find("fleet: worker"), std::string::npos) << log;
+    EXPECT_NE(log.find("format version 1"), std::string::npos) << log;
+    EXPECT_EQ(log.find("cannot connect"), std::string::npos) << log;
+    EXPECT_EQ(log.find("connection lost"), std::string::npos) << log;
+    EXPECT_FALSE(fs::exists(base + "/fd/fleet.sock"));
+    const std::vector<std::string> left = processesMentioning(base);
+    EXPECT_TRUE(left.empty()) << left.front();
+    EXPECT_EQ(readFile(base + "/fd/shard-0/arena.log"), header);
     fs::remove_all(base);
 }
 

@@ -2,7 +2,8 @@
  * Tests for the src/runner experiment-orchestration subsystem: thread
  * pool lifecycle, sweep expansion/seeding, parallel-vs-serial
  * determinism, deterministic aggregation order, failure capture
- * with bounded retry, and a journal recorded from parallel workers.
+ * with bounded retry, a journal recorded from parallel workers, and
+ * the frame memo shared by concurrent jobs.
  */
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "sim/result_io.h"
 #include "trace/trace_generator.h"
 #include "util/fs.h"
+#include "util/image.h"
 
 using namespace inc;
 
@@ -323,6 +326,63 @@ TEST(SweepRunner, AggregationOrderIsJobIndexOrder)
         EXPECT_TRUE(report.results[i].ok);
         EXPECT_EQ(report.results[i].attempts, 1);
     }
+}
+
+// ---------------------------------------------------------------------
+// The frame memo the jobs of a sweep share
+
+/**
+ * Threads asking for overlapping frames in different orders, over more
+ * keys than the memo holds, so hits, racing misses and evictions
+ * interleave. Each must get the bytes a serial caller got. Under the
+ * INCIDENTAL_TSAN CI job this is the memo's lock-discipline proof.
+ */
+TEST(FrameMemo, ConcurrentCallersGetTheSerialBytes)
+{
+    struct Key
+    {
+        util::SceneKind kind;
+        std::uint64_t seed;
+        int frame;
+    };
+    std::vector<Key> keys;
+    for (util::SceneKind kind :
+         {util::SceneKind::scene, util::SceneKind::texture})
+        for (std::uint64_t seed : {11u, 12u})
+            for (int frame = 0; frame < 24; ++frame)
+                keys.push_back({kind, seed, frame});
+    constexpr int kSide = 64;
+    ASSERT_GT(keys.size() * kSide * kSide,
+              util::SceneGenerator::kFrameMemoBytes);
+    const auto frameOf = [](const Key &k) {
+        return util::SceneGenerator(kSide, kSide, k.kind, k.seed)
+            .frame(k.frame);
+    };
+    std::vector<util::Image> serial;
+    for (const Key &k : keys)
+        serial.push_back(frameOf(k));
+
+    constexpr int kThreads = 4;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const std::size_t n = keys.size();
+            for (int pass = 0; pass < 2; ++pass) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    // Each thread starts elsewhere; odd ones walk back.
+                    const std::size_t step = (j + 13 * t) % n;
+                    const std::size_t i = t % 2 ? n - 1 - step : step;
+                    if (!(frameOf(keys[i]) == serial[i]))
+                        ++mismatches[t];
+                }
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,10 @@
 /** Unit tests for util: bit ops, stats, tables, CSV, images. */
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/bit_ops.h"
@@ -199,6 +204,61 @@ TEST(SceneGenerator, DeterministicAndCorrelated)
     const u::Image next = gen.frame(4);
     const u::Image far = gen.frame(60);
     EXPECT_LT(diff(a, next), diff(a, far) + 1e-9);
+}
+
+TEST(SceneGenerator, MemoServesTheSameBytesOnMissHitAndAfterEviction)
+{
+    // Keys no other test asks for, so the first pass misses. Sizes are
+    // not square, so a key that swapped width and height would collide.
+    struct Key
+    {
+        int width;
+        int height;
+        u::SceneKind kind;
+        std::uint64_t seed;
+    };
+    std::vector<Key> keys;
+    for (u::SceneKind kind :
+         {u::SceneKind::gradient, u::SceneKind::checker,
+          u::SceneKind::blobs, u::SceneKind::texture,
+          u::SceneKind::scene}) {
+        for (const auto &[w, h] : {std::pair{40, 24}, std::pair{24, 40}})
+            for (std::uint64_t seed : {901u, 902u})
+                keys.push_back({w, h, kind, seed});
+    }
+    const auto frameOf = [](const Key &k) {
+        return u::SceneGenerator(k.width, k.height, k.kind, k.seed)
+            .frame(17);
+    };
+    std::vector<u::Image> miss, hit;
+    for (const Key &k : keys)
+        miss.push_back(frameOf(k));
+    for (const Key &k : keys)
+        hit.push_back(frameOf(k));
+
+    // Push more than the memo holds through it: every key above is
+    // evicted, oldest first, and synthesized again below.
+    const u::SceneGenerator flood(64, 64, u::SceneKind::gradient, 903);
+    const std::size_t flood_frames =
+        u::SceneGenerator::kFrameMemoBytes / (64 * 64) + 1;
+    for (std::size_t i = 0; i < flood_frames; ++i)
+        flood.frame(static_cast<int>(i));
+
+    for (std::size_t i = keys.size(); i-- > 0;) {
+        const Key &k = keys[i];
+        SCOPED_TRACE(std::to_string(k.width) + "x" +
+                     std::to_string(k.height) + " kind " +
+                     std::to_string(static_cast<int>(k.kind)) +
+                     " seed " + std::to_string(k.seed));
+        EXPECT_EQ(miss[i].width(), k.width);
+        EXPECT_EQ(miss[i].height(), k.height);
+        EXPECT_EQ(hit[i], miss[i]);
+        EXPECT_EQ(frameOf(k), miss[i]);
+    }
+
+    // A frame larger than the whole memo is served without it.
+    const u::SceneGenerator big(640, 512, u::SceneKind::gradient, 904);
+    EXPECT_EQ(big.frame(0), big.frame(0));
 }
 
 TEST(SceneGenerator, AllKindsProduceDistinctContent)
