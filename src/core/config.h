@@ -13,6 +13,7 @@
 #ifndef INC_CORE_CONFIG_H
 #define INC_CORE_CONFIG_H
 
+#include <compare>
 #include <cstdint>
 
 #include "nvm/retention_policy.h"
@@ -45,6 +46,8 @@ struct FrameLayout
         return out_base + (frame % static_cast<std::uint32_t>(out_slots)) *
                               out_bytes;
     }
+
+    auto operator<=>(const FrameLayout &) const = default;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "energy/energy_model.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace inc::energy
@@ -49,6 +51,31 @@ EnergyModel::instructionEnergyNj(isa::Op op, int main_bits,
         energy += params_.store_extra_nj * (1.0 - saving);
     }
     return energy;
+}
+
+double
+EnergyModel::maxInstructionEnergyNj(int max_lanes) const
+{
+    if (max_lanes < 1)
+        util::panic("maxInstructionEnergyNj: max_lanes out of range %d",
+                    max_lanes);
+    const nvm::RetentionPolicy policies[] = {
+        nvm::RetentionPolicy::full, nvm::RetentionPolicy::linear,
+        nvm::RetentionPolicy::log, nvm::RetentionPolicy::parabola};
+    double max_nj = 0.0;
+    for (int op = 0; op < static_cast<int>(isa::Op::num_ops); ++op) {
+        for (const int bits : {1, 8}) {
+            for (const int lanes : {1, max_lanes}) {
+                for (const auto policy : policies) {
+                    max_nj = std::max(
+                        max_nj, instructionEnergyNj(
+                                    static_cast<isa::Op>(op), bits,
+                                    (lanes - 1) * 8, policy));
+                }
+            }
+        }
+    }
+    return max_nj;
 }
 
 double

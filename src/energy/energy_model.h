@@ -103,6 +103,20 @@ class EnergyModel
             nvm::RetentionPolicy::full) const;
 
     /**
+     * The largest instructionEnergyNj() over every opcode, main_bits
+     * 1..8, 1..@p max_lanes active lanes of 8 bits each (lane_bits_sum
+     * (lanes - 1) x 8) and every store policy.
+     *
+     * Only the corners bits {1, 8} x lanes {1, max_lanes} are evaluated,
+     * and the result is still exact. For one op and policy the energy
+     * is (base + k * (bits + lane_share * lane_bits_sum) / 8) * cycles
+     * + extra. Every rounded step of that expression is monotone in its
+     * one varying operand, in a direction the sign of a constant fixes,
+     * so the maximum over the box lies at a corner.
+     */
+    double maxInstructionEnergyNj(int max_lanes) const;
+
+    /**
      * Bit-independent fetch/decode/control component of one
      * instruction's energy, nJ — the `base` term of
      * instructionEnergyNj. Lets the observability ledger split

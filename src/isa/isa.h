@@ -26,6 +26,7 @@
 #ifndef INC_ISA_ISA_H
 #define INC_ISA_ISA_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -139,7 +140,7 @@ struct Instruction
     std::uint8_t rs2 = 0;
     std::uint16_t imm = 0;
 
-    bool operator==(const Instruction &other) const = default;
+    auto operator<=>(const Instruction &other) const = default;
 };
 
 /** Mnemonic for @p op ("add", "ld8", ...). */

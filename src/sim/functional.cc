@@ -1,9 +1,45 @@
 #include "sim/functional.h"
 
+#include <compare>
+#include <utility>
+
 #include "util/logging.h"
+#include "util/memo.h"
 
 namespace inc::sim
 {
+
+namespace
+{
+
+/** Everything frameCycles()'s functional run reads. */
+struct FrameCyclesKey
+{
+    std::uint64_t seed;
+    std::vector<isa::Instruction> code;
+    std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
+        init_blocks;
+    core::FrameLayout layout;
+    std::uint32_t scratch_base;
+    std::uint32_t scratch_bytes;
+    std::vector<std::uint8_t> input; ///< frame 0's input bytes
+
+    auto operator<=>(const FrameCyclesKey &) const = default;
+};
+
+using FrameCyclesMemo = util::BoundedMemo<FrameCyclesKey, double>;
+
+FrameCyclesMemo &
+frameCyclesMemo()
+{
+    // Never destroyed: a sweep thread may still build a simulator while
+    // the process exits.
+    static FrameCyclesMemo *const memo =
+        new FrameCyclesMemo(kFrameCyclesMemoEntries);
+    return *memo;
+}
+
+} // namespace
 
 double
 FunctionalResult::meanMse() const
@@ -58,6 +94,8 @@ runFunctional(const kernels::Kernel &kernel,
     core_cfg.approx_alu = config.approx_alu;
     core_cfg.approx_mem = config.approx_mem;
     nvp::Core core(&kernel.program, &mem, core_cfg, rng.split());
+    // Set once: acen toggles only the AC-enable bit, and nothing else in
+    // a functional run writes lane 0's precision.
     core.setMainBits(config.bits);
 
     FunctionalResult result;
@@ -71,7 +109,6 @@ runFunctional(const kernels::Kernel &kernel,
     int current_frame = -1;
     while (result.instructions < config.max_instructions) {
         const nvp::StepResult step = core.step();
-        core.setMainBits(config.bits); // acen may have reset state
         result.instructions += static_cast<std::uint64_t>(
             step.lanes_committed);
         result.cycles += static_cast<std::uint64_t>(step.cycles);
@@ -107,6 +144,30 @@ runFunctional(const kernels::Kernel &kernel,
         result.golden.resize(result.outputs.size());
     }
     return result;
+}
+
+double
+frameCycles(const kernels::Kernel &kernel, std::uint64_t seed)
+{
+    const util::SceneGenerator scene(kernel.width, kernel.height,
+                                     kernel.scene, seed);
+    const FrameCyclesKey key{seed,
+                             kernel.program.code(),
+                             kernel.init_blocks,
+                             kernel.layout,
+                             kernel.scratch_base,
+                             kernel.scratch_bytes,
+                             kernel.make_input(scene, 0)};
+    double cycles = 0.0;
+    if (frameCyclesMemo().find(key, &cycles))
+        return cycles;
+    FunctionalConfig cal;
+    cal.frames = 1;
+    cal.bits = 8;
+    cal.seed = seed;
+    cycles = runFunctional(kernel, cal).cyclesPerFrame();
+    frameCyclesMemo().insert(key, cycles);
+    return cycles;
 }
 
 } // namespace inc::sim

@@ -10,12 +10,13 @@
  *  - the fixed-bitwidth quality experiments (paper Figs. 11-14), where
  *    the ALU and memory approximation models are exercised separately;
  *  - calibration: cycles and instructions per frame feed the sensor
- *    frame-period choice and the wait-compute baseline.
+ *    frame-period choice (frameCycles) and the wait-compute baseline.
  */
 
 #ifndef INC_SIM_FUNCTIONAL_H
 #define INC_SIM_FUNCTIONAL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -60,6 +61,22 @@ struct FunctionalResult
 /** Execute @p kernel functionally under @p config. */
 FunctionalResult runFunctional(const kernels::Kernel &kernel,
                                const FunctionalConfig &config);
+
+/** Entries the process-wide frameCycles() memo holds at most. */
+constexpr std::size_t kFrameCyclesMemoEntries = 16;
+
+/**
+ * Cycles the precise program spends on @p kernel's first frame at
+ * @p seed: runFunctional() at 1 frame, 8 bits and @p seed, then
+ * cyclesPerFrame(). The value is served from a process-wide memo of at
+ * most kFrameCyclesMemoEntries entries (oldest evicted first, guarded
+ * by a mutex), keyed by everything that run reads: the seed, the
+ * program's instructions, the init blocks, the frame layout, the
+ * scratch region and frame 0's input bytes. Never by name: one name
+ * may stand for different programs (the fuzzer's). A hit returns
+ * exactly what a miss computes.
+ */
+double frameCycles(const kernels::Kernel &kernel, std::uint64_t seed);
 
 } // namespace inc::sim
 

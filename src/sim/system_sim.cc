@@ -111,14 +111,10 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
     // ---- sensor -----------------------------------------------------------
     frame_period_ = config_.frame_period_tenth_ms;
     if (frame_period_ <= 0.0) {
-        FunctionalConfig cal;
-        cal.frames = 1;
-        cal.bits = 8;
-        cal.seed = config_.seed;
-        const FunctionalResult r = runFunctional(kernel_, cal);
         // cycles at 1 MHz -> 0.1 ms units: 100 cycles per unit.
         frame_period_ = std::max(
-            10.0, config_.frame_period_factor * r.cyclesPerFrame() /
+            10.0, config_.frame_period_factor *
+                      frameCycles(kernel_, config_.seed) /
                       kCyclesPerSample);
     }
 
@@ -132,24 +128,8 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
     // Above reserve_max + drain_max, no reserve check in the sample can
     // fire, so skipping it is observationally invisible (assem excepted;
     // it re-derives the bound after its unbounded drain).
-    double max_step_nj = 0.0;
-    const nvm::RetentionPolicy policies[] = {
-        nvm::RetentionPolicy::full, nvm::RetentionPolicy::linear,
-        nvm::RetentionPolicy::log, nvm::RetentionPolicy::parabola};
-    for (int op = 0; op < static_cast<int>(isa::Op::num_ops); ++op) {
-        for (int bits = 1; bits <= 8; ++bits) {
-            for (int lanes = 1; lanes <= config_.core.max_lanes;
-                 ++lanes) {
-                for (const auto policy : policies) {
-                    max_step_nj = std::max(
-                        max_step_nj,
-                        energy_model_.instructionEnergyNj(
-                            static_cast<isa::Op>(op), bits,
-                            (lanes - 1) * 8, policy));
-                }
-            }
-        }
-    }
+    const double max_step_nj =
+        energy_model_.maxInstructionEnergyNj(config_.core.max_lanes);
     double reserve_max_nj = 0.0;
     for (int lanes = 1; lanes <= config_.core.max_lanes; ++lanes) {
         reserve_max_nj = std::max(

@@ -4,12 +4,10 @@
 #include <cmath>
 #include <compare>
 #include <cstdio>
-#include <deque>
-#include <map>
-#include <mutex>
 
 #include "util/bit_ops.h"
 #include "util/logging.h"
+#include "util/memo.h"
 
 namespace inc::util
 {
@@ -117,56 +115,15 @@ struct FrameKey
     auto operator<=>(const FrameKey &) const = default;
 };
 
-/**
- * The process-wide frame memo: at most SceneGenerator::kFrameMemoBytes
- * pixel bytes, oldest insertion evicted first. Frames are synthesized
- * outside the lock; when two threads miss on one key, both synthesize
- * the same bytes and the first insert wins.
- */
-class FrameMemo
-{
-  public:
-    bool find(const FrameKey &key, Image *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = frames_.find(key);
-        if (it == frames_.end())
-            return false;
-        *out = it->second;
-        return true;
-    }
-
-    void insert(const FrameKey &key, const Image &img)
-    {
-        const std::size_t bytes = img.data().size();
-        if (bytes > SceneGenerator::kFrameMemoBytes)
-            return;
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!frames_.emplace(key, img).second)
-            return;
-        order_.push_back(key);
-        bytes_ += bytes;
-        while (bytes_ > SceneGenerator::kFrameMemoBytes) {
-            const auto oldest = frames_.find(order_.front());
-            bytes_ -= oldest->second.data().size();
-            frames_.erase(oldest);
-            order_.pop_front();
-        }
-    }
-
-  private:
-    std::mutex mutex_;
-    std::map<FrameKey, Image> frames_;
-    std::deque<FrameKey> order_; ///< keys of frames_, oldest first
-    std::size_t bytes_ = 0;
-};
+using FrameMemo = BoundedMemo<FrameKey, Image>;
 
 FrameMemo &
 frameMemo()
 {
     // Never destroyed: a sweep thread may still ask for a frame while
     // the process exits.
-    static FrameMemo *const memo = new FrameMemo;
+    static FrameMemo *const memo =
+        new FrameMemo(SceneGenerator::kFrameMemoBytes);
     return *memo;
 }
 
@@ -188,7 +145,7 @@ SceneGenerator::frame(int frame_index) const
     if (frameMemo().find(key, &img))
         return img;
     img = synthesize(frame_index);
-    frameMemo().insert(key, img);
+    frameMemo().insert(key, img, img.data().size());
     return img;
 }
 

@@ -1,5 +1,7 @@
 /** Energy model and capacitor behaviour. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "energy/capacitor.h"
@@ -87,6 +89,45 @@ TEST(EnergyModel, BackupScalesWithVersionsAndPolicy)
               m.backupEnergyNj(RetentionPolicy::linear, 1));
     EXPECT_LT(m.backupEnergyNj(RetentionPolicy::linear, 1),
               m.backupEnergyNj(RetentionPolicy::parabola, 1));
+}
+
+TEST(EnergyModel, MaxInstructionEnergyIsTheBruteForceMaximum)
+{
+    // The corners bits {1, 8} x lanes {1, max_lanes} must find the
+    // maximum over the whole box, for either sign of the lane share and
+    // store discounts large and small.
+    const RetentionPolicy policies[] = {
+        RetentionPolicy::full, RetentionPolicy::linear,
+        RetentionPolicy::log, RetentionPolicy::parabola};
+    for (const double lane_share : {-0.3, 0.0, 0.6, 1.0}) {
+        for (const double mul_factor : {0.5, 1.25}) {
+            for (const double store_extra_nj : {0.0, 0.08, 1.5}) {
+                EnergyParams p;
+                p.lane_share = lane_share;
+                p.mul_factor = mul_factor;
+                p.store_extra_nj = store_extra_nj;
+                const EnergyModel m(p);
+                for (int max_lanes = 1; max_lanes <= 4; ++max_lanes) {
+                    double brute = 0.0;
+                    for (int op = 0;
+                         op < static_cast<int>(Op::num_ops); ++op)
+                        for (int bits = 1; bits <= 8; ++bits)
+                            for (int lanes = 1; lanes <= max_lanes;
+                                 ++lanes)
+                                for (const auto policy : policies)
+                                    brute = std::max(
+                                        brute,
+                                        m.instructionEnergyNj(
+                                            static_cast<Op>(op), bits,
+                                            (lanes - 1) * 8, policy));
+                    EXPECT_EQ(m.maxInstructionEnergyNj(max_lanes), brute)
+                        << "lane_share " << lane_share << ", mul_factor "
+                        << mul_factor << ", store_extra_nj "
+                        << store_extra_nj << ", max_lanes " << max_lanes;
+                }
+            }
+        }
+    }
 }
 
 TEST(Capacitor, ChargesWithEfficiencyAndClamps)

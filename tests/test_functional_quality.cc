@@ -1,13 +1,21 @@
 /**
  * Fixed-bitwidth quality behaviour (paper Sec. 8.1, Figs. 11-14):
  * monotone degradation with fewer bits, ALU-noise vs memory-truncation
- * separation, and per-kernel sensitivity ordering.
+ * separation, and per-kernel sensitivity ordering. Also the frame-period
+ * calibration memo (sim::frameCycles). No other test in this binary
+ * calibrates, so each key's first frameCycles() call here is a miss.
  */
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/program_fuzzer.h"
 #include "kernels/kernel.h"
 #include "sim/functional.h"
+#include "sim/system_sim.h"
+#include "trace/power_trace.h"
 
 using namespace inc;
 using sim::FunctionalConfig;
@@ -15,6 +23,17 @@ using sim::runFunctional;
 
 namespace
 {
+
+/** cyclesPerFrame() of a fresh precise one-frame run at @p seed. */
+double
+freshFrameCycles(const kernels::Kernel &kernel, std::uint64_t seed)
+{
+    FunctionalConfig cfg;
+    cfg.frames = 1;
+    cfg.bits = 8;
+    cfg.seed = seed;
+    return runFunctional(kernel, cfg).cyclesPerFrame();
+}
 
 double
 mseAtBits(const std::string &kernel, int bits, bool alu, bool mem)
@@ -115,4 +134,50 @@ TEST(QualityDeterminism, SameSeedSameOutputs)
     const auto a = runFunctional(kernels::makeKernel("median"), cfg);
     const auto b = runFunctional(kernels::makeKernel("median"), cfg);
     EXPECT_EQ(a.outputs[0], b.outputs[0]);
+}
+
+TEST(FrameCycles, MissHitAndFreshRunAgreeForEveryKernel)
+{
+    std::vector<std::string> names = kernels::kernelNames();
+    names.push_back("patmatch");
+    // One sample is enough: the frame period is fixed at construction.
+    const trace::PowerTrace trace(std::vector<double>(1, 0.0), "dark");
+    for (const std::uint64_t seed : {2017u, 52361u}) {
+        for (const std::string &name : names) {
+            SCOPED_TRACE(name + " @ seed " + std::to_string(seed));
+            const kernels::Kernel kernel = kernels::makeKernel(name);
+            const double fresh = freshFrameCycles(kernel, seed);
+            ASSERT_GT(fresh, 0.0);
+            EXPECT_EQ(sim::frameCycles(kernel, seed), fresh); // miss
+            EXPECT_EQ(sim::frameCycles(kernel, seed), fresh); // hit
+
+            sim::SimConfig cfg;
+            cfg.seed = seed;
+            cfg.score_quality = false;
+            sim::SystemSimulator s(kernel, &trace, cfg);
+            // 100 cycles of the 1 MHz core per 0.1 ms period unit.
+            EXPECT_EQ(s.run().frame_period_tenth_ms,
+                      std::max(10.0,
+                               cfg.frame_period_factor * fresh / 100));
+        }
+    }
+}
+
+TEST(FrameCycles, KernelsSharingANameGetTheirOwnValue)
+{
+    // The fuzzer names a program by its seed alone, so two genome
+    // lengths of one seed are two programs under one name: a memo keyed
+    // by name would answer the second with the first's cycles.
+    const check::ProgramFuzzer fuzzer;
+    const check::FuzzedProgram shorter = fuzzer.generate(7, 0, false, 1);
+    const check::FuzzedProgram longer = fuzzer.generate(7);
+    ASSERT_EQ(shorter.kernel.name, longer.kernel.name);
+    ASSERT_LT(shorter.body_ops, longer.body_ops);
+    constexpr std::uint64_t kSeed = 2017;
+    const double fresh_shorter = freshFrameCycles(shorter.kernel, kSeed);
+    const double fresh_longer = freshFrameCycles(longer.kernel, kSeed);
+    ASSERT_NE(fresh_shorter, fresh_longer);
+    EXPECT_EQ(sim::frameCycles(shorter.kernel, kSeed), fresh_shorter);
+    EXPECT_EQ(sim::frameCycles(longer.kernel, kSeed), fresh_longer);
+    EXPECT_EQ(sim::frameCycles(shorter.kernel, kSeed), fresh_shorter);
 }

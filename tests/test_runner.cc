@@ -3,7 +3,8 @@
  * pool lifecycle, sweep expansion/seeding, parallel-vs-serial
  * determinism, deterministic aggregation order, failure capture
  * with bounded retry, a journal recorded from parallel workers, and
- * the frame memo shared by concurrent jobs.
+ * the frame and frame-period calibration memos shared by concurrent
+ * jobs.
  */
 
 #include <atomic>
@@ -22,7 +23,9 @@
 #include "runner/journal.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
+#include "sim/functional.h"
 #include "sim/result_io.h"
+#include "sim/system_sim.h"
 #include "trace/trace_generator.h"
 #include "util/fs.h"
 #include "util/image.h"
@@ -329,7 +332,7 @@ TEST(SweepRunner, AggregationOrderIsJobIndexOrder)
 }
 
 // ---------------------------------------------------------------------
-// The frame memo the jobs of a sweep share
+// The memos the jobs of a sweep share
 
 /**
  * Threads asking for overlapping frames in different orders, over more
@@ -374,6 +377,62 @@ TEST(FrameMemo, ConcurrentCallersGetTheSerialBytes)
                     const std::size_t step = (j + 13 * t) % n;
                     const std::size_t i = t % 2 ? n - 1 - step : step;
                     if (!(frameOf(keys[i]) == serial[i]))
+                        ++mismatches[t];
+                }
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+/**
+ * Threads building simulators of overlapping kernels in different
+ * orders, over more (kernel, seed) keys than the frame-period
+ * calibration memo holds, so hits, racing misses and evictions
+ * interleave. Each must get the frame period a serial caller got. Under
+ * the INCIDENTAL_TSAN CI job this is the memo's lock-discipline proof.
+ * Small frames and seeds no other test here builds keep it quick.
+ */
+TEST(FrameCyclesMemo, ConcurrentSimulatorsGetTheSerialFramePeriod)
+{
+    struct Key
+    {
+        const char *kernel;
+        std::uint64_t seed;
+    };
+    std::vector<Key> keys;
+    for (const char *kernel : {"sobel", "median", "tiff2bw", "integral"})
+        for (std::uint64_t seed : {31u, 32u, 33u, 34u, 35u})
+            keys.push_back({kernel, seed});
+    ASSERT_GT(keys.size(), sim::kFrameCyclesMemoEntries);
+    const trace::PowerTrace trace(std::vector<double>(1, 0.0), "dark");
+    const auto periodOf = [&trace](const Key &k) {
+        sim::SimConfig cfg;
+        cfg.seed = k.seed;
+        cfg.score_quality = false;
+        sim::SystemSimulator s(kernels::makeKernel(k.kernel, 16, 16),
+                               &trace, cfg);
+        return s.run().frame_period_tenth_ms;
+    };
+    std::vector<double> serial;
+    for (const Key &k : keys)
+        serial.push_back(periodOf(k));
+
+    constexpr int kThreads = 4;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const std::size_t n = keys.size();
+            for (int pass = 0; pass < 2; ++pass) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    // Each thread starts elsewhere; odd ones walk back.
+                    const std::size_t step = (j + 7 * t) % n;
+                    const std::size_t i = t % 2 ? n - 1 - step : step;
+                    if (periodOf(keys[i]) != serial[i])
                         ++mismatches[t];
                 }
             }
