@@ -8,8 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include <map>
-
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -20,7 +18,7 @@
 #include "fleet/folder.h"
 #include "fleet/protocol.h"
 #include "fleet/socket.h"
-#include "obs/fleet_trace.h"
+#include "obs/event_tracer.h"
 #include "obs/json.h"
 #include "obs/schema.h"
 #include "runner/journal.h"
@@ -42,6 +40,20 @@ constexpr std::size_t kShardsPerWorker = 4;
  *  loss is fatal. */
 constexpr int kMaxShardRetries = 3;
 
+/** Thread tracks of a worker's row in the fleet trace. The
+ *  coordinator's own row puts its instants and the campaign span on
+ *  track 0. */
+constexpr std::uint32_t kShardTrack = 0; ///< "shard N" spans
+constexpr std::uint32_t kJobTrack = 1;   ///< "kernel x trace" spans
+constexpr std::uint32_t kCountTrack = 2; ///< backups/restores samples
+
+/** "sobel x Power Profile 2": a job's status label and span name. */
+std::string
+jobLabel(const runner::JobSpec &spec)
+{
+    return spec.kernel + " x " + spec.trace_name;
+}
+
 /** One accepted socket connection (unclaimed until its HELLO). */
 struct Connection
 {
@@ -62,11 +74,15 @@ struct WorkerProc
     bool alive = true;
     bool greeted = false;
 
-    // Live telemetry plane: the latest PROGRESS position. Display
-    // state only — nothing on the result path reads these.
-    std::size_t shard_done = 0;
+    // Live plane, kept from the frames above. Display and trace state
+    // only — nothing on the result path reads these.
+    std::size_t shard_done = 0; ///< RESULT frames since the SHARD
     std::size_t shard_assigned = 0;
-    std::string last_label;
+    std::string last_label;        ///< the last RESULT's job
+    Clock::time_point shard_start; ///< when its SHARD was sent
+    /** The later of shard_start and the last RESULT: the next job
+     *  span starts here. */
+    Clock::time_point job_start;
 };
 
 /** The whole coordinator state, so helpers share it without globals. */
@@ -82,7 +98,8 @@ class Coordinator
     void assignShard(WorkerProc &worker, std::size_t shard_id);
     void handleMessage(Connection &conn, const Message &message);
     void handleHello(Connection &conn, const Message &message);
-    void handleProgress(WorkerProc &worker, const Message &message);
+    void handleResult(WorkerProc &worker, const Message &message);
+    void handleDone(WorkerProc &worker, const Message &message);
     void readConnection(Connection *conn);
     void dropConnection(Connection *conn, const char *why);
     void workerLost(WorkerProc &worker, const char *why);
@@ -96,7 +113,11 @@ class Coordinator
     }
 
     // --- live telemetry plane (DESIGN.md §16) ------------------------
+    /** Microseconds from campaign start to @p t: the trace's axis. */
+    double traceUs(Clock::time_point t) const;
     void traceInstant(const std::string &name);
+    void traceSpan(long pid, std::uint32_t tid, std::string name,
+                   Clock::time_point start, Clock::time_point end);
     void acceptStatusConnections();
     void broadcastStatus(bool force);
     void closeStatusPlane();
@@ -130,15 +151,14 @@ class Coordinator
     // --- live telemetry plane ----------------------------------------
     long self_pid_ = 0;
     Clock::time_point campaign_start_;
-    double base_wall_us_ = 0.0; ///< wall clock at campaign start
     int status_listen_fd_ = -1;
     std::vector<int> status_fds_;
     Clock::time_point last_status_write_;
     bool status_written_once_ = false;
-    /** Latest cumulative snapshot per shard; the live folded view is
-     *  their merge (completed shards contribute their full prefix). */
-    std::map<std::size_t, obs::MetricsRegistry> shard_live_;
-    obs::FleetTraceMerger trace_;
+    /** Every freshly folded ok job's metrics, merged in arrival order. */
+    obs::MetricsRegistry live_metrics_;
+    /** The fleet trace; null without --trace-out. */
+    std::unique_ptr<obs::EventTracer> trace_;
 };
 
 Coordinator::Coordinator(const ServeOptions &options)
@@ -273,6 +293,8 @@ Coordinator::assignShard(WorkerProc &worker, std::size_t shard_id)
     worker.shard = static_cast<int>(shard_id);
     worker.shard_done = 0;
     worker.shard_assigned = shard.end - shard.begin;
+    worker.shard_start = Clock::now();
+    worker.job_start = worker.shard_start;
     dispatch_count_[shard_id] += 1;
     metrics_.counter(obs::kFleetShardsDispatched).value += 1;
     if (dispatch_count_[shard_id] > 1)
@@ -320,47 +342,73 @@ Coordinator::handleHello(Connection &conn, const Message &message)
     conn.pid = pid;
     worker->conn = &conn;
     worker->greeted = true;
-    trace_.setProcessName(
-        pid, util::format("nvpsim work g%d (pid %ld)",
-                          worker->generation, pid));
+    if (trace_)
+        trace_->setProcessName(
+            pid, util::format("nvpsim work g%d (pid %ld)",
+                              worker->generation, pid));
     traceInstant(util::format("hello from pid %ld", pid));
 }
 
 void
-Coordinator::handleProgress(WorkerProc &worker, const Message &message)
+Coordinator::handleResult(WorkerProc &worker, const Message &message)
 {
-    ProgressUpdate update;
+    DecodedResult decoded;
     std::string error;
-    if (!decodeProgress(message, &update, &error))
+    const std::size_t folded_before = folder_->filledCount();
+    if (!decodeResult(message, &decoded, &error) ||
+        !folder_->fold(decoded, &error))
         util::fatal("fleet: %s", error.c_str());
-    worker.shard_done = update.jobs_done;
-    worker.shard_assigned = update.jobs_assigned;
-    worker.last_label = update.label;
-    metrics_.counter(obs::kFleetStatusProgressFrames).value += 1;
-    metrics_.counter(obs::kFleetStatusProgressBytes).value +=
+    metrics_.counter(obs::kFleetMergeBytes).value +=
         message.payload.size();
-    if (!update.metrics_json.empty()) {
-        // Latest cumulative snapshot wins: a reassigned shard's warm
-        // restart re-merges the journaled prefix, so replacing the
-        // dead incarnation's snapshot keeps the live view a prefix of
-        // the final fold (DESIGN.md §16).
-        obs::MetricsRegistry snapshot;
-        if (!obs::MetricsRegistry::fromJson(update.metrics_json,
-                                            &snapshot, &error))
-            util::fatal("fleet: PROGRESS snapshot from worker %ld: %s",
-                        worker.pid, error.c_str());
-        shard_live_[update.shard_id] = std::move(snapshot);
+
+    // Live plane. Every RESULT, journal replays included, advances the
+    // worker's row and ends a job span; a job folded for the first
+    // time also joins the live metrics and the counter series.
+    const auto now = Clock::now();
+    const std::string label = jobLabel(jobs_[decoded.index]);
+    ++worker.shard_done;
+    worker.last_label = label;
+    traceSpan(worker.pid, kJobTrack, label, worker.job_start, now);
+    worker.job_start = now;
+    if (folder_->filledCount() == folded_before)
+        return;
+    const runner::JobResult &result = folder_->result(decoded.index);
+    if (!result.ok)
+        return;
+    live_metrics_.merge(result.metrics);
+    if (trace_) {
+        trace_->counter(worker.pid, kCountTrack, "backups", traceUs(now),
+                        static_cast<double>(result.result.backups));
+        trace_->counter(worker.pid, kCountTrack, "restores",
+                        traceUs(now),
+                        static_cast<double>(result.result.restores));
     }
-    if (!update.spans_json.empty() && !options_.trace_out.empty()) {
-        obs::SpanBatch batch;
-        if (!obs::SpanBatch::fromJson(update.spans_json, &batch,
-                                      &error))
-            util::fatal("fleet: PROGRESS spans from worker %ld: %s",
-                        worker.pid, error.c_str());
-        metrics_.counter(obs::kFleetStatusSpansMerged).value +=
-            batch.size();
-        trace_.add(batch);
+}
+
+void
+Coordinator::handleDone(WorkerProc &worker, const Message &message)
+{
+    std::size_t shard_id = 0;
+    if (!parseDone(message.line, &shard_id) || shard_id >= plan_.size())
+        util::fatal("fleet: malformed DONE '%s'", message.line.c_str());
+    if (worker.shard != static_cast<int>(shard_id))
+        util::fatal("fleet: worker %ld finished shard %zu but was "
+                    "assigned %d",
+                    worker.pid, shard_id, worker.shard);
+    const runner::ShardRange &shard = plan_[shard_id];
+    if (!folder_->rangeComplete(shard.begin, shard.end))
+        util::fatal("fleet: worker %ld reported shard %zu done with "
+                    "results missing",
+                    worker.pid, shard_id);
+    worker.shard = -1;
+    if (!shard_completed_[shard_id]) {
+        shard_completed_[shard_id] = true;
+        ++completed_count_;
+        metrics_.counter(obs::kFleetShardsCompleted).value += 1;
     }
+    traceSpan(worker.pid, kShardTrack,
+              "shard " + std::to_string(shard_id), worker.shard_start,
+              Clock::now());
 }
 
 void
@@ -377,40 +425,11 @@ Coordinator::handleMessage(Connection &conn, const Message &message)
                     "sent HELLO",
                     message.line.c_str());
     if (kind == "RESULT") {
-        DecodedResult decoded;
-        std::string error;
-        if (!decodeResult(message, &decoded, &error) ||
-            !folder_->fold(decoded, &error))
-            util::fatal("fleet: %s", error.c_str());
-        metrics_.counter(obs::kFleetMergeBytes).value +=
-            message.payload.size();
-        return;
-    }
-    if (kind == "PROGRESS") {
-        handleProgress(*worker, message);
+        handleResult(*worker, message);
         return;
     }
     if (kind == "DONE") {
-        std::size_t shard_id = 0;
-        if (!parseDone(message.line, &shard_id) ||
-            shard_id >= plan_.size())
-            util::fatal("fleet: malformed DONE '%s'",
-                        message.line.c_str());
-        if (worker->shard != static_cast<int>(shard_id))
-            util::fatal("fleet: worker %ld finished shard %zu but was "
-                        "assigned %d",
-                        worker->pid, shard_id, worker->shard);
-        const runner::ShardRange &shard = plan_[shard_id];
-        if (!folder_->rangeComplete(shard.begin, shard.end))
-            util::fatal("fleet: worker %ld reported shard %zu done "
-                        "with results missing",
-                        worker->pid, shard_id);
-        worker->shard = -1;
-        if (!shard_completed_[shard_id]) {
-            shard_completed_[shard_id] = true;
-            ++completed_count_;
-            metrics_.counter(obs::kFleetShardsCompleted).value += 1;
-        }
+        handleDone(*worker, message);
         return;
     }
     if (kind == "ERROR") {
@@ -567,18 +586,27 @@ Coordinator::checkHeartbeats()
         dropConnection(conn, "heartbeat timeout");
 }
 
+double
+Coordinator::traceUs(Clock::time_point t) const
+{
+    return std::chrono::duration<double, std::micro>(t - campaign_start_)
+        .count();
+}
+
 void
 Coordinator::traceInstant(const std::string &name)
 {
-    if (options_.trace_out.empty())
-        return;
-    obs::FleetSpanEvent event;
-    event.phase = 'i';
-    event.pid = self_pid_;
-    event.tid = 0;
-    event.name = name;
-    event.ts_us = obs::wallClockUs();
-    trace_.add(std::move(event));
+    if (trace_)
+        trace_->instant(self_pid_, 0, name, traceUs(Clock::now()));
+}
+
+void
+Coordinator::traceSpan(long pid, std::uint32_t tid, std::string name,
+                       Clock::time_point start, Clock::time_point end)
+{
+    if (trace_)
+        trace_->span(pid, tid, std::move(name), traceUs(start),
+                     traceUs(end) - traceUs(start));
 }
 
 void
@@ -722,13 +750,11 @@ Coordinator::buildStatusJson() const
         fleet.set(name, obs::JsonValue::of(gauge.value));
     doc.set("fleet", std::move(fleet));
 
-    // Live folded view: merge the latest per-shard snapshots. A
-    // prefix-consistent approximation of the final job-index-order
-    // fold — counters are exact partial sums, gauges reassociate
-    // floating-point addition (DESIGN.md §16).
-    obs::MetricsRegistry live;
-    for (const auto &[shard_id, snapshot] : shard_live_)
-        live.merge(snapshot);
+    // Live view: the folded jobs so far, merged in arrival order.
+    // Counters and histograms are exact partial sums of the final
+    // job-index-order merge; gauges may differ from it in the last
+    // ulps (DESIGN.md §16).
+    const obs::MetricsRegistry &live = live_metrics_;
     obs::JsonValue live_obj = obs::JsonValue::object();
     if (live.has(obs::kHistOutageSamples)) {
         const obs::Histogram &h =
@@ -748,10 +774,6 @@ Coordinator::buildStatusJson() const
     live_obj.set("restores",
                  obs::JsonValue::of(
                      live.counterValue(obs::kSimRestores)));
-    live_obj.set(
-        "metrics_shards",
-        obs::JsonValue::of(
-            static_cast<std::uint64_t>(shard_live_.size())));
     doc.set("live", std::move(live_obj));
 
     return doc.dump();
@@ -802,11 +824,13 @@ Coordinator::run()
 {
     const auto campaign_start = Clock::now();
     campaign_start_ = campaign_start;
-    base_wall_us_ = obs::wallClockUs();
     self_pid_ = static_cast<long>(::getpid());
-    trace_.setProcessName(
-        self_pid_,
-        util::format("nvpsim serve (pid %ld)", self_pid_));
+    if (!options_.trace_out.empty()) {
+        trace_ = std::make_unique<obs::EventTracer>();
+        trace_->setProcessName(
+            self_pid_,
+            util::format("nvpsim serve (pid %ld)", self_pid_));
+    }
 
     std::string error;
     listen_fd_ = listenUnix(socket_path_, &error);
@@ -887,27 +911,21 @@ Coordinator::run()
     shutdownFleet();
 
     FleetOutcome outcome;
+    const auto campaign_end = Clock::now();
     const double wall_seconds =
-        std::chrono::duration<double>(Clock::now() - campaign_start)
+        std::chrono::duration<double>(campaign_end - campaign_start)
             .count();
 
-    if (!options_.trace_out.empty()) {
-        obs::FleetSpanEvent campaign_span;
-        campaign_span.phase = 'X';
-        campaign_span.pid = self_pid_;
-        campaign_span.tid = 0;
-        campaign_span.name = "campaign " + fingerprint_;
-        campaign_span.ts_us = base_wall_us_;
-        campaign_span.dur_us = wall_seconds * 1e6;
-        trace_.add(std::move(campaign_span));
-        if (!trace_.writeChromeTraceJson(options_.trace_out,
-                                         base_wall_us_))
+    if (trace_) {
+        traceSpan(self_pid_, 0, "campaign " + fingerprint_,
+                  campaign_start, campaign_end);
+        if (!util::writeFile(options_.trace_out,
+                             trace_->toChromeTraceJson()))
             util::fatal("fleet: could not write trace '%s'",
                         options_.trace_out.c_str());
         std::fprintf(stderr,
                      "fleet: %zu trace events written to %s\n",
-                     trace_.eventCount(),
-                     options_.trace_out.c_str());
+                     trace_->size(), options_.trace_out.c_str());
     }
 
     outcome.report = folder_->takeReport(

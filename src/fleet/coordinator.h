@@ -22,20 +22,21 @@
  * `nvpsim sweep` at any worker count — including after SIGKILLing
  * every worker once (the fleet test tier pins this).
  *
- * Live telemetry plane (DESIGN.md §16): workers additionally stream
- * PROGRESS frames (shard position, cumulative metrics snapshot,
- * completed trace spans); the coordinator folds the latest snapshot
- * per shard into a live view and, when a --status-socket is
- * configured, serves point-in-time STATE snapshots — campaign
+ * Live telemetry plane (DESIGN.md §16), built from the RESULT and
+ * DONE frames the coordinator already folds: each RESULT advances its
+ * worker's status row, and each freshly folded job's metrics join one
+ * running live registry. When a --status-socket is configured, the
+ * coordinator serves point-in-time STATE snapshots — campaign
  * fingerprint, per-worker health/heartbeat/shard progress, jobs
  * done/total, throughput/ETA, fleet.* counters, live outage
  * percentiles — to every status connection on a throttled cadence
  * plus a final jobs_done == jobs_total frame at completion. With
- * trace_out set, worker span batches and coordinator scheduling
- * events (spawn/accept/assign/reassign/loss) merge into one
- * Chrome-trace timeline with a process-name record per worker. The
- * entire plane is read-only over the result path, so enabling it
- * cannot perturb the byte-identity guarantees above.
+ * trace_out set, it stamps shard and job spans on each worker's pid
+ * and its own scheduling events (spawn/hello/assign/reassign/loss)
+ * with its steady clock since campaign start, into one Chrome-trace
+ * timeline with a process-name record per fleet process. The entire
+ * plane is read-only over the result path, so enabling it cannot
+ * perturb the byte-identity guarantees above.
  */
 
 #ifndef INC_FLEET_COORDINATOR_H
@@ -66,7 +67,7 @@ struct ServeOptions
     bool collect_metrics = false;
     /** Live status endpoint socket path; empty = no status socket. */
     std::string status_socket;
-    /** Merged fleet-wide Chrome-trace output path; empty = no trace. */
+    /** Fleet-wide Chrome-trace output path; empty = no trace. */
     std::string trace_out;
     /** Test hook: first-generation workers get --kill-after K, so
      *  every worker dies exactly once (respawns run clean). */

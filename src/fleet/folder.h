@@ -52,6 +52,13 @@ class ResultFolder
     /** All of [begin, end) folded? (The DONE-message check.) */
     bool rangeComplete(std::size_t begin, std::size_t end) const;
 
+    /** The folded result of job @p index, parsed once by fold(). Valid
+     *  for a folded index until takeReport(). */
+    const runner::JobResult &result(std::size_t index) const
+    {
+        return slots_[index];
+    }
+
     /** Total payload bytes folded (the fleet.merge.bytes metric). */
     std::uint64_t bytesFolded() const { return bytes_; }
 

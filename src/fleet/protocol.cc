@@ -13,9 +13,9 @@ namespace
 {
 
 /**
- * Payload byte count a header line announces (RESULT and PROGRESS:
- * sum of their three length fields; ERROR and STATE: one length
- * field; everything else: none). False on a header whose lengths do
+ * Payload byte count a header line announces (RESULT: sum of its
+ * three length fields; ERROR and STATE: one length field; everything
+ * else: none). False on a header whose lengths do
  * not parse.
  */
 bool
@@ -37,18 +37,6 @@ payloadBytes(const std::string &line, std::size_t *need,
             return false;
         }
         *need = result_len + metrics_len + error_len;
-        return true;
-    }
-    if (kind == "PROGRESS") {
-        std::size_t shard_id = 0, done = 0, assigned = 0,
-                    label_len = 0, metrics_len = 0, spans_len = 0;
-        in >> shard_id >> done >> assigned >> label_len >>
-            metrics_len >> spans_len;
-        if (!in) {
-            *error = "malformed PROGRESS header: " + line;
-            return false;
-        }
-        *need = label_len + metrics_len + spans_len;
         return true;
     }
     if (kind == "ERROR" || kind == "STATE") {
@@ -157,19 +145,6 @@ encodeResult(const runner::JobResult &result)
 }
 
 std::string
-encodeProgress(const ProgressUpdate &update)
-{
-    std::string frame = util::format(
-        "PROGRESS %zu %zu %zu %zu %zu %zu\n", update.shard_id,
-        update.jobs_done, update.jobs_assigned, update.label.size(),
-        update.metrics_json.size(), update.spans_json.size());
-    frame += update.label;
-    frame += update.metrics_json;
-    frame += update.spans_json;
-    return frame;
-}
-
-std::string
 encodeState(const std::string &snapshot_json)
 {
     return util::format("STATE %zu\n", snapshot_json.size()) +
@@ -231,39 +206,6 @@ decodeResult(const Message &message, DecodedResult *out,
     out->metrics_json = message.payload.substr(result_len, metrics_len);
     out->error = message.payload.substr(result_len + metrics_len,
                                         error_len);
-    return true;
-}
-
-bool
-decodeProgress(const Message &message, ProgressUpdate *out,
-               std::string *error)
-{
-    std::istringstream in(message.line);
-    std::string kind;
-    std::size_t label_len = 0, metrics_len = 0, spans_len = 0;
-    in >> kind >> out->shard_id >> out->jobs_done >>
-        out->jobs_assigned >> label_len >> metrics_len >> spans_len;
-    if (!in || kind != "PROGRESS") {
-        *error = "malformed PROGRESS header: " + message.line;
-        return false;
-    }
-    if (message.payload.size() != label_len + metrics_len + spans_len) {
-        *error = util::format("PROGRESS payload is %zu bytes, header "
-                              "announced %zu",
-                              message.payload.size(),
-                              label_len + metrics_len + spans_len);
-        return false;
-    }
-    if (out->jobs_done > out->jobs_assigned) {
-        *error = util::format("PROGRESS claims %zu of %zu shard jobs "
-                              "done",
-                              out->jobs_done, out->jobs_assigned);
-        return false;
-    }
-    out->label = message.payload.substr(0, label_len);
-    out->metrics_json = message.payload.substr(label_len, metrics_len);
-    out->spans_json =
-        message.payload.substr(label_len + metrics_len, spans_len);
     return true;
 }
 

@@ -11,8 +11,6 @@
  *     HELLO <fingerprint> <pid>
  *     RESULT <index> <attempts> <ok> <result_len> <metrics_len>
  *            <error_len> \n <result><metrics><error>
- *     PROGRESS <shard_id> <jobs_done> <jobs_assigned> <label_len>
- *              <metrics_len> <spans_len> \n <label><metrics><spans>
  *     DONE <shard_id>
  *     ERROR <len> \n <message>
  *
@@ -23,13 +21,9 @@
  *   coordinator -> status client (the --status-socket endpoint)
  *     STATE <len> \n <snapshot_json>
  *
- * PROGRESS frames are the live telemetry plane (DESIGN.md §16): the
- * label is the last job's "kernel x trace" description, the metrics
- * payload is the worker's cumulative canonical-JSON registry snapshot
- * for its current shard (empty when the campaign does not collect
- * metrics), and the spans payload is an obs::SpanBatch JSON array of
- * completed trace events. Losing or reordering them never affects the
- * result plane — RESULT/DONE alone reconstruct the campaign.
+ * Workers send no frame for telemetry alone: the coordinator builds
+ * its live view and its fleet trace from the RESULT and DONE frames it
+ * folds (DESIGN.md §16).
  *
  * RESULT payloads carry sim::serializeResult() text (hexfloat,
  * bit-exact round-trip) and the job's canonical metrics JSON (empty
@@ -98,20 +92,6 @@ std::string encodeError(const std::string &message);
 /** Full RESULT frame (header + payloads) for one finished job. */
 std::string encodeResult(const runner::JobResult &result);
 
-/** One live-telemetry update from a worker (DESIGN.md §16). */
-struct ProgressUpdate
-{
-    std::size_t shard_id = 0;
-    std::size_t jobs_done = 0;     ///< delivered so far in the shard
-    std::size_t jobs_assigned = 0; ///< shard size
-    std::string label;        ///< last job's "kernel x trace" text
-    std::string metrics_json; ///< cumulative shard snapshot, or empty
-    std::string spans_json;   ///< obs::SpanBatch array, or empty
-};
-
-/** Full PROGRESS frame (header + payloads). */
-std::string encodeProgress(const ProgressUpdate &update);
-
 /** Full STATE frame around a status-snapshot JSON document. */
 std::string encodeState(const std::string &snapshot_json);
 
@@ -136,10 +116,6 @@ bool parseDone(const std::string &line, std::size_t *shard_id);
 /** Decode a RESULT message; false + @p error on malformed frames. */
 bool decodeResult(const Message &message, DecodedResult *out,
                   std::string *error);
-
-/** Decode a PROGRESS message; false + @p error on malformed frames. */
-bool decodeProgress(const Message &message, ProgressUpdate *out,
-                    std::string *error);
 
 /** Decode a STATE message into its snapshot JSON. */
 bool decodeState(const Message &message, std::string *snapshot_json,

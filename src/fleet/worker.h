@@ -12,16 +12,12 @@
  * Finished jobs stream back as RESULT frames the moment they are
  * journaled (the delivery hook), so a mid-shard crash loses nothing
  * the coordinator already folded, and every frame doubles as a
- * heartbeat.
+ * heartbeat. A shard the worker cannot run (a journal it cannot open,
+ * or one bound to another campaign) is reported as ERROR, which stops
+ * the fleet instead of being retried as a crash.
  *
- * Live telemetry plane (DESIGN.md §16): after each RESULT the worker
- * emits a PROGRESS frame, plus one closing frame before DONE, carrying
- * the shard position, the last job label, a cumulative canonical-JSON
- * metrics snapshot of the shard so far, and a batch of completed trace
- * spans (shard/job lifecycle, per-job backup/restore counts) stamped
- * with the worker's real pid on the shared wall clock. The plane is
- * strictly one-way and lossy-safe: nothing in the result path reads it
- * back.
+ * A worker sends nothing else: the coordinator's live view and fleet
+ * trace (DESIGN.md §16) come from these RESULT and DONE frames.
  */
 
 #ifndef INC_FLEET_WORKER_H

@@ -101,8 +101,20 @@ inline constexpr char kQueueRequests[] = "queue.requests";
 inline constexpr char kQueuePasses[] = "queue.passes";
 inline constexpr char kQueueDropped[] = "queue.dropped";
 
-// ---- incidental-controller stats ---------------------------------------
-inline constexpr char kCtrlPrefix[] = "ctrl.";
+// ---- incidental-controller stats (core::ControllerStats) ---------------
+inline constexpr char kCtrlBackups[] = "ctrl.backups";
+inline constexpr char kCtrlRestores[] = "ctrl.restores";
+inline constexpr char kCtrlRollForwards[] = "ctrl.roll_forwards";
+inline constexpr char kCtrlPlainResumes[] = "ctrl.plain_resumes";
+inline constexpr char kCtrlAdoptions[] = "ctrl.adoptions";
+inline constexpr char kCtrlHistorySpawns[] = "ctrl.history_spawns";
+inline constexpr char kCtrlRecomputeSpawns[] = "ctrl.recompute_spawns";
+inline constexpr char kCtrlRetirements[] = "ctrl.retirements";
+inline constexpr char kCtrlDroppedStale[] = "ctrl.dropped_stale";
+inline constexpr char kCtrlFramesStarted[] = "ctrl.frames_started";
+inline constexpr char kCtrlFramesCompleted[] = "ctrl.frames_completed";
+inline constexpr char kCtrlFramesAbandoned[] = "ctrl.frames_abandoned";
+inline constexpr char kCtrlRegDecayEvents[] = "ctrl.reg_decay_events";
 
 // ---- checkpoint strategies (src/sim/strategy; DESIGN.md §14) ------------
 /** Image commits at in-situ backup events (== sim.backup.committed). */
@@ -150,21 +162,11 @@ inline constexpr char kFleetWorkersLost[] = "fleet.workers.lost";
 inline constexpr char kFleetWorkerWallMs[] = "fleet.worker.wall_ms";
 inline constexpr char kFleetMergeBytes[] = "fleet.merge.bytes";
 
-// ---- fleet live-telemetry plane (status socket + PROGRESS frames;
-// DESIGN.md §16). Same separate-registry rule as the fleet.* block
-// above: these count the observability side channel, never the
-// campaign results. --------------------------------------------------------
+// ---- fleet live-telemetry plane (status socket; DESIGN.md §16). Same
+// separate-registry rule as the fleet.* block above: it counts the
+// observability side channel, never the campaign results. ---------------
 /** Status snapshots served over the --status-socket endpoint. */
 inline constexpr char kFleetStatusRequests[] = "fleet.status.requests";
-/** PROGRESS frames folded into the live view. */
-inline constexpr char kFleetStatusProgressFrames[] =
-    "fleet.status.progress_frames";
-/** PROGRESS payload bytes received. */
-inline constexpr char kFleetStatusProgressBytes[] =
-    "fleet.status.progress_bytes";
-/** Worker span events merged into the fleet trace. */
-inline constexpr char kFleetStatusSpansMerged[] =
-    "fleet.status.spans_merged";
 
 // ---- trace counter series (EventTracer phase-"C" names; declared
 // here so the schema lint covers every emitted name literal) --------------

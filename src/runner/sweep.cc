@@ -244,8 +244,6 @@ SweepRunner::run()
     SweepReport report;
     ResultSink sink(range_begin, range_end);
     const auto campaign_start = clock::now();
-    progress_done_.store(0);
-    progress_total_ = range_end - range_begin;
 
     // Warm restart: deliver journaled jobs without re-running. All
     // journal reads happen here, before any job is submitted, so the
@@ -264,7 +262,6 @@ SweepRunner::run()
                 jr.spec = job;
                 if (delivery_hook_)
                     delivery_hook_(jr);
-                notifyProgress(jr);
                 sink.deliver(std::move(jr));
                 continue;
             }
@@ -353,16 +350,7 @@ SweepRunner::recordAndDeliver(JobResult result, ResultSink &sink)
     }
     if (delivery_hook_)
         delivery_hook_(result);
-    notifyProgress(result);
     sink.deliver(std::move(result));
-}
-
-void
-SweepRunner::notifyProgress(const JobResult &result)
-{
-    const std::size_t done = progress_done_.fetch_add(1) + 1;
-    if (progress_hook_)
-        progress_hook_(result, done, progress_total_);
 }
 
 } // namespace inc::runner

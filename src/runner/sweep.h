@@ -23,7 +23,6 @@
 #ifndef INC_RUNNER_SWEEP_H
 #define INC_RUNNER_SWEEP_H
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -245,23 +244,6 @@ class SweepRunner
         delivery_hook_ = std::move(hook);
     }
 
-    /**
-     * Called right after each delivery with the finished result, the
-     * number of jobs delivered so far in the executed range, and the
-     * range total — journaled warm-restart deliveries included, so a
-     * resumed run's progress starts where the journal left off. Runs
-     * on the delivering thread, like the delivery hook; the counts
-     * are maintained atomically by the runner. The fleet worker's
-     * PROGRESS cadence (DESIGN.md §16) is driven from here.
-     */
-    void setProgressHook(
-        std::function<void(const JobResult &, std::size_t done,
-                           std::size_t total)>
-            hook)
-    {
-        progress_hook_ = std::move(hook);
-    }
-
     /** Expand, execute across the pool, aggregate. */
     SweepReport run();
 
@@ -278,18 +260,11 @@ class SweepRunner
     /** Journal (+ hook) and deliver one finished job. */
     void recordAndDeliver(JobResult result, ResultSink &sink);
 
-    /** Bump the delivered-count and fire the progress hook. */
-    void notifyProgress(const JobResult &result);
-
     SweepSpec spec_;
     JobFn body_;
     SweepJournal *journal_ = nullptr;
     std::function<void(std::size_t)> record_hook_;
     std::function<void(const JobResult &)> delivery_hook_;
-    std::function<void(const JobResult &, std::size_t, std::size_t)>
-        progress_hook_;
-    std::atomic<std::size_t> progress_done_{0};
-    std::size_t progress_total_ = 0;
     std::size_t range_begin_ = 0;
     std::size_t range_end_ = 0;
     bool has_range_ = false;

@@ -710,19 +710,19 @@ SystemSimulator::publishMetrics(std::uint64_t on_samples)
     }
 
     const core::ControllerStats &cs = result_.controller;
-    count("ctrl.backups", cs.backups);
-    count("ctrl.restores", cs.restores);
-    count("ctrl.roll_forwards", cs.roll_forwards);
-    count("ctrl.plain_resumes", cs.plain_resumes);
-    count("ctrl.adoptions", cs.adoptions);
-    count("ctrl.history_spawns", cs.history_spawns);
-    count("ctrl.recompute_spawns", cs.recompute_spawns);
-    count("ctrl.retirements", cs.retirements);
-    count("ctrl.dropped_stale", cs.dropped_stale);
-    count("ctrl.frames_started", cs.frames_started);
-    count("ctrl.frames_completed", cs.frames_completed);
-    count("ctrl.frames_abandoned", cs.frames_abandoned);
-    count("ctrl.reg_decay_events", cs.reg_decay_events);
+    count(obs::kCtrlBackups, cs.backups);
+    count(obs::kCtrlRestores, cs.restores);
+    count(obs::kCtrlRollForwards, cs.roll_forwards);
+    count(obs::kCtrlPlainResumes, cs.plain_resumes);
+    count(obs::kCtrlAdoptions, cs.adoptions);
+    count(obs::kCtrlHistorySpawns, cs.history_spawns);
+    count(obs::kCtrlRecomputeSpawns, cs.recompute_spawns);
+    count(obs::kCtrlRetirements, cs.retirements);
+    count(obs::kCtrlDroppedStale, cs.dropped_stale);
+    count(obs::kCtrlFramesStarted, cs.frames_started);
+    count(obs::kCtrlFramesCompleted, cs.frames_completed);
+    count(obs::kCtrlFramesAbandoned, cs.frames_abandoned);
+    count(obs::kCtrlRegDecayEvents, cs.reg_decay_events);
 
     gauge(obs::kEnergyInitial, obs_initial_nj_);
     gauge(obs::kEnergyIncome, result_.income_energy_nj);

@@ -4,10 +4,9 @@
  *
  * In-process units: shard-planner partition properties, campaign JSON
  * round trip and rejection, wire-protocol encode/decode round trips
- * (including failed jobs, the live-plane PROGRESS/STATE frames, and
- * fuzz-grade byte-at-a-time stream fragmentation), ResultFolder
- * ordering/duplicate semantics, and the SpanBatch ring / trace-merger
- * units of the fleet telemetry plane (DESIGN.md §16).
+ * (including failed jobs, the status plane's STATE frame, and
+ * fuzz-grade byte-at-a-time stream fragmentation), and ResultFolder
+ * ordering/duplicate semantics.
  *
  * Process level (spawning the real nvpsim binary): the worker-count
  * matrix — one campaign served at --workers 1, 2 and 4 must produce
@@ -18,14 +17,17 @@
  * bytes must still be identical; the live-telemetry surface — `nvpsim
  * status --watch` against a 4-worker campaign must stream monotone
  * progress ending at jobs_done == jobs_total, still answer (with a
- * "lost" worker row) after --kill-worker-after, and enabling
- * --status-socket + --trace-out must leave all four campaign
- * artifacts byte-identical; warm re-serves of a journaled campaign
+ * "lost" worker row) after --kill-worker-after, and end on a live view
+ * equal to the merged --metrics; enabling --status-socket +
+ * --trace-out must leave all four campaign artifacts byte-identical,
+ * and the fleet trace must carry the names and pids perfbench parses
+ * (DESIGN.md §16); warm re-serves of a journaled campaign
  * exit 0 with unchanged bytes and no worker printing "fatal:"; a
  * `sweep --arena` SIGKILLed by --kill-after and resumed writes the
  * uninterrupted sweep's bytes, while a journal in an older format is
  * refused untouched, and under `serve` stops the whole fleet with no
- * socket or worker left behind; and the CLI hard-error surface — a
+ * socket or worker left behind, as does a shard journal bound to
+ * another campaign; and the CLI hard-error surface — a
  * fingerprint-mismatched fleet dir, a bogus worker count, a
  * non-positive --heartbeat-timeout, dead socket paths, and every
  * subcommand's strict flag parsing (unknown, repeated and value-less
@@ -57,7 +59,6 @@
 #include "fleet/campaign.h"
 #include "fleet/folder.h"
 #include "fleet/protocol.h"
-#include "obs/fleet_trace.h"
 #include "obs/json.h"
 #include "runner/journal.h"
 #include "runner/shard.h"
@@ -420,7 +421,7 @@ TEST(FleetProtocol, ControlMessagesRoundTrip)
         << error;
 }
 
-// ---- live-plane frames (PROGRESS / STATE) ----------------------------
+// ---- status-plane frame (STATE) ----------------------------------------
 
 namespace
 {
@@ -449,54 +450,6 @@ readFrameBytewise(const std::string &frame)
 
 } // namespace
 
-TEST(FleetProtocol, ProgressRoundTripsOneByteAtATime)
-{
-    fleet::ProgressUpdate update;
-    update.shard_id = 3;
-    update.jobs_done = 5;
-    update.jobs_assigned = 9;
-    update.label = "sobel x Power Profile 2";
-    update.metrics_json = R"({"counters":{"a":1}})";
-    // Payloads are length-prefixed binary: newlines and NULs must
-    // travel untouched.
-    update.spans_json = "[{\"name\":\"shard 3\"}]\n";
-    update.spans_json.push_back('\0');
-    update.spans_json += "binary tail";
-
-    const fleet::Message message =
-        readFrameBytewise(fleet::encodeProgress(update));
-    fleet::ProgressUpdate back;
-    std::string error;
-    ASSERT_TRUE(fleet::decodeProgress(message, &back, &error)) << error;
-    EXPECT_EQ(back.shard_id, update.shard_id);
-    EXPECT_EQ(back.jobs_done, update.jobs_done);
-    EXPECT_EQ(back.jobs_assigned, update.jobs_assigned);
-    EXPECT_EQ(back.label, update.label);
-    EXPECT_EQ(back.metrics_json, update.metrics_json);
-    EXPECT_EQ(back.spans_json, update.spans_json);
-
-    // Empty payloads (no metrics yet, spans ring just flushed) are a
-    // legal steady state, not a framing special case.
-    fleet::ProgressUpdate bare;
-    bare.shard_id = 0;
-    bare.jobs_done = 0;
-    bare.jobs_assigned = 1;
-    ASSERT_TRUE(fleet::decodeProgress(
-        readFrameBytewise(fleet::encodeProgress(bare)), &back, &error))
-        << error;
-    EXPECT_TRUE(back.label.empty());
-    EXPECT_TRUE(back.metrics_json.empty());
-    EXPECT_TRUE(back.spans_json.empty());
-
-    // A shard cannot have finished more jobs than it was assigned.
-    fleet::Message lying = message;
-    lying.line = "PROGRESS 3 10 9 0 0 0";
-    lying.payload.clear();
-    EXPECT_FALSE(fleet::decodeProgress(lying, &back, &error));
-    EXPECT_NE(error.find("claims 10 of 9"), std::string::npos)
-        << error;
-}
-
 TEST(FleetProtocol, StateRoundTripsOneByteAtATime)
 {
     const std::string snapshot =
@@ -511,76 +464,6 @@ TEST(FleetProtocol, StateRoundTripsOneByteAtATime)
     fleet::Message truncated = message;
     truncated.payload.pop_back();
     EXPECT_FALSE(fleet::decodeState(truncated, &back, &error));
-}
-
-// ---- span ring + trace merger ----------------------------------------
-
-TEST(FleetTrace, SpanBatchRingDropsOldestAndCountsDrops)
-{
-    obs::SpanBatch batch(3);
-    for (int i = 0; i < 5; ++i) {
-        obs::FleetSpanEvent e;
-        e.phase = 'i';
-        e.pid = 42;
-        e.name = "e" + std::to_string(i);
-        e.ts_us = 1000.0 * i;
-        batch.add(std::move(e));
-    }
-    EXPECT_EQ(batch.size(), 3u);
-    EXPECT_EQ(batch.dropped(), 2u);
-    EXPECT_EQ(batch.events().front().name, "e2");
-
-    // JSON round trip preserves the surviving events bit-for-bit
-    // (the PROGRESS payload is exactly this serialization).
-    std::string error;
-    obs::SpanBatch back;
-    ASSERT_TRUE(obs::SpanBatch::fromJson(batch.toJson(), &back, &error))
-        << error;
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back.toJson(), batch.toJson());
-
-    // take() drains the ring so the next PROGRESS frame starts clean.
-    batch.take();
-    EXPECT_TRUE(batch.empty());
-}
-
-TEST(FleetTrace, MergerEmitsProcessNamesAndNormalizedTimestamps)
-{
-    obs::FleetTraceMerger merger;
-    merger.setProcessName(100, "nvpsim serve (pid 100)");
-    merger.setProcessName(200, "nvpsim work g0 (pid 200)");
-
-    obs::FleetSpanEvent span;
-    span.phase = 'X';
-    span.pid = 200;
-    span.tid = 1;
-    span.name = "sobel x Power Profile 2";
-    span.ts_us = 5000.0;
-    span.dur_us = 1500.0;
-    merger.add(span);
-    EXPECT_EQ(merger.eventCount(), 1u);
-
-    const std::string trace = merger.toChromeTraceJson(4000.0);
-    ASSERT_TRUE(obs::jsonIsValid(trace)) << trace;
-    obs::JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(obs::parseJson(trace, &doc, &error)) << error;
-    const obs::JsonValue *events = doc.find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_EQ(events->items().size(), 3u); // 2 process names + 1 span
-    std::size_t names = 0;
-    for (const auto &e : events->items()) {
-        if (e.find("ph")->string() == "M") {
-            ++names;
-            EXPECT_EQ(e.find("name")->string(), "process_name");
-            continue;
-        }
-        // Timestamps are re-based to the campaign start.
-        EXPECT_DOUBLE_EQ(e.find("ts")->number(), 1000.0);
-        EXPECT_DOUBLE_EQ(e.find("dur")->number(), 1500.0);
-        EXPECT_DOUBLE_EQ(e.find("pid")->number(), 200.0);
-    }
-    EXPECT_EQ(names, 2u);
 }
 
 // ---- result folder ---------------------------------------------------
@@ -982,6 +865,74 @@ TEST(FleetStatus, StillAnswersAfterWorkerLossAndReportsIt)
     fs::remove_all(base);
 }
 
+TEST(FleetStatus, FinalLiveViewEqualsTheMergedMetrics)
+{
+    // The live view is a running merge of the folded jobs' metrics, so
+    // once every job is in, its counters and outage percentiles must
+    // read exactly what the campaign's --metrics file reads.
+    const std::string base = freshDir("status-live");
+    const std::string campaign = base + "/campaign.json";
+    writeSlowCampaign(campaign);
+
+    launchBackground("cd " + base + " && " +
+                         std::string(INC_NVPSIM_PATH) + " serve " +
+                         campaign +
+                         " --workers 2 --fleet-dir fd --status-socket"
+                         " --metrics m.json",
+                     base + "/serve.exit");
+    ASSERT_TRUE(waitForPath(base + "/fd/status.sock", 30.0))
+        << "status socket never appeared";
+
+    std::string stream;
+    ASSERT_EQ(runCommand(std::string(INC_NVPSIM_PATH) + " status " +
+                             base + "/fd --watch --json",
+                         &stream),
+              0)
+        << stream;
+    ASSERT_TRUE(waitForPath(base + "/serve.exit", 60.0));
+    EXPECT_EQ(readFile(base + "/serve.exit"), "0\n");
+
+    std::istringstream lines(stream);
+    std::string line, last;
+    while (std::getline(lines, line))
+        last = line;
+    ASSERT_FALSE(last.empty());
+    obs::JsonValue doc;
+    double jobs_done = 0.0, jobs_total = 0.0;
+    parseStatusLine(last, &jobs_done, &jobs_total, &doc);
+    ASSERT_EQ(jobs_done, jobs_total);
+    const obs::JsonValue *live = doc.find("live");
+    ASSERT_NE(live, nullptr) << last;
+
+    obs::JsonValue metrics;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(readFile(base + "/m.json"), &metrics,
+                               &error))
+        << error;
+    const obs::JsonValue *counters = metrics.find("counters");
+    const obs::JsonValue *histograms = metrics.find("histograms");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(histograms, nullptr);
+    const obs::JsonValue *outages = histograms->find("hist.outage_samples");
+    ASSERT_NE(outages, nullptr);
+
+    const auto field = [&](const obs::JsonValue &obj, const char *key) {
+        const obs::JsonValue *v = obj.find(key);
+        EXPECT_NE(v, nullptr) << key << " missing";
+        return v != nullptr ? v->number() : -1.0;
+    };
+    EXPECT_GT(field(*counters, "sim.backup.committed"), 0.0);
+    EXPECT_EQ(field(*live, "backups_committed"),
+              field(*counters, "sim.backup.committed"));
+    EXPECT_EQ(field(*live, "restores"),
+              field(*counters, "sim.restore.successes"));
+    // Outage samples are 0.1 ms trace ticks; the live view reports ms.
+    EXPECT_EQ(field(*live, "outage_p50_ms"), field(*outages, "p50") / 10.0);
+    EXPECT_EQ(field(*live, "outage_p95_ms"), field(*outages, "p95") / 10.0);
+    EXPECT_EQ(field(*live, "outage_p99_ms"), field(*outages, "p99") / 10.0);
+    fs::remove_all(base);
+}
+
 TEST(FleetTelemetry, StatusSocketAndTraceLeaveCampaignBytesIdentical)
 {
     const std::string base = freshDir("telemetry");
@@ -997,9 +948,8 @@ TEST(FleetTelemetry, StatusSocketAndTraceLeaveCampaignBytesIdentical)
               0)
         << out;
 
-    // The full telemetry plane on: status socket, trace merge, and
-    // the default-cadence PROGRESS stream — none of it may move a
-    // byte of the four campaign artifacts.
+    // The full telemetry plane on: status socket and fleet trace —
+    // neither may move a byte of the four campaign artifacts.
     const std::string dir = base + "/live";
     fs::create_directories(dir);
     out.clear();
@@ -1015,7 +965,7 @@ TEST(FleetTelemetry, StatusSocketAndTraceLeaveCampaignBytesIdentical)
         << out;
     expectSameCampaignBytes(serial_dir, dir, "telemetry plane");
 
-    // The merged trace is structurally valid Chrome-trace JSON with a
+    // The fleet trace is structurally valid Chrome-trace JSON with a
     // process-name record per fleet process (coordinator + workers).
     const std::string trace = readFile(dir + "/fleet.trace.json");
     ASSERT_TRUE(obs::jsonIsValid(trace));
@@ -1046,6 +996,104 @@ TEST(FleetTelemetry, StatusSocketAndTraceLeaveCampaignBytesIdentical)
     ASSERT_NE(fleet, nullptr);
     ASSERT_TRUE(fleet->isObject());
     EXPECT_NE(fleet->find("counters"), nullptr);
+    fs::remove_all(base);
+}
+
+TEST(FleetTelemetry, TraceCarriesTheNamesAndPidsPerfbenchParses)
+{
+    // perfbench derives its fleet.* layer (perfbench/benchlib.py,
+    // fleet_layer_metrics) from these events of a 2-worker
+    // `serve --trace-out`; a traced benchmark run fails without them.
+    const std::string base = freshDir("trace-shape");
+    const std::string campaign = base + "/campaign.json";
+    writeSlowCampaign(campaign);
+    std::string out;
+    ASSERT_EQ(runCommand("cd " + base + " && " +
+                             std::string(INC_NVPSIM_PATH) + " serve " +
+                             campaign +
+                             " --workers 2 --fleet-dir fd"
+                             " --trace-out t.json --fleet-metrics fm.json",
+                         &out),
+              0)
+        << out;
+
+    obs::JsonValue telemetry;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(readFile(base + "/fm.json"), &telemetry,
+                               &error))
+        << error;
+    const obs::JsonValue *fingerprint = telemetry.find("campaign");
+    const obs::JsonValue *fleet = telemetry.find("fleet");
+    ASSERT_NE(fingerprint, nullptr);
+    ASSERT_NE(fleet, nullptr);
+    const obs::JsonValue *gauges = fleet->find("gauges");
+    ASSERT_NE(gauges, nullptr);
+    const obs::JsonValue *planned = gauges->find("fleet.shards.planned");
+    ASSERT_NE(planned, nullptr);
+    const auto shards = static_cast<std::size_t>(planned->number());
+    ASSERT_GT(shards, 0u);
+
+    obs::JsonValue doc;
+    ASSERT_TRUE(obs::parseJson(readFile(base + "/t.json"), &doc, &error))
+        << error;
+    const obs::JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    // Pass 1: the coordinator's instants name every worker pid.
+    std::map<long, int> spawned; // pid -> generation
+    std::map<long, int> hellos;  // pid -> count
+    std::size_t campaign_spans = 0;
+    for (const auto &e : events->items()) {
+        const std::string ph = e.find("ph")->string();
+        const std::string name = e.find("name")->string();
+        if (ph == "M")
+            continue;
+        ASSERT_NE(e.find("ts"), nullptr) << name;
+        EXPECT_GE(e.find("ts")->number(), 0.0) << name;
+        int generation = -1;
+        long pid = -1;
+        if (ph == "i" && std::sscanf(name.c_str(),
+                                     "spawn worker g%d (pid %ld)",
+                                     &generation, &pid) == 2)
+            spawned[pid] = generation;
+        if (ph == "i" &&
+            std::sscanf(name.c_str(), "hello from pid %ld", &pid) == 1)
+            ++hellos[pid];
+        if (ph == "X" && name == "campaign " + fingerprint->string())
+            ++campaign_spans;
+    }
+    EXPECT_EQ(campaign_spans, 1u);
+    ASSERT_EQ(spawned.size(), 2u);
+    for (const auto &[pid, generation] : spawned)
+        EXPECT_EQ(hellos[pid], 1) << "pid " << pid;
+
+    // Pass 2: shard and job spans sit on those worker pids.
+    std::map<std::size_t, int> shard_spans; // shard id -> count
+    std::map<std::string, int> job_spans;   // job name -> count
+    for (const auto &e : events->items()) {
+        if (e.find("ph")->string() != "X")
+            continue;
+        const auto pid = static_cast<long>(e.find("pid")->number());
+        if (spawned.count(pid) == 0)
+            continue;
+        const std::string name = e.find("name")->string();
+        std::size_t shard = 0;
+        char tail = 0;
+        if (std::sscanf(name.c_str(), "shard %zu%c", &shard, &tail) == 1) {
+            ++shard_spans[shard];
+            continue;
+        }
+        ASSERT_NE(e.find("dur"), nullptr) << name;
+        EXPECT_GE(e.find("dur")->number(), 0.0) << name;
+        ++job_spans[name];
+    }
+    EXPECT_EQ(shard_spans.size(), shards);
+    for (std::size_t id = 0; id < shards; ++id)
+        EXPECT_EQ(shard_spans[id], 1) << "shard " << id;
+    // 2 kernels x 2 profiles: four distinct job names, one span each.
+    EXPECT_EQ(job_spans.size(), 4u);
+    for (const auto &[name, count] : job_spans)
+        EXPECT_EQ(count, 1) << name;
     fs::remove_all(base);
 }
 
@@ -1390,6 +1438,46 @@ TEST(FleetCli, FailedWorkerStopsTheFleetAndLeavesNoSocket)
     const std::vector<std::string> left = processesMentioning(base);
     EXPECT_TRUE(left.empty()) << left.front();
     EXPECT_EQ(readFile(base + "/fd/shard-0/arena.log"), header);
+    fs::remove_all(base);
+}
+
+TEST(FleetCli, ForeignShardJournalStopsTheFleetCleanly)
+{
+    // A shard journal bound to another campaign (here: its fleet dir's
+    // campaign.fp marker removed, then a different seed served into
+    // it) is an ERROR that stops the fleet. It once killed the worker
+    // instead, so the coordinator reassigned the shard until its retry
+    // budget ran out and left fleet.sock behind.
+    const std::string base = freshDir("foreign-shard");
+    const auto writeSeed = [&base](int seed) {
+        const std::string path =
+            base + "/seed" + std::to_string(seed) + ".json";
+        std::ofstream f(path, std::ios::binary);
+        f << R"({"kernels": "sobel", "profiles": "2", "seconds": 0.3,)"
+          << R"( "seed": )" << seed << "}";
+        return path;
+    };
+    const std::string serve = "cd " + base + " && " +
+                              std::string(INC_NVPSIM_PATH) + " serve ";
+    std::string log;
+    ASSERT_EQ(runCommand(serve + writeSeed(1) + " --workers 1 --fleet-dir fd",
+                         &log),
+              0)
+        << log;
+    ASSERT_TRUE(fs::remove(base + "/fd/campaign.fp"));
+
+    log.clear();
+    EXPECT_EQ(runCommand(serve + writeSeed(2) + " --workers 1 --fleet-dir fd",
+                         &log),
+              1)
+        << log;
+    EXPECT_NE(log.find("belongs to a different campaign"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(log.find("reassigning"), std::string::npos) << log;
+    EXPECT_FALSE(fs::exists(base + "/fd/fleet.sock"));
+    const std::vector<std::string> left = processesMentioning(base);
+    EXPECT_TRUE(left.empty()) << left.front();
     fs::remove_all(base);
 }
 

@@ -176,6 +176,47 @@ TEST(EventTracer, RingOverwritesOldestAndCountsDrops)
     EXPECT_DOUBLE_EQ(meta->find("droppedEvents")->number(), 6.0);
 }
 
+TEST(EventTracer, ProcessNamesComeFirstAndEventsKeepTheirPid)
+{
+    // The fleet trace's form: a named row per process, then events on
+    // each process's real pid at the timestamps they were recorded.
+    obs::EventTracer tracer;
+    tracer.span(200, 1, "sobel x Power Profile 2", 1000.0, 1500.0);
+    tracer.setProcessName(200, "nvpsim work g0 (pid 200)");
+    tracer.setProcessName(100, "nvpsim serve (pid 100)");
+    tracer.instant(obs::Track::checkpoint, "backup", 250.0);
+    EXPECT_EQ(tracer.size(), 2u) << "process names are not ring events";
+
+    const std::string trace = tracer.toChromeTraceJson();
+    ASSERT_TRUE(obs::jsonIsValid(trace)) << trace;
+    obs::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(trace, &doc, &error)) << error;
+    const obs::JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->items().size(), 4u); // 2 process names + 2 events
+    const std::vector<obs::JsonValue> &items = events->items();
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(items[i].find("ph")->string(), "M");
+        EXPECT_EQ(items[i].find("name")->string(), "process_name");
+    }
+    EXPECT_DOUBLE_EQ(items[0].find("pid")->number(), 100.0);
+    EXPECT_EQ(items[0].find("args")->find("name")->string(),
+              "nvpsim serve (pid 100)");
+    EXPECT_DOUBLE_EQ(items[1].find("pid")->number(), 200.0);
+
+    const obs::JsonValue &span = items[2];
+    EXPECT_EQ(span.find("name")->string(), "sobel x Power Profile 2");
+    EXPECT_DOUBLE_EQ(span.find("ts")->number(), 1000.0);
+    EXPECT_DOUBLE_EQ(span.find("dur")->number(), 1500.0);
+    EXPECT_DOUBLE_EQ(span.find("pid")->number(), 200.0);
+    EXPECT_DOUBLE_EQ(span.find("tid")->number(), 1.0);
+    // A simulator event stays pid 0 with its Track as tid.
+    EXPECT_DOUBLE_EQ(items[3].find("pid")->number(), 0.0);
+    EXPECT_DOUBLE_EQ(items[3].find("tid")->number(),
+                     static_cast<double>(obs::Track::checkpoint));
+}
+
 // ---------------------------------------------------------------------
 // Co-simulator instrumentation
 

@@ -98,18 +98,19 @@
  *       aid: first-generation workers SIGKILL themselves after K
  *       journaled jobs (respawned replacements run clean), the
  *       kill/reassign matrix of tests/test_fleet.cc.
- *       Live telemetry plane (DESIGN.md §16): workers stream a PROGRESS
- *       frame after every delivered job, carrying shard position, a
- *       cumulative metrics snapshot and completed trace spans.
+ *       Live telemetry plane (DESIGN.md §16), built by the
+ *       coordinator from the RESULT and DONE frames it folds:
  *       --status-socket[=PATH] opens a second Unix socket (default
  *       <fleet-dir>/status.sock) that streams point-in-time STATE
  *       snapshots to every connection — see `nvpsim status`.
- *       --trace-out merges worker span batches with coordinator
- *       scheduling events (spawn/hello/assign/reassign/loss) into one
- *       Chrome-trace / Perfetto JSON with a process-name record per
- *       worker, on a shared wall-clock time base. The entire plane is
- *       read-only over the result path: all campaign outputs stay
- *       byte-identical whether or not any of these flags are set.
+ *       --trace-out writes one Chrome-trace / Perfetto JSON: shard
+ *       and job spans on each worker's pid, per-job backup/restore
+ *       samples and the coordinator's scheduling events
+ *       (spawn/hello/assign/reassign/loss), all on the coordinator's
+ *       clock since campaign start, with a process-name record per
+ *       fleet process. The entire plane is read-only over the result
+ *       path: all campaign outputs stay byte-identical whether or not
+ *       any of these flags are set.
  *
  *   nvpsim work
  *       Fleet worker entry point (spawned by `nvpsim serve`; usable
@@ -125,8 +126,8 @@
  *       human-readable snapshot: jobs done/total, shard progress,
  *       throughput and ETA, a per-worker health table (pid,
  *       generation, ok/starting/stale/lost, heartbeat age, shard
- *       position, current job), and live outage percentiles folded
- *       from worker PROGRESS snapshots. --json prints the raw
+ *       position, last job), and live outage percentiles over the
+ *       jobs folded so far. --json prints the raw
  *       inc-fleet-status-v1 document instead; --watch follows the
  *       stream until the campaign completes (with --json, one
  *       document per line — the final one always reports
@@ -750,14 +751,12 @@ renderStatus(const obs::JsonValue &doc)
     if (live != nullptr && live->isObject() &&
         live->find("outage_p50_ms") != nullptr) {
         std::printf("live outage percentiles: p50 %.1f ms, p95 %.1f "
-                    "ms, p99 %.1f ms (%.0f backups, %.0f restores, "
-                    "%.0f shard snapshots)\n",
+                    "ms, p99 %.1f ms (%.0f backups, %.0f restores)\n",
                     statusNum(*live, "outage_p50_ms", 0),
                     statusNum(*live, "outage_p95_ms", 0),
                     statusNum(*live, "outage_p99_ms", 0),
                     statusNum(*live, "backups_committed", 0),
-                    statusNum(*live, "restores", 0),
-                    statusNum(*live, "metrics_shards", 0));
+                    statusNum(*live, "restores", 0));
     }
 }
 

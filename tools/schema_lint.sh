@@ -2,7 +2,8 @@
 # Metric-name schema lint.
 #
 # Every metric-name string literal handed to a counter()/gauge()/
-# histogram() call in src/, tools/ or bench/ must be declared in
+# histogram() call, or to a local count() helper like the simulator's
+# publish step, in src/, tools/ or bench/ must be declared in
 # src/obs/schema.h. An undeclared literal is how two emitters of "the
 # same" metric drift apart silently (a typo'd name merges into its own
 # registry entry and every identity built on the real one goes quietly
@@ -28,7 +29,7 @@ schema="$root/src/obs/schema.h"
 # kBitTicksPrefix family) are out of scope by construction: they go
 # through schema.h constants already.
 extract_literals() {
-    grep -rhoE '(counter|gauge|histogram)[[:space:]]*\([[:space:]]*"[^"]+"' \
+    grep -rhoE '(count|counter|gauge|histogram)[[:space:]]*\([[:space:]]*"[^"]+"' \
         --include='*.cc' --include='*.h' --exclude='schema.h' \
         "$root/src" "$root/tools" "$root/bench" 2>/dev/null |
         sed -E 's/.*"([^"]+)"$/\1/' | sort -u
@@ -47,19 +48,21 @@ lint() {
 }
 
 if [ "${1:-}" = "--self-test" ]; then
-    # Plant an undeclared literal and require the lint to fail on it:
-    # a lint that cannot fail gates nothing.
+    # Plant an undeclared literal in each call form and require the
+    # lint to fail on it: a lint that cannot fail gates nothing.
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     mkdir -p "$tmp/src" "$tmp/tools" "$tmp/bench"
     cp "$schema" "$tmp/src-schema.h"
-    printf '%s\n' 'x.counter("lint.selftest.bogus");' \
-        >"$tmp/src/planted.cc"
-    if (root="$tmp" schema="$tmp/src-schema.h" lint) 2>/dev/null; then
-        echo "schema-lint: self-test FAILED (planted undeclared name" \
-            "was not caught)" >&2
-        exit 2
-    fi
+    for call in 'x.counter("lint.selftest.bogus");' \
+        'count("lint.selftest.bogus", 1);'; do
+        printf '%s\n' "$call" >"$tmp/src/planted.cc"
+        if (root="$tmp" schema="$tmp/src-schema.h" lint) 2>/dev/null; then
+            echo "schema-lint: self-test FAILED (planted undeclared" \
+                "name in '$call' was not caught)" >&2
+            exit 2
+        fi
+    done
     echo "schema-lint: self-test OK"
 fi
 
