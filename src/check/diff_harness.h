@@ -72,10 +72,10 @@
  *     the RESULT wire encoding (fuzzed delivery interleaving, fuzzed
  *     stream fragmentation) into a ResultFolder. The folded per-job
  *     serialized results, status fields and merged metrics JSON must
- *     equal the oracle's byte-for-byte. Every third trial replays
- *     shard 0 from a reopened sweep journal (the reassigned-shard warm
- *     restart) and requires the replayed wire frames to be
- *     byte-identical to the fresh run's.
+ *     equal the oracle's byte-for-byte. Every third trial folds
+ *     shard 0 into a sweep journal, reopens it into a fresh folder (the
+ *     coordinator's restart), which must hold exactly shard 0's ok
+ *     jobs, and folds the remaining frames into that folder.
  *
  *   engine_diff (cross-cutting, opt-in via `fuzz --engine-diff`) — a
  *     co-simulator trial whose primary invariant passed re-runs under

@@ -1,6 +1,7 @@
 #include "check/fleet_trial.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -127,13 +128,11 @@ makeRunner(const MiniCampaign &campaign)
  *  in delivery order. */
 std::vector<std::string>
 runShardFrames(const MiniCampaign &campaign, std::size_t begin,
-               std::size_t end, runner::SweepJournal *journal)
+               std::size_t end)
 {
     std::vector<std::string> frames;
     std::unique_ptr<runner::SweepRunner> runner = makeRunner(campaign);
     runner->setJobRange(begin, end);
-    if (journal)
-        runner->setJournal(journal);
     runner->setDeliveryHook([&frames](const runner::JobResult &jr) {
         frames.push_back(fleet::encodeResult(jr));
     });
@@ -143,11 +142,10 @@ runShardFrames(const MiniCampaign &campaign, std::size_t begin,
 
 /** The coordinator's merge path, minus the sockets: interleave the
  *  shards' frame streams in a fuzzed order, re-fragment into fuzzed
- *  chunk sizes through a MessageReader, decode, fold. */
+ *  chunk sizes through a MessageReader, decode, fold into @p folder. */
 Divergence
 foldFrames(const std::vector<std::vector<std::string>> &shard_frames,
-           const std::vector<runner::JobSpec> &jobs, util::Rng &t,
-           runner::SweepReport *out)
+           fleet::ResultFolder &folder, util::Rng &t)
 {
     std::string stream;
     std::vector<std::size_t> cursor(shard_frames.size(), 0);
@@ -163,7 +161,6 @@ foldFrames(const std::vector<std::vector<std::string>> &shard_frames,
         stream += shard_frames[s][cursor[s]++];
     }
 
-    fleet::ResultFolder folder(jobs);
     fleet::MessageReader reader;
     std::size_t offset = 0;
     while (true) {
@@ -189,14 +186,6 @@ foldFrames(const std::vector<std::vector<std::string>> &shard_frames,
         reader.feed(stream.data() + offset, chunk);
         offset += chunk;
     }
-
-    if (!folder.complete())
-        return fleetDivergence(
-            "fleet_fold", "only " +
-                              std::to_string(folder.filledCount()) +
-                              " of " + std::to_string(jobs.size()) +
-                              " jobs folded");
-    *out = folder.takeReport(0.0, 1);
     return {};
 }
 
@@ -276,55 +265,56 @@ runFleetMergeTrial(const TrialSpec &spec)
             runner::planShards(jobs.size(), 2);
 
         std::vector<std::vector<std::string>> shard_frames;
-        const bool journal_shard0 = spec.index % 3 == 0;
-        for (const runner::ShardRange &shard : plan) {
-            if (shard.id == 0 && journal_shard0) {
-                // The reassigned-shard warm restart: journal the shard,
-                // reopen the journal, replay the shard purely from it.
-                const std::string fp =
-                    runner::SweepJournal::fingerprint(
-                        campaign.sweep, jobs, "fleet-fuzz");
-                std::vector<std::string> fresh;
-                {
-                    std::unique_ptr<runner::SweepJournal> journal =
-                        runner::SweepJournal::open(dir);
-                    journal->bind(fp, jobs.size());
-                    fresh = runShardFrames(campaign, shard.begin,
-                                           shard.end, journal.get());
-                }
-                std::unique_ptr<runner::SweepJournal> journal =
-                    runner::SweepJournal::open(dir);
-                if (!journal->bound() ||
-                    journal->boundFingerprint() != fp) {
-                    result = fleetDivergence(
-                        "fleet_replay",
-                        "shard journal lost its campaign binding "
-                        "across recovery");
-                    break;
-                }
-                const std::vector<std::string> replayed =
-                    runShardFrames(campaign, shard.begin, shard.end,
-                                   journal.get());
-                if (replayed != fresh) {
-                    result = fleetDivergence(
-                        "fleet_replay",
-                        "journal-replayed shard frames differ from "
-                        "the fresh run's");
-                    break;
-                }
-                shard_frames.push_back(replayed);
-            } else {
-                shard_frames.push_back(runShardFrames(
-                    campaign, shard.begin, shard.end, nullptr));
-            }
-        }
+        for (const runner::ShardRange &shard : plan)
+            shard_frames.push_back(
+                runShardFrames(campaign, shard.begin, shard.end));
 
-        if (!result.violated) {
-            runner::SweepReport folded;
-            result = foldFrames(shard_frames, jobs, t, &folded);
-            if (!result.violated)
-                result = compareToOracle(golden, folded);
+        // Every third trial is the coordinator's restart: shard 0 is
+        // folded into a journal, which a fresh folder reopens; it must
+        // hold shard 0's ok jobs, and the frames of the rest follow.
+        std::unique_ptr<runner::SweepJournal> journal;
+        fleet::ResultFolder folder(jobs);
+        std::string error;
+        if (spec.index % 3 == 0) {
+            const std::string fp = runner::SweepJournal::fingerprint(
+                campaign.sweep, jobs, "fleet-fuzz");
+            {
+                const auto first_journal = runner::SweepJournal::open(dir);
+                fleet::ResultFolder first(jobs);
+                result = first.keepJournal(first_journal.get(), fp, &error)
+                             ? foldFrames({shard_frames[0]}, first, t)
+                             : fleetDivergence("fleet_journal", error);
+            }
+            journal = runner::SweepJournal::open(dir);
+            if (!result.violated &&
+                !folder.keepJournal(journal.get(), fp, &error))
+                result = fleetDivergence("fleet_journal", error);
+            std::size_t ok_jobs = 0;
+            for (std::size_t i = plan[0].begin; i < plan[0].end; ++i)
+                ok_jobs += golden.results[i].ok ? 1 : 0;
+            if (!result.violated && folder.filledCount() != ok_jobs)
+                result = fleetDivergence(
+                    "fleet_journal",
+                    "the reopened journal holds " +
+                        std::to_string(folder.filledCount()) +
+                        " jobs of shard 0, which has " +
+                        std::to_string(ok_jobs) + " ok ones");
+            std::erase_if(shard_frames[0], [&folder](const std::string &f) {
+                std::size_t index = 0;
+                return std::sscanf(f.c_str(), "RESULT %zu", &index) == 1 &&
+                       folder.rangeComplete(index, index + 1);
+            });
         }
+        if (!result.violated)
+            result = foldFrames(shard_frames, folder, t);
+        if (!result.violated && !folder.complete())
+            result = fleetDivergence(
+                "fleet_fold", "only " +
+                                  std::to_string(folder.filledCount()) +
+                                  " of " + std::to_string(jobs.size()) +
+                                  " jobs folded");
+        if (!result.violated)
+            result = compareToOracle(golden, folder.takeReport(0.0, 1));
     } catch (const std::exception &e) {
         result = fleetDivergence("fleet_exception", e.what());
     }

@@ -111,8 +111,8 @@ runner::SweepSpec buildSweepSpec(const CampaignSpec &spec,
 
 /**
  * The SweepJournal fingerprint "extra" string for this campaign —
- * shared by `nvpsim sweep --arena` and the fleet's shard journals, so
- * both agree on campaign identity. Every knob that shapes a job must
+ * shared by `nvpsim sweep --arena` and the fleet's journal, so both
+ * agree on campaign identity. Every knob that shapes a job must
  * feed it (tests/test_fleet.cc loops over the knob table); its format
  * must not change, because every journal stores the fingerprint it
  * feeds.

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <csignal>
 #include <deque>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -93,9 +95,14 @@ class Coordinator
     FleetOutcome run();
 
   private:
+    void openJournal();
+    void staffFleet(bool first_generation);
     void spawnWorker(bool first_generation);
     void dispatchShards();
     void assignShard(WorkerProc &worker, std::size_t shard_id);
+    /** A dispatched shard is done: its DONE arrived, or its worker
+     *  was lost after sending every result. */
+    void finishShard();
     void handleMessage(Connection &conn, const Message &message);
     void handleHello(Connection &conn, const Message &message);
     void handleResult(WorkerProc &worker, const Message &message);
@@ -104,13 +111,11 @@ class Coordinator
     void dropConnection(Connection *conn, const char *why);
     void workerLost(WorkerProc &worker, const char *why);
     void reapChildren();
+    double shardSilence(const WorkerProc &worker,
+                        Clock::time_point now) const;
     void checkHeartbeats();
     void shutdownFleet();
     WorkerProc *findWorker(long pid);
-    bool allShardsCompleted() const
-    {
-        return completed_count_ == plan_.size();
-    }
 
     // --- live telemetry plane (DESIGN.md §16) ------------------------
     /** Microseconds from campaign start to @p t: the trace's axis. */
@@ -134,7 +139,6 @@ class Coordinator
     std::vector<runner::ShardRange> plan_;
     std::deque<std::size_t> pending_;
     std::vector<int> dispatch_count_;
-    std::vector<bool> shard_completed_;
     std::size_t completed_count_ = 0;
 
     std::vector<std::unique_ptr<Connection>> connections_;
@@ -144,6 +148,8 @@ class Coordinator
     int next_generation_ = 0;
     int startup_failures_ = 0;
 
+    /** The fleet dir's journal; outlives the folder recording into it. */
+    std::unique_ptr<runner::SweepJournal> journal_;
     std::unique_ptr<ResultFolder> folder_;
     obs::MetricsRegistry metrics_;
     double worker_wall_ms_ = 0.0;
@@ -178,32 +184,7 @@ Coordinator::Coordinator(const ServeOptions &options)
     if (options_.workers < 1)
         util::fatal("fleet: --workers must be >= 1");
 
-    if (!util::ensureDir(options_.fleet_dir))
-        util::fatal("cannot create fleet dir '%s'",
-                    options_.fleet_dir.c_str());
-
-    // Fingerprint marker: a fleet dir holds shard journals for exactly
-    // one campaign; folding a different campaign's journals would mix
-    // results silently, so a mismatch is a hard error.
-    const std::string marker = options_.fleet_dir + "/campaign.fp";
-    std::string existing; // stays empty for a fresh fleet dir
-    util::readFile(marker, &existing);
-    if (!existing.empty() && existing != fingerprint_)
-        util::fatal("fleet dir '%s' holds journals for a different "
-                    "campaign (fingerprint %s, this campaign is %s); "
-                    "use a fresh directory or the original campaign "
-                    "file/flags",
-                    options_.fleet_dir.c_str(), existing.c_str(),
-                    fingerprint_.c_str());
-    if (existing.empty()) {
-        if (!util::writeFile(marker, fingerprint_))
-            util::fatal("cannot write '%s'", marker.c_str());
-    } else {
-        std::fprintf(stderr,
-                     "fleet: resuming campaign %s in '%s'\n",
-                     fingerprint_.c_str(),
-                     options_.fleet_dir.c_str());
-    }
+    openJournal();
 
     socket_path_ = options_.socket_path.empty()
                        ? options_.fleet_dir + "/fleet.sock"
@@ -213,13 +194,72 @@ Coordinator::Coordinator(const ServeOptions &options)
         jobs_.size(),
         static_cast<std::size_t>(options_.workers) * kShardsPerWorker);
     dispatch_count_.assign(plan_.size(), 0);
-    shard_completed_.assign(plan_.size(), false);
-    for (const runner::ShardRange &shard : plan_)
-        pending_.push_back(shard.id);
+    for (const runner::ShardRange &shard : plan_) {
+        // A shard the journal holds in full is never dispatched.
+        if (folder_->rangeComplete(shard.begin, shard.end))
+            ++completed_count_;
+        else
+            pending_.push_back(shard.id);
+    }
     metrics_.gauge(obs::kFleetShardsPlanned).value =
         static_cast<double>(plan_.size());
+    // Every counter reads 0 until it moves: a campaign the journal
+    // finished spawns no worker and dispatches no shard.
+    for (const char *name :
+         {obs::kFleetShardsDispatched, obs::kFleetShardsCompleted,
+          obs::kFleetShardsReassigned, obs::kFleetShardsRetried,
+          obs::kFleetWorkersSpawned, obs::kFleetWorkersLost,
+          obs::kFleetMergeBytes})
+        metrics_.counter(name);
+}
 
+void
+Coordinator::openJournal()
+{
+    const std::string &dir = options_.fleet_dir;
+    if (!util::ensureDir(dir))
+        util::fatal("cannot create fleet dir '%s'", dir.c_str());
+
+    // The journal is the fleet dir's only state. Stale sockets (a killed
+    // coordinator's) go once the journal is accepted; anything else,
+    // such as an older build's journal layout, is refused by name.
+    std::vector<std::filesystem::path> sockets;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.is_socket())
+            sockets.push_back(entry.path());
+        else if (entry.path().filename() != "arena.log")
+            util::fatal("fleet dir '%s' holds '%s', which is not part of "
+                        "a fleet journal (a layout of an older build?); "
+                        "serve the campaign into a fresh directory",
+                        dir.c_str(), entry.path().filename().c_str());
+    }
+
+    try {
+        journal_ = runner::SweepJournal::open(dir);
+    } catch (const std::exception &e) {
+        util::fatal("cannot open the journal of fleet dir '%s': %s",
+                    dir.c_str(), e.what());
+    }
+    const bool resuming = journal_->bound();
     folder_ = std::make_unique<ResultFolder>(jobs_);
+    std::string error;
+    if (!folder_->keepJournal(journal_.get(), fingerprint_, &error))
+        util::fatal("fleet dir '%s' %s; use a fresh directory or the "
+                    "original campaign file/flags",
+                    dir.c_str(), error.c_str());
+    for (const std::filesystem::path &socket : sockets)
+        ::unlink(socket.c_str());
+    if (resuming)
+        std::fprintf(stderr,
+                     "fleet: resuming campaign %s in '%s' (%zu of %zu "
+                     "jobs journaled)\n",
+                     fingerprint_.c_str(), dir.c_str(),
+                     folder_->filledCount(), jobs_.size());
+    // The live view starts from the journaled jobs, so its final frame
+    // still equals the merged metrics.
+    for (std::size_t i = 0; i < jobs_.size(); ++i)
+        if (folder_->rangeComplete(i, i + 1) && folder_->result(i).ok)
+            live_metrics_.merge(folder_->result(i).metrics);
 }
 
 WorkerProc *
@@ -233,20 +273,28 @@ Coordinator::findWorker(long pid)
 }
 
 void
+Coordinator::staffFleet(bool first_generation)
+{
+    // One worker per shard left, at most --workers: a finished campaign
+    // spawns none, and a lost worker is replaced only while one is due.
+    std::size_t alive = 0;
+    for (const WorkerProc &w : workers_)
+        alive += w.alive ? 1 : 0;
+    const std::size_t wanted =
+        std::min(static_cast<std::size_t>(options_.workers),
+                 plan_.size() - completed_count_);
+    for (; alive < wanted; ++alive)
+        spawnWorker(first_generation);
+}
+
+void
 Coordinator::spawnWorker(bool first_generation)
 {
     std::vector<std::string> argv_strings = {
-        options_.nvpsim_path,
-        "work",
-        "--socket",
-        socket_path_,
-        "--campaign",
-        options_.campaign_path,
-        "--fleet-dir",
-        options_.fleet_dir,
-        "--collect-metrics",
-        options_.collect_metrics ? "1" : "0",
-    };
+        options_.nvpsim_path,   "work",
+        "--socket",             socket_path_,
+        "--campaign",           options_.campaign_path,
+        "--collect-metrics",    options_.collect_metrics ? "1" : "0"};
     if (first_generation && options_.kill_worker_after > 0) {
         argv_strings.push_back("--kill-after");
         argv_strings.push_back(
@@ -258,10 +306,16 @@ Coordinator::spawnWorker(bool first_generation)
         argv.push_back(s.data());
     argv.push_back(nullptr);
 
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid < 0)
         util::fatal("fleet: fork() failed");
     if (pid == 0) {
+        // A worker keeps no state, so it has nothing to finish once
+        // the coordinator is gone: it dies with it.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent)
+            ::_exit(1);
         ::execv(options_.nvpsim_path.c_str(), argv.data());
         // Exec failure: exit without running any parent atexit state.
         ::_exit(127);
@@ -280,7 +334,10 @@ Coordinator::spawnWorker(bool first_generation)
 void
 Coordinator::assignShard(WorkerProc &worker, std::size_t shard_id)
 {
-    const runner::ShardRange &shard = plan_[shard_id];
+    // Only the shard's not-yet-folded suffix runs: the jobs before it
+    // are journaled or were streamed by a lost worker.
+    runner::ShardRange shard = plan_[shard_id];
+    shard.begin = folder_->firstUnfolded(shard.begin, shard.end);
     const std::string frame = encodeShard(shard);
     if (!writeAll(worker.conn->fd, frame.data(), frame.size())) {
         // The worker died between poll rounds: requeue the shard and
@@ -292,7 +349,7 @@ Coordinator::assignShard(WorkerProc &worker, std::size_t shard_id)
     }
     worker.shard = static_cast<int>(shard_id);
     worker.shard_done = 0;
-    worker.shard_assigned = shard.end - shard.begin;
+    worker.shard_assigned = shard.size();
     worker.shard_start = Clock::now();
     worker.job_start = worker.shard_start;
     dispatch_count_[shard_id] += 1;
@@ -301,6 +358,13 @@ Coordinator::assignShard(WorkerProc &worker, std::size_t shard_id)
         metrics_.counter(obs::kFleetShardsRetried).value += 1;
     traceInstant(util::format("assign shard %zu -> pid %ld", shard_id,
                               worker.pid));
+}
+
+void
+Coordinator::finishShard()
+{
+    ++completed_count_;
+    metrics_.counter(obs::kFleetShardsCompleted).value += 1;
 }
 
 void
@@ -361,9 +425,9 @@ Coordinator::handleResult(WorkerProc &worker, const Message &message)
     metrics_.counter(obs::kFleetMergeBytes).value +=
         message.payload.size();
 
-    // Live plane. Every RESULT, journal replays included, advances the
-    // worker's row and ends a job span; a job folded for the first
-    // time also joins the live metrics and the counter series.
+    // Live plane. Every RESULT advances the worker's row and ends a job
+    // span; a job folded for the first time (a re-run duplicate is not)
+    // also joins the live metrics and the counter series.
     const auto now = Clock::now();
     const std::string label = jobLabel(jobs_[decoded.index]);
     ++worker.shard_done;
@@ -401,11 +465,7 @@ Coordinator::handleDone(WorkerProc &worker, const Message &message)
                     "results missing",
                     worker.pid, shard_id);
     worker.shard = -1;
-    if (!shard_completed_[shard_id]) {
-        shard_completed_[shard_id] = true;
-        ++completed_count_;
-        metrics_.counter(obs::kFleetShardsCompleted).value += 1;
-    }
+    finishShard();
     traceSpan(worker.pid, kShardTrack,
               "shard " + std::to_string(shard_id), worker.shard_start,
               Clock::now());
@@ -432,19 +492,6 @@ Coordinator::handleMessage(Connection &conn, const Message &message)
         handleDone(*worker, message);
         return;
     }
-    if (kind == "ERROR") {
-        // The campaign has failed. Stop every other worker now (a busy
-        // one would run on to its next delivery and then die on the
-        // closed socket), reap them all and leave no socket behind.
-        for (WorkerProc &other : workers_) {
-            if (other.alive && &other != worker)
-                ::kill(static_cast<pid_t>(other.pid), SIGKILL);
-        }
-        closeStatusPlane();
-        shutdownFleet();
-        util::fatal("fleet: worker %ld failed: %s", worker->pid,
-                    message.payload.c_str());
-    }
     util::fatal("fleet: unexpected message '%s' from worker %ld",
                 message.line.c_str(), worker->pid);
 }
@@ -466,24 +513,28 @@ Coordinator::workerLost(WorkerProc &worker, const char *why)
     ::waitpid(static_cast<pid_t>(worker.pid), &status, WNOHANG);
     if (worker.shard >= 0) {
         const auto shard_id = static_cast<std::size_t>(worker.shard);
+        const runner::ShardRange &shard = plan_[shard_id];
         worker.shard = -1;
-        if (dispatch_count_[shard_id] > kMaxShardRetries)
-            util::fatal("fleet: shard %zu lost its worker %d times "
-                        "(last: %s); retry budget exhausted",
-                        shard_id, dispatch_count_[shard_id], why);
-        std::fprintf(stderr,
-                     "fleet: worker %ld lost (%s); reassigning shard "
-                     "%zu (attempt %d)\n",
-                     worker.pid, why, shard_id,
-                     dispatch_count_[shard_id] + 1);
-        pending_.push_front(shard_id);
-        metrics_.counter(obs::kFleetShardsReassigned).value += 1;
-        traceInstant(util::format("reassign shard %zu", shard_id));
+        const std::size_t resume_at =
+            folder_->firstUnfolded(shard.begin, shard.end);
+        if (resume_at == shard.end) {
+            finishShard();
+        } else {
+            if (dispatch_count_[shard_id] > kMaxShardRetries)
+                util::fatal("fleet: shard %zu lost its worker %d times "
+                            "(last: %s); retry budget exhausted",
+                            shard_id, dispatch_count_[shard_id], why);
+            std::fprintf(stderr,
+                         "fleet: worker %ld lost (%s); reassigning "
+                         "shard %zu from job %zu (attempt %d)\n",
+                         worker.pid, why, shard_id, resume_at,
+                         dispatch_count_[shard_id] + 1);
+            pending_.push_front(shard_id);
+            metrics_.counter(obs::kFleetShardsReassigned).value += 1;
+            traceInstant(util::format("reassign shard %zu", shard_id));
+        }
     }
-    // Keep the fleet at strength while work remains — even a worker
-    // that died idle may be needed for a later reassignment.
-    if (!allShardsCompleted())
-        spawnWorker(false);
+    staffFleet(false);
 }
 
 void
@@ -553,12 +604,24 @@ Coordinator::reapChildren()
                             "connecting (%d startup failures); see "
                             "their stderr above",
                             startup_failures_);
-            if (!allShardsCompleted())
-                spawnWorker(false);
+            staffFleet(false);
         }
         // Greeted workers are handled by their connection's EOF,
         // which arrives with the process death.
     }
+}
+
+double
+Coordinator::shardSilence(const WorkerProc &worker,
+                          Clock::time_point now) const
+{
+    // The one heartbeat rule, behind the drop and "stale" alike: only a
+    // worker that holds a shard owes frames.
+    if (!worker.alive || !worker.conn || worker.shard < 0)
+        return 0.0;
+    return std::chrono::duration<double>(
+               now - std::max(worker.conn->last_heard, worker.shard_start))
+        .count();
 }
 
 void
@@ -568,19 +631,11 @@ Coordinator::checkHeartbeats()
     const double timeout_s = options_.heartbeat_timeout_s;
     if (timeout_s <= 0)
         return;
-    // Collect first: dropConnection mutates connections_.
+    // Collect first: dropConnection mutates connections_ and workers_.
     std::vector<Connection *> stale;
-    for (const auto &conn : connections_) {
-        if (conn->pid < 0)
-            continue;
-        WorkerProc *worker = findWorker(conn->pid);
-        if (!worker || worker->shard < 0)
-            continue; // idle workers are allowed to be silent
-        const double silent_s =
-            std::chrono::duration<double>(now - conn->last_heard)
-                .count();
-        if (silent_s > timeout_s)
-            stale.push_back(conn.get());
+    for (const WorkerProc &worker : workers_) {
+        if (shardSilence(worker, now) > timeout_s)
+            stale.push_back(worker.conn);
     }
     for (Connection *conn : stale)
         dropConnection(conn, "heartbeat timeout");
@@ -735,7 +790,7 @@ Coordinator::buildStatusJson() const
             health = "lost";
         else if (!w.greeted)
             health = "starting";
-        else if (timeout_s > 0 && age_s > 0.5 * timeout_s)
+        else if (timeout_s > 0 && shardSilence(w, now) > 0.5 * timeout_s)
             health = "stale";
         row.set("health", obs::JsonValue::of(health));
         workers.push(std::move(row));
@@ -791,11 +846,11 @@ Coordinator::shutdownFleet()
                 Clock::now() - worker.spawned_at)
                 .count();
     };
-    // A worker that never said HELLO holds no shard. On a warm restart
-    // the journals can finish every shard before a slow worker even
-    // connects; stop and reap it while the socket still exists, so it
-    // cannot die on a vanished socket ("cannot connect", "connection
-    // lost") after the campaign succeeded.
+    // A worker that never said HELLO holds no shard. The other workers
+    // can finish every shard before a slow one even connects; stop and
+    // reap it while the socket still exists, so it cannot die on a
+    // vanished socket ("cannot connect", "connection lost") after the
+    // campaign succeeded.
     for (WorkerProc &worker : workers_) {
         if (worker.alive && !worker.greeted) {
             ::kill(static_cast<pid_t>(worker.pid), SIGKILL);
@@ -852,10 +907,9 @@ Coordinator::run()
         ::fcntl(status_listen_fd_, F_SETFL, flags | O_NONBLOCK);
     }
 
-    for (int i = 0; i < options_.workers; ++i)
-        spawnWorker(true);
+    staffFleet(true);
 
-    while (!allShardsCompleted()) {
+    while (completed_count_ < plan_.size()) {
         dispatchShards();
 
         std::vector<pollfd> fds;

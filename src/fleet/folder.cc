@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "sim/result_io.h"
 #include "util/logging.h"
 
 namespace inc::fleet
@@ -14,6 +15,45 @@ ResultFolder::ResultFolder(std::vector<runner::JobSpec> jobs)
 }
 
 bool
+ResultFolder::keepJournal(runner::SweepJournal *journal,
+                          const std::string &fingerprint,
+                          std::string *error)
+{
+    if (journal->bound() && (journal->boundFingerprint() != fingerprint ||
+                             journal->jobsTotal() != jobs_.size())) {
+        *error = util::format("holds journals for a different campaign "
+                              "(fingerprint %s, this campaign is %s)",
+                              journal->boundFingerprint().c_str(),
+                              fingerprint.c_str());
+        return false;
+    }
+    if (!journal->bound() && !journal->bind(fingerprint, jobs_.size())) {
+        *error = "could not persist its journal's bind record";
+        return false;
+    }
+    // Each journaled job folds as the RESULT frame its run sent: both
+    // round-trip bit-exactly, so a later re-run must match its bytes.
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        runner::JobResult jr;
+        std::string why;
+        if (!journal->completed(i))
+            continue;
+        if (!journal->load(i, &jr, &why) ||
+            !fold({i, jr.attempts, true, sim::serializeResult(jr.result),
+                   jr.metrics.empty() ? std::string() : jr.metrics.toJson(),
+                   {}},
+                  &why)) {
+            *error = util::format("holds an unreadable record of job "
+                                  "%zu (%s)",
+                                  i, why.c_str());
+            return false;
+        }
+    }
+    journal_ = journal;
+    return true;
+}
+
+bool
 ResultFolder::fold(const DecodedResult &decoded, std::string *error)
 {
     if (decoded.index >= jobs_.size()) {
@@ -22,11 +62,11 @@ ResultFolder::fold(const DecodedResult &decoded, std::string *error)
                               decoded.index, jobs_.size());
         return false;
     }
-    const std::string signature =
+    std::string signature =
         decoded.result_text + '\0' + decoded.metrics_json;
     if (filled_[decoded.index]) {
-        // A journal replay from a reassigned shard: determinism says
-        // the bytes must match what the first worker delivered.
+        // A re-run of a folded job: determinism says the bytes must
+        // match what was folded first.
         if (signature != signatures_[decoded.index]) {
             *error = util::format(
                 "job %zu delivered twice with differing bytes "
@@ -34,32 +74,32 @@ ResultFolder::fold(const DecodedResult &decoded, std::string *error)
                 decoded.index);
             return false;
         }
-        bytes_ += decoded.result_text.size() +
-                  decoded.metrics_json.size() + decoded.error.size();
         return true;
     }
     runner::JobResult jr;
     if (!resultFromDecoded(decoded, jobs_[decoded.index], &jr, error))
         return false;
     slots_[decoded.index] = std::move(jr);
-    signatures_[decoded.index] = signature;
+    signatures_[decoded.index] = std::move(signature);
     filled_[decoded.index] = true;
     ++filled_count_;
-    bytes_ += decoded.result_text.size() + decoded.metrics_json.size() +
-              decoded.error.size();
+    if (journal_)
+        journal_->record(slots_[decoded.index]);
     return true;
+}
+
+std::size_t
+ResultFolder::firstUnfolded(std::size_t begin, std::size_t end) const
+{
+    while (begin < end && filled_[begin])
+        ++begin;
+    return begin;
 }
 
 bool
 ResultFolder::rangeComplete(std::size_t begin, std::size_t end) const
 {
-    if (end > jobs_.size())
-        return false;
-    for (std::size_t i = begin; i < end; ++i) {
-        if (!filled_[i])
-            return false;
-    }
-    return true;
+    return end <= jobs_.size() && firstUnfolded(begin, end) == end;
 }
 
 runner::SweepReport

@@ -1,19 +1,21 @@
 /**
  * @file
- * Deterministic job-index-order folding of worker results.
+ * Deterministic job-index-order folding of worker results, and the
+ * fleet's one journal.
  *
- * The coordinator decodes RESULT frames in whatever order the fleet
- * produces them and hands each to a ResultFolder, which slots it by
- * job index. Because aggregation (SweepReport::mergedMetrics(), the
- * report pipeline, CSV emission) walks the slots in index order, the
- * folded campaign is byte-identical to a serial run regardless of
- * worker count, shard plan, or delivery interleaving.
+ * The coordinator hands each decoded RESULT frame, in whatever order
+ * the fleet produces them, to a ResultFolder, which slots it by job
+ * index. Aggregation (mergedMetrics, the report, the CSV) walks the
+ * slots in index order, so the folded campaign is byte-identical to a
+ * serial run at any worker count, shard plan or interleaving.
  *
- * Duplicate deliveries are expected — a reassigned shard's journal
- * warm-restart replays results the dead worker already streamed — and
- * must match the first delivery byte-for-byte on the determinism
- * surface (result text + metrics JSON); a mismatched duplicate means
- * nondeterminism and is reported as an error.
+ * With a journal kept (keepJournal) the folder is the campaign's only
+ * durable record: the journal's jobs fold before any worker runs, and
+ * every job folded for the first time is recorded, so a re-served
+ * campaign dispatches only what the journal lacks. A duplicate (a job
+ * re-run because its shard was re-dispatched from its first unfolded
+ * job) must match the first delivery byte-for-byte on result text and
+ * metrics JSON, or the fold reports nondeterminism.
  *
  * The fuzzer's fleet_merge mode drives this class directly against an
  * un-sharded oracle (DESIGN.md §8, §15).
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "fleet/protocol.h"
+#include "runner/journal.h"
 #include "runner/sweep.h"
 
 namespace inc::fleet
@@ -37,6 +40,18 @@ class ResultFolder
   public:
     /** @p jobs is the campaign's full expansion (kept by copy). */
     explicit ResultFolder(std::vector<runner::JobSpec> jobs);
+
+    /**
+     * Keep the folded campaign in @p journal (not owned; it must
+     * outlive the folder): a fresh journal is bound to @p fingerprint,
+     * every job a bound one holds is folded now, and from here on each
+     * job folded for the first time is recorded (a failed job is not;
+     * it re-runs on resume). False + @p error, a clause that follows
+     * the journal's location, when the journal holds another campaign
+     * or an unreadable job, or its bind does not persist.
+     */
+    bool keepJournal(runner::SweepJournal *journal,
+                     const std::string &fingerprint, std::string *error);
 
     /**
      * Fold one decoded RESULT. False + @p error on an out-of-range
@@ -52,15 +67,16 @@ class ResultFolder
     /** All of [begin, end) folded? (The DONE-message check.) */
     bool rangeComplete(std::size_t begin, std::size_t end) const;
 
+    /** The first index of [begin, end) not yet folded; @p end when
+     *  the range is complete. @p end must not pass jobCount(). */
+    std::size_t firstUnfolded(std::size_t begin, std::size_t end) const;
+
     /** The folded result of job @p index, parsed once by fold(). Valid
      *  for a folded index until takeReport(). */
     const runner::JobResult &result(std::size_t index) const
     {
         return slots_[index];
     }
-
-    /** Total payload bytes folded (the fleet.merge.bytes metric). */
-    std::uint64_t bytesFolded() const { return bytes_; }
 
     /**
      * Hand the folded campaign back as a SweepReport (results in
@@ -77,7 +93,7 @@ class ResultFolder
      *  verification: result_text + '\0' + metrics_json. */
     std::vector<std::string> signatures_;
     std::size_t filled_count_ = 0;
-    std::uint64_t bytes_ = 0;
+    runner::SweepJournal *journal_ = nullptr;
 };
 
 } // namespace inc::fleet

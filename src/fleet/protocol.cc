@@ -14,9 +14,8 @@ namespace
 
 /**
  * Payload byte count a header line announces (RESULT: sum of its
- * three length fields; ERROR and STATE: one length field; everything
- * else: none). False on a header whose lengths do
- * not parse.
+ * three length fields; STATE: one length field; everything else:
+ * none). False on a header whose lengths do not parse.
  */
 bool
 payloadBytes(const std::string &line, std::size_t *need,
@@ -39,11 +38,11 @@ payloadBytes(const std::string &line, std::size_t *need,
         *need = result_len + metrics_len + error_len;
         return true;
     }
-    if (kind == "ERROR" || kind == "STATE") {
+    if (kind == "STATE") {
         std::size_t len = 0;
         in >> len;
         if (!in) {
-            *error = "malformed " + kind + " header: " + line;
+            *error = "malformed STATE header: " + line;
             return false;
         }
         *need = len;
@@ -115,12 +114,6 @@ std::string
 encodeDone(std::size_t shard_id)
 {
     return util::format("DONE %zu\n", shard_id);
-}
-
-std::string
-encodeError(const std::string &message)
-{
-    return util::format("ERROR %zu\n", message.size()) + message;
 }
 
 std::string

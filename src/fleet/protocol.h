@@ -12,7 +12,6 @@
  *     RESULT <index> <attempts> <ok> <result_len> <metrics_len>
  *            <error_len> \n <result><metrics><error>
  *     DONE <shard_id>
- *     ERROR <len> \n <message>
  *
  *   coordinator -> worker
  *     SHARD <id> <begin> <end>
@@ -87,7 +86,6 @@ std::string encodeHello(const std::string &fingerprint, long pid);
 std::string encodeShard(const runner::ShardRange &shard);
 std::string encodeExit();
 std::string encodeDone(std::size_t shard_id);
-std::string encodeError(const std::string &message);
 
 /** Full RESULT frame (header + payloads) for one finished job. */
 std::string encodeResult(const runner::JobResult &result);

@@ -1,9 +1,6 @@
 #include "fleet/worker.h"
 
-#include <atomic>
 #include <csignal>
-#include <memory>
-#include <mutex>
 
 #include <unistd.h>
 
@@ -23,72 +20,26 @@ namespace
 /** Sweep threads per worker process: a fleet scales by worker count. */
 constexpr int kWorkerThreads = 1;
 
-/**
- * Report a shard this worker cannot run, then die. The coordinator
- * answers ERROR by stopping the whole fleet; a bare exit would look
- * like a crash and be reassigned until the retry budget ran out.
- */
-[[noreturn]] void
-failShard(int fd, const std::string &message)
-{
-    const std::string frame = encodeError(message);
-    writeAll(fd, frame.data(), frame.size());
-    util::fatal("%s", message.c_str());
-}
-
-/** One shard execution: journal-backed, range-restricted, streaming. */
+/** Run one shard, streaming its results. @p sent counts this process's
+ *  RESULT frames across shards, for --kill-after. */
 void
-runShard(const runner::SweepSpec &spec, const std::string &fingerprint,
-         std::size_t num_jobs, const runner::ShardRange &shard,
-         const WorkerOptions &options, int fd,
-         std::atomic<std::size_t> *journaled)
+runShard(const runner::SweepSpec &spec, const runner::ShardRange &shard,
+         const WorkerOptions &options, int fd, std::size_t *sent)
 {
-    const std::string arena_dir =
-        options.fleet_dir + "/shard-" + std::to_string(shard.id);
-    std::unique_ptr<runner::SweepJournal> journal;
-    try {
-        journal = runner::SweepJournal::open(arena_dir);
-    } catch (const std::exception &e) {
-        failShard(fd, util::format("cannot open shard arena '%s': %s",
-                                   arena_dir.c_str(), e.what()));
-    }
-    if (journal->bound()) {
-        if (journal->boundFingerprint() != fingerprint)
-            failShard(fd,
-                      util::format("shard arena '%s' belongs to a "
-                                   "different campaign (fingerprint "
-                                   "%s, this campaign is %s)",
-                                   arena_dir.c_str(),
-                                   journal->boundFingerprint().c_str(),
-                                   fingerprint.c_str()));
-    } else {
-        journal->bind(fingerprint, num_jobs);
-    }
-
     runner::SweepRunner runner(spec);
-    runner.setJournal(journal.get());
     runner.setJobRange(shard.begin, shard.end);
 
-    // Stream every delivery (fresh or journal-replayed) immediately:
-    // the coordinator folds by job index, so order does not matter,
-    // and anything sent before a crash survives the crash.
-    std::mutex send_mutex;
-    runner.setDeliveryHook([fd, &send_mutex](
+    // Stream every result immediately: the coordinator folds by job
+    // index, so order does not matter, and anything sent before a
+    // crash survives the crash. One sweep thread delivers them all.
+    runner.setDeliveryHook([fd, &options, sent](
                                const runner::JobResult &result) {
         const std::string frame = encodeResult(result);
-        std::lock_guard<std::mutex> lock(send_mutex);
         if (!writeAll(fd, frame.data(), frame.size()))
             util::fatal("fleet worker: coordinator connection lost");
+        if (options.kill_after > 0 && ++*sent >= options.kill_after)
+            std::raise(SIGKILL);
     });
-
-    if (options.kill_after > 0) {
-        const std::size_t kill_after = options.kill_after;
-        runner.setRecordHook(
-            [journaled, kill_after](std::size_t) {
-                if (journaled->fetch_add(1) + 1 >= kill_after)
-                    std::raise(SIGKILL);
-            });
-    }
 
     runner.run();
 
@@ -125,9 +76,7 @@ runWorker(const WorkerOptions &options)
     if (!writeAll(fd, hello.data(), hello.size()))
         util::fatal("fleet worker: coordinator connection lost");
 
-    // Counts journaled jobs across all shards this incarnation runs,
-    // so --kill-after fires exactly once per worker process.
-    std::atomic<std::size_t> journaled{0};
+    std::size_t sent = 0;
 
     MessageReader reader;
     char buffer[64 * 1024];
@@ -160,8 +109,7 @@ runWorker(const WorkerOptions &options)
                 shard.end > jobs.size())
                 util::fatal("fleet worker: bad shard assignment '%s'",
                             message.line.c_str());
-            runShard(spec, fingerprint, jobs.size(), shard, options,
-                     fd, &journaled);
+            runShard(spec, shard, options, fd, &sent);
             continue;
         }
         util::fatal("fleet worker: unexpected message '%s'",

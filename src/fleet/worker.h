@@ -5,16 +5,12 @@
  * A worker connects to the coordinator's Unix socket, announces the
  * campaign fingerprint it derived independently from the campaign
  * file, then executes SHARD assignments until told to EXIT. Each shard
- * runs through a SweepRunner restricted to the shard's job range, with
- * a per-shard sweep journal (<fleet-dir>/shard-<id>) bound to the
- * campaign fingerprint: a shard reassigned after a crash warm-restarts
- * from whatever the dead incarnation journaled instead of recomputing.
- * Finished jobs stream back as RESULT frames the moment they are
- * journaled (the delivery hook), so a mid-shard crash loses nothing
- * the coordinator already folded, and every frame doubles as a
- * heartbeat. A shard the worker cannot run (a journal it cannot open,
- * or one bound to another campaign) is reported as ERROR, which stops
- * the fleet instead of being retried as a crash.
+ * runs through a SweepRunner restricted to the shard's job range and
+ * streams every finished job back as a RESULT frame the moment it
+ * completes (the delivery hook), so a mid-shard crash loses only the
+ * job in flight, and every frame doubles as a heartbeat. A worker
+ * keeps no state: the coordinator journals what it folds (DESIGN.md
+ * §15) and re-dispatches a lost shard from its first unfolded job.
  *
  * A worker sends nothing else: the coordinator's live view and fleet
  * trace (DESIGN.md §16) come from these RESULT and DONE frames.
@@ -33,10 +29,9 @@ struct WorkerOptions
 {
     std::string socket_path;
     std::string campaign_path;
-    std::string fleet_dir;
     bool collect_metrics = false;
-    /** Test hook: SIGKILL self after this many jobs have been
-     *  journaled (0 = disabled) — the fleet kill/reassign matrix. */
+    /** Test hook: SIGKILL self after sending this many RESULT frames
+     *  (0 = disabled) — the fleet kill/reassign matrix. */
     std::size_t kill_after = 0;
 };
 

@@ -260,8 +260,6 @@ SweepRunner::run()
             std::string err;
             if (journal_->load(job.index, &jr, &err)) {
                 jr.spec = job;
-                if (delivery_hook_)
-                    delivery_hook_(jr);
                 sink.deliver(std::move(jr));
                 continue;
             }

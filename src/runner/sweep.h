@@ -233,11 +233,11 @@ class SweepRunner
     }
 
     /**
-     * Called with each finished JobResult right before it is delivered
-     * to the sink — journaled warm-restart results included — from
-     * whichever thread delivers it (callers synchronize). A fleet
-     * worker uses it to stream results to the coordinator as they
-     * complete instead of waiting for the whole shard.
+     * Called with each job that ran right before it is delivered to the
+     * sink (not with jobs loaded from the journal), from the thread that
+     * ran it (callers synchronize). A fleet worker uses it to stream
+     * results to the coordinator as they complete instead of waiting
+     * for the whole shard.
      */
     void setDeliveryHook(std::function<void(const JobResult &)> hook)
     {

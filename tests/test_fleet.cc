@@ -6,33 +6,35 @@
  * round trip and rejection, wire-protocol encode/decode round trips
  * (including failed jobs, the status plane's STATE frame, and
  * fuzz-grade byte-at-a-time stream fragmentation), and ResultFolder
- * ordering/duplicate semantics.
+ * ordering/duplicate semantics and its kept journal.
  *
  * Process level (spawning the real nvpsim binary): the worker-count
  * matrix — one campaign served at --workers 1, 2 and 4 must produce
  * --out/--metrics/--report-out files AND stdout byte-identical to the
  * serial `nvpsim sweep` of the same grid; the crash matrix — with
  * --kill-worker-after every first-generation worker SIGKILLs itself
- * mid-shard, and after reassignment + journal warm-restart the merged
- * bytes must still be identical; the live-telemetry surface — `nvpsim
+ * mid-shard, each shard is reassigned from its first unfolded job and
+ * the merged bytes must still be identical, and a SIGKILLed
+ * coordinator served again resumes from its journal to an
+ * uninterrupted serve's bytes; the live-telemetry surface — `nvpsim
  * status --watch` against a 4-worker campaign must stream monotone
  * progress ending at jobs_done == jobs_total, still answer (with a
- * "lost" worker row) after --kill-worker-after, and end on a live view
- * equal to the merged --metrics; enabling --status-socket +
- * --trace-out must leave all four campaign artifacts byte-identical,
- * and the fleet trace must carry the names and pids perfbench parses
- * (DESIGN.md §16); warm re-serves of a journaled campaign
- * exit 0 with unchanged bytes and no worker printing "fatal:"; a
- * `sweep --arena` SIGKILLed by --kill-after and resumed writes the
- * uninterrupted sweep's bytes, while a journal in an older format is
- * refused untouched, and under `serve` stops the whole fleet with no
- * socket or worker left behind, as does a shard journal bound to
- * another campaign; and the CLI hard-error surface — a
- * fingerprint-mismatched fleet dir, a bogus worker count, a
- * non-positive --heartbeat-timeout, dead socket paths, and every
- * subcommand's strict flag parsing (unknown, repeated and value-less
- * flags, extra arguments, numbers out of range) all die with a clear
- * fatal message before any work starts.
+ * "lost" worker row) after --kill-worker-after, end on a live view
+ * equal to the merged --metrics, and never show an idle worker as
+ * stale; enabling --status-socket + --trace-out must leave all four
+ * campaign artifacts byte-identical, and the fleet trace must carry
+ * the names and pids perfbench parses (DESIGN.md §16); a finished
+ * campaign served again spawns no worker and writes unchanged bytes;
+ * a `sweep --arena` SIGKILLed by --kill-after resumes under `sweep
+ * --resume` and under `serve` to the uninterrupted bytes, while a
+ * journal in an older format is refused untouched; fleet dirs bound
+ * to another campaign, in an older build's layout or with a
+ * version-1 journal are refused before any worker spawns, left as
+ * they were; and the CLI hard-error surface — a bogus worker count, a
+ * non-positive --heartbeat-timeout, dead socket paths, `work
+ * --fleet-dir`, and every subcommand's strict flag parsing (unknown,
+ * repeated and value-less flags, extra arguments, numbers out of
+ * range) all die with a clear fatal message before any work starts.
  *
  * Campaign identity: the journal fingerprint of two campaigns is
  * pinned to the value it has had since before the knob table, and every
@@ -42,6 +44,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -539,6 +543,65 @@ TEST(ResultFolder, DuplicateDeliveriesMustBeByteIdentical)
         &error));
 }
 
+TEST(ResultFolder, KeptJournalRefoldsEveryOkJobItFolded)
+{
+    // The coordinator's restart in miniature: a folder keeping a
+    // journal records each first fold; a fresh folder over the
+    // reopened journal holds those jobs before any frame arrives.
+    const std::string dir = ::testing::TempDir() + "fleet-folder-" +
+                            std::to_string(::getpid());
+    fs::remove_all(dir);
+    const std::vector<runner::JobSpec> jobs = {jobSpecAt(0), jobSpecAt(1),
+                                               jobSpecAt(2)};
+    runner::JobResult failed = okJobResult(2, true);
+    failed.ok = false;
+    failed.error = "injected";
+    failed.metrics = obs::MetricsRegistry();
+    std::string error;
+    {
+        const auto journal = runner::SweepJournal::open(dir);
+        fleet::ResultFolder folder(jobs);
+        ASSERT_TRUE(folder.keepJournal(journal.get(), "cafe0001", &error))
+            << error;
+        for (const runner::JobResult &jr :
+             {okJobResult(1, true), okJobResult(1, true), failed})
+            ASSERT_TRUE(folder.fold(decodeFrame(fleet::encodeResult(jr)),
+                                    &error))
+                << error;
+        // One record for job 1: not its duplicate, not the failed job.
+        EXPECT_EQ(journal->completedCount(), 1u);
+    }
+
+    const auto journal = runner::SweepJournal::open(dir);
+    fleet::ResultFolder other(jobs);
+    EXPECT_FALSE(other.keepJournal(journal.get(), "cafe0002", &error));
+    EXPECT_NE(error.find("holds journals for a different campaign"),
+              std::string::npos)
+        << error;
+
+    fleet::ResultFolder folder(jobs);
+    ASSERT_TRUE(folder.keepJournal(journal.get(), "cafe0001", &error))
+        << error;
+    EXPECT_EQ(folder.filledCount(), 1u);
+    EXPECT_EQ(folder.firstUnfolded(0, 3), 0u);
+    EXPECT_EQ(folder.firstUnfolded(1, 3), 2u);
+    EXPECT_EQ(folder.result(1).result.forward_progress, 124u);
+
+    // A re-run of the journaled job must carry the journaled bytes.
+    runner::JobResult drifted = okJobResult(1, true);
+    drifted.result.backups = 8;
+    EXPECT_FALSE(folder.fold(decodeFrame(fleet::encodeResult(drifted)),
+                             &error));
+    for (const std::size_t index : {1u, 0u, 2u})
+        ASSERT_TRUE(folder.fold(
+            decodeFrame(fleet::encodeResult(okJobResult(index, true))),
+            &error))
+            << error;
+    EXPECT_TRUE(folder.complete());
+    EXPECT_EQ(journal->completedCount(), 3u);
+    fs::remove_all(dir);
+}
+
 // ---- process-level matrix (the acceptance surface) -------------------
 
 #ifdef INC_NVPSIM_PATH
@@ -692,6 +755,33 @@ parseStatusLine(const std::string &line, double *jobs_done,
     *jobs_total = doc->find("jobs_total")->number();
 }
 
+/** Counter @p name of a --fleet-metrics telemetry file; -1 when
+ *  absent. */
+double
+fleetCounter(const std::string &path, const char *name)
+{
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(obs::parseJson(readFile(path), &doc, &error)) << error;
+    const obs::JsonValue *fleet = doc.find("fleet");
+    const obs::JsonValue *counters =
+        fleet != nullptr ? fleet->find("counters") : nullptr;
+    const obs::JsonValue *value =
+        counters != nullptr ? counters->find(name) : nullptr;
+    return value != nullptr ? value->number() : -1.0;
+}
+
+/** The names in @p dir. */
+std::vector<std::string>
+entriesOf(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
 } // namespace
 
 TEST(FleetMatrix, WorkerCountsProduceBytesIdenticalToSerialSweep)
@@ -733,38 +823,151 @@ TEST(FleetMatrix, WorkerCountsProduceBytesIdenticalToSerialSweep)
 
 TEST(FleetCrash, KillingEveryWorkerOnceLeavesBytesUnchanged)
 {
+    // 16 jobs: eight two-job shards at --workers 2, so a worker that
+    // dies after its first result leaves half a shard to reassign.
+    const std::string grid =
+        " --kernels sobel,median,integral,susan.edges --profiles 1,2,3,4"
+        " --seconds 0.3 --seed 77";
     const std::string base = freshDir("crash");
     const std::string campaign = base + "/campaign.json";
-    writeCampaign(campaign);
+    {
+        std::ofstream f(campaign, std::ios::binary);
+        f << R"({"kernels": "sobel,median,integral,susan.edges",)"
+          << R"( "profiles": "1,2,3,4", "seconds": 0.3, "seed": 77})";
+    }
 
     const std::string serial_dir = base + "/serial";
     fs::create_directories(serial_dir);
     std::string out;
     ASSERT_EQ(runCommand("cd " + serial_dir + " && ( " +
-                             serialSweepCommand() + kOutputFlags,
+                             std::string(INC_NVPSIM_PATH) + " sweep" +
+                             grid + " --jobs 1" + kOutputFlags,
                          &out),
               0)
         << out;
 
-    // Every first-generation worker SIGKILLs itself after one
-    // journaled job; shards are reassigned, replacements warm-restart
-    // from the shard journals, and the merged bytes must not move.
+    // Every first-generation worker SIGKILLs itself after sending one
+    // result; each shard is reassigned from its first unfolded job, so
+    // the merged bytes must not move and no result crosses the wire
+    // twice.
+    const std::string serve = std::string(INC_NVPSIM_PATH) + " serve " +
+                              campaign +
+                              " --workers 2 --fleet-dir fd"
+                              " --fleet-metrics fm.json";
+    for (const char *run : {"clean", "killed"}) {
+        const std::string dir = base + "/" + run;
+        fs::create_directories(dir);
+        std::string fleet_out;
+        ASSERT_EQ(runCommand("cd " + dir + " && ( " + serve +
+                                 (run == std::string("killed")
+                                      ? " --kill-worker-after 1"
+                                      : "") +
+                                 kOutputFlags,
+                             &fleet_out),
+                  0)
+            << fleet_out;
+        expectSameCampaignBytes(serial_dir, dir, run);
+    }
+    const std::string fleet_err = readFile(base + "/killed/stderr.txt");
+    std::size_t reassigned = 0;
+    for (std::size_t at = fleet_err.find("reassigning shard");
+         at != std::string::npos;
+         at = fleet_err.find("reassigning shard", at + 1))
+        ++reassigned;
+    EXPECT_EQ(reassigned, 2u) << fleet_err;
+    EXPECT_NE(fleet_err.find(" from job "), std::string::npos) << fleet_err;
+    EXPECT_EQ(fleetCounter(base + "/killed/fm.json", "fleet.workers.lost"),
+              2.0);
+    EXPECT_EQ(fleetCounter(base + "/killed/fm.json", "fleet.merge.bytes"),
+              fleetCounter(base + "/clean/fm.json", "fleet.merge.bytes"));
+    fs::remove_all(base);
+}
+
+TEST(FleetCrash, KilledCoordinatorResumesToUninterruptedBytes)
+{
+    // SIGKILL `serve` itself once its journal holds a job: a watcher
+    // must exit 1 (the stream ended short of the campaign), no worker
+    // may outlive the coordinator, and serving again must resume from
+    // the journal to an uninterrupted serve's bytes.
+    const std::string base = freshDir("coordinator-kill");
+    const std::string campaign = base + "/campaign.json";
+    {
+        // Eight jobs in sequence: time to kill between them.
+        std::ofstream f(campaign, std::ios::binary);
+        f << R"({"kernels": "sobel,median", "profiles": "1,2,3,4",)"
+          << R"( "seconds": 4, "seed": 77})";
+    }
+    const std::string serve = std::string(INC_NVPSIM_PATH) + " serve " +
+                              campaign + " --workers 1 --fleet-dir fd";
+    const std::string ref_dir = base + "/uninterrupted";
     const std::string dir = base + "/killed";
+    fs::create_directories(ref_dir);
     fs::create_directories(dir);
-    std::string fleet_out;
-    ASSERT_EQ(runCommand("cd " + dir + " && ( " +
-                             std::string(INC_NVPSIM_PATH) + " serve " +
-                             campaign +
-                             " --workers 2 --kill-worker-after 1"
-                             " --fleet-dir fd" +
-                             kOutputFlags,
-                         &fleet_out),
+    std::string log;
+    ASSERT_EQ(runCommand("cd " + ref_dir + " && ( " + serve + kOutputFlags,
+                         &log),
               0)
-        << fleet_out;
-    const std::string fleet_err = readFile(dir + "/stderr.txt");
-    EXPECT_NE(fleet_err.find("reassigning shard"), std::string::npos)
-        << fleet_err;
-    expectSameCampaignBytes(serial_dir, dir, "kill matrix");
+        << log;
+
+    // --metrics as below: metrics collection is part of the campaign.
+    ASSERT_EQ(std::system(("cd " + dir + " && { " + serve +
+                           " --status-socket --metrics first.json"
+                           " > /dev/null 2> first.err &"
+                           " echo $! > serve.pid; }")
+                              .c_str()),
+              0);
+    const pid_t pid = std::stoi(readFile(dir + "/serve.pid"));
+    ASSERT_TRUE(waitForPath(dir + "/fd/status.sock", 30.0));
+    ASSERT_EQ(std::system(("( " + std::string(INC_NVPSIM_PATH) +
+                           " status " + dir +
+                           "/fd --watch --json > " + dir +
+                           "/watch.txt 2> " + dir +
+                           "/watch.err; echo $? > " + dir +
+                           "/watch.exit ) &")
+                              .c_str()),
+              0);
+    // The journal holds a job once it outgrows its 32-byte header and
+    // the 40-byte bind record; the watcher is attached once it has a
+    // frame.
+    const auto bytesOf = [](const std::string &path) {
+        std::error_code ec;
+        const std::uintmax_t size = fs::file_size(path, ec);
+        return ec ? std::uintmax_t{0} : size;
+    };
+    const std::string journal = dir + "/fd/arena.log";
+    for (int i = 0; i < 3000; ++i) {
+        if (bytesOf(journal) > 72 && bytesOf(dir + "/watch.txt") > 0)
+            break;
+        ::usleep(5000);
+    }
+    ASSERT_GT(bytesOf(journal), 72u);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+
+    ASSERT_TRUE(waitForPath(dir + "/watch.exit", 30.0));
+    EXPECT_EQ(readFile(dir + "/watch.exit"), "1\n");
+    const std::string watch_err = readFile(dir + "/watch.err");
+    EXPECT_NE(watch_err.find("jobs done, before the campaign finished"),
+              std::string::npos)
+        << watch_err;
+    std::vector<std::string> left;
+    for (int i = 0; i < 250; ++i) {
+        left = processesMentioning(dir + "/fd/fleet.sock");
+        if (left.empty())
+            break;
+        ::usleep(20000);
+    }
+    EXPECT_TRUE(left.empty()) << "outlived its coordinator: "
+                              << left.front();
+
+    log.clear();
+    ASSERT_EQ(runCommand("cd " + dir + " && ( " + serve + kOutputFlags,
+                         &log),
+              0)
+        << log;
+    const std::string err = readFile(dir + "/stderr.txt");
+    EXPECT_NE(err.find("resuming campaign"), std::string::npos) << err;
+    expectSameCampaignBytes(ref_dir, dir, "coordinator killed and resumed");
+    EXPECT_EQ(entriesOf(dir + "/fd"), std::vector<std::string>{"arena.log"});
     fs::remove_all(base);
 }
 
@@ -862,6 +1065,69 @@ TEST(FleetStatus, StillAnswersAfterWorkerLossAndReportsIt)
     EXPECT_EQ(jobs_done, jobs_total);
     EXPECT_NE(last.find("\"health\":\"lost\""), std::string::npos)
         << last;
+    fs::remove_all(base);
+}
+
+TEST(FleetStatus, OnlyAWorkerHoldingAShardReadsStale)
+{
+    // Only a worker that holds a shard owes frames, so only it can be
+    // dropped or read "stale" (the drop's rule at half the timeout).
+    // `--workers 2` on a one-job campaign once spawned a second,
+    // shard-less worker that read "stale" from half the timeout on,
+    // final frame included. The timeout is set from the job's own
+    // time: an idle worker would pass half of it, the busy one never
+    // all of it.
+    const std::string base = freshDir("status-stale");
+    const std::string campaign = base + "/campaign.json";
+    {
+        std::ofstream f(campaign, std::ios::binary);
+        f << R"({"kernels": "sobel", "profiles": "2", "seconds": 30,)"
+          << R"( "seed": 5})";
+    }
+    std::string log;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(runCommand(std::string(INC_NVPSIM_PATH) +
+                             " sweep --kernels sobel --profiles 2"
+                             " --seconds 30 --seed 5 --jobs 1",
+                         &log),
+              0)
+        << log;
+    const double job_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+
+    launchBackground("cd " + base + " && " +
+                         std::string(INC_NVPSIM_PATH) + " serve " +
+                         campaign +
+                         " --workers 2 --fleet-dir fd --status-socket"
+                         " --heartbeat-timeout=" +
+                         std::to_string(1.7 * job_s),
+                     base + "/serve.exit");
+    ASSERT_TRUE(waitForPath(base + "/fd/status.sock", 30.0))
+        << "status socket never appeared";
+    std::string stream;
+    ASSERT_EQ(runCommand(std::string(INC_NVPSIM_PATH) + " status " +
+                             base + "/fd --watch --json",
+                         &stream),
+              0)
+        << stream;
+    ASSERT_TRUE(waitForPath(base + "/serve.exit", 60.0));
+    EXPECT_EQ(readFile(base + "/serve.exit"), "0\n");
+
+    std::istringstream lines(stream);
+    std::string line;
+    double jobs_done = 0.0, jobs_total = 0.0;
+    obs::JsonValue doc;
+    while (std::getline(lines, line)) {
+        parseStatusLine(line, &jobs_done, &jobs_total, &doc);
+        for (const auto &row : doc.find("workers")->items()) {
+            if (row.find("health")->string() == "stale") {
+                EXPECT_GE(row.find("shard")->number(), 0.0) << line;
+            }
+        }
+    }
+    EXPECT_EQ(jobs_done, jobs_total);
+    EXPECT_EQ(line.find("\"stale\""), std::string::npos) << line;
     fs::remove_all(base);
 }
 
@@ -1177,8 +1443,7 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
     out.clear();
     EXPECT_NE(runCommand(std::string(INC_NVPSIM_PATH) +
                              " work --socket " + base +
-                             "/nobody.sock --campaign " + campaign +
-                             " --fleet-dir " + base + "/fd3",
+                             "/nobody.sock --campaign " + campaign,
                          &out),
               0);
     EXPECT_NE(out.find("cannot connect to fleet socket"),
@@ -1190,10 +1455,23 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
     EXPECT_NE(runCommand(std::string(INC_NVPSIM_PATH) +
                              " work --socket " + base +
                              "/nobody.sock --campaign " + base +
-                             "/nope.json --fleet-dir " + base + "/fd4",
+                             "/nope.json",
                          &out),
               0);
     EXPECT_NE(out.find("fatal:"), std::string::npos) << out;
+
+    // Workers keep no state, so they take no directory for it.
+    out.clear();
+    EXPECT_NE(runCommand(std::string(INC_NVPSIM_PATH) +
+                             " work --socket " + base +
+                             "/nobody.sock --campaign " + campaign +
+                             " --fleet-dir " + base + "/fd3",
+                         &out),
+              0);
+    EXPECT_NE(out.find("nvpsim work: unknown flag '--fleet-dir'"),
+              std::string::npos)
+        << out;
+    EXPECT_FALSE(fs::exists(base + "/fd3"));
     fs::remove_all(base);
 }
 
@@ -1410,74 +1688,85 @@ TEST(FleetCli, SweepArenaKillAndResumeMatchesAnUninterruptedSweep)
     fs::remove_all(base);
 }
 
-TEST(FleetCli, FailedWorkerStopsTheFleetAndLeavesNoSocket)
+namespace
 {
-    // A worker that cannot open its shard journal reports ERROR. The
-    // coordinator must then stop the other worker, remove its socket
-    // and exit non-zero naming the cause; it once exited at once,
-    // leaving fleet.sock behind and the other worker to die on it.
-    const std::string base = freshDir("worker-error");
-    const std::string campaign = base + "/campaign.json";
-    writeCampaign(campaign);
-    const std::string header = versionOneLogHeader();
-    fs::create_directories(base + "/fd/shard-0");
-    std::ofstream(base + "/fd/shard-0/arena.log", std::ios::binary)
-        << header;
-    std::string log;
-    EXPECT_NE(runCommand("cd " + base + " && " +
-                             std::string(INC_NVPSIM_PATH) + " serve " +
-                             campaign + " --workers 2 --fleet-dir fd",
-                         &log),
-              0)
-        << log;
-    EXPECT_NE(log.find("fleet: worker"), std::string::npos) << log;
-    EXPECT_NE(log.find("format version 1"), std::string::npos) << log;
-    EXPECT_EQ(log.find("cannot connect"), std::string::npos) << log;
-    EXPECT_EQ(log.find("connection lost"), std::string::npos) << log;
-    EXPECT_FALSE(fs::exists(base + "/fd/fleet.sock"));
-    const std::vector<std::string> left = processesMentioning(base);
-    EXPECT_TRUE(left.empty()) << left.front();
-    EXPECT_EQ(readFile(base + "/fd/shard-0/arena.log"), header);
-    fs::remove_all(base);
+
+/** Every file under @p dir, by path relative to it, with its bytes. */
+std::map<std::string, std::string>
+treeBytes(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : fs::recursive_directory_iterator(dir)) {
+        const std::string rel =
+            fs::relative(entry.path(), dir).string();
+        files[rel] = entry.is_regular_file()
+                         ? readFile(entry.path().string())
+                         : std::string("<dir>");
+    }
+    return files;
 }
 
-TEST(FleetCli, ForeignShardJournalStopsTheFleetCleanly)
+} // namespace
+
+TEST(FleetCli, RefusedFleetDirsStayUntouched)
 {
-    // A shard journal bound to another campaign (here: its fleet dir's
-    // campaign.fp marker removed, then a different seed served into
-    // it) is an ERROR that stops the fleet. It once killed the worker
-    // instead, so the coordinator reassigned the shard until its retry
-    // budget ran out and left fleet.sock behind.
-    const std::string base = freshDir("foreign-shard");
-    const auto writeSeed = [&base](int seed) {
-        const std::string path =
-            base + "/seed" + std::to_string(seed) + ".json";
-        std::ofstream f(path, std::ios::binary);
-        f << R"({"kernels": "sobel", "profiles": "2", "seconds": 0.3,)"
-          << R"( "seed": )" << seed << "}";
-        return path;
-    };
+    // A fleet dir holds one journal, arena.log. Three others are
+    // refused before any worker spawns, each left byte for byte as it
+    // was, with no socket and no process behind: one bound to another
+    // campaign, one in the per-shard layout an older build wrote
+    // (refused by the name of what it holds), and one whose journal
+    // is format version 1.
+    const std::string base = freshDir("refused");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
     const std::string serve = "cd " + base + " && " +
                               std::string(INC_NVPSIM_PATH) + " serve ";
+    const std::string other = base + "/other.json";
+    {
+        std::ofstream f(other, std::ios::binary);
+        f << R"({"kernels": "sobel", "profiles": "2", "seconds": 0.3,)"
+          << R"( "seed": 78})";
+    }
     std::string log;
-    ASSERT_EQ(runCommand(serve + writeSeed(1) + " --workers 1 --fleet-dir fd",
+    ASSERT_EQ(runCommand(serve + other + " --workers 1 --fleet-dir foreign",
                          &log),
               0)
         << log;
-    ASSERT_TRUE(fs::remove(base + "/fd/campaign.fp"));
+    const std::string header = versionOneLogHeader();
+    fs::create_directories(base + "/marker");
+    std::ofstream(base + "/marker/campaign.fp", std::ios::binary)
+        << "7465b74f";
+    fs::create_directories(base + "/sharded/shard-0");
+    std::ofstream(base + "/sharded/shard-0/arena.log", std::ios::binary)
+        << header;
+    fs::create_directories(base + "/v1");
+    std::ofstream(base + "/v1/arena.log", std::ios::binary) << header;
 
-    log.clear();
-    EXPECT_EQ(runCommand(serve + writeSeed(2) + " --workers 1 --fleet-dir fd",
-                         &log),
-              1)
-        << log;
-    EXPECT_NE(log.find("belongs to a different campaign"),
-              std::string::npos)
-        << log;
-    EXPECT_EQ(log.find("reassigning"), std::string::npos) << log;
-    EXPECT_FALSE(fs::exists(base + "/fd/fleet.sock"));
-    const std::vector<std::string> left = processesMentioning(base);
-    EXPECT_TRUE(left.empty()) << left.front();
+    const std::vector<std::pair<std::string, std::string>> refused = {
+        {"foreign", "holds journals for a different campaign"},
+        {"marker", "holds 'campaign.fp', which is not part of a fleet "
+                   "journal"},
+        {"sharded", "holds 'shard-0', which is not part of a fleet "
+                    "journal"},
+        {"v1", "format version 1"},
+    };
+    for (const auto &[dir, needle] : refused) {
+        SCOPED_TRACE(dir);
+        const auto before = treeBytes(base + "/" + dir);
+        log.clear();
+        EXPECT_EQ(runCommand(serve + campaign +
+                                 " --workers 2 --status-socket"
+                                 " --fleet-dir " + dir,
+                             &log),
+                  1)
+            << log;
+        EXPECT_NE(log.find("fatal: "), std::string::npos) << log;
+        EXPECT_NE(log.find(needle), std::string::npos) << log;
+        EXPECT_EQ(treeBytes(base + "/" + dir), before);
+        EXPECT_FALSE(fs::exists(base + "/" + dir + "/fleet.sock"));
+        const std::vector<std::string> left = processesMentioning(base);
+        EXPECT_TRUE(left.empty()) << left.front();
+    }
     fs::remove_all(base);
 }
 
@@ -1497,38 +1786,92 @@ TEST(FleetCli, TraceOutCreatesItsParentDirectory)
     fs::remove_all(base);
 }
 
+
 TEST(FleetCli, WarmReservesEndQuietlyWithUnchangedBytes)
 {
-    // Serving a fully journaled campaign again finishes every shard
-    // from the journals, often before the last of four workers has
-    // connected. Such a late worker must be stopped quietly, not left
-    // to die with "fatal:" on a socket the coordinator removed.
+    // Serving a finished campaign again folds every job from the
+    // fleet's journal before any worker spawns, so none does: no
+    // shard is dispatched and no result re-sent, and the outputs are
+    // the cold run's. The fleet dir holds only its journal after
+    // every serve.
     const std::string base = freshDir("warm");
     const std::string campaign = base + "/campaign.json";
     writeCampaign(campaign);
-    const std::string serve = "cd " + base + " && ( " +
-                              std::string(INC_NVPSIM_PATH) + " serve " +
-                              campaign + " --workers 4 --fleet-dir fd";
+    const std::string cold_dir = base + "/cold";
+    fs::create_directories(cold_dir);
+    const std::string serve = std::string(INC_NVPSIM_PATH) + " serve " +
+                              campaign + " --workers 4 --fleet-dir " +
+                              base + "/fd --fleet-metrics fm.json";
     std::string log;
-    ASSERT_EQ(runCommand(serve + " --out cold.csv > /dev/null )", &log),
+    ASSERT_EQ(runCommand("cd " + cold_dir + " && ( " + serve + kOutputFlags,
+                         &log),
               0)
         << log;
-    const std::string cold = readFile(base + "/cold.csv");
-    ASSERT_FALSE(cold.empty());
-    for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(entriesOf(base + "/fd"), std::vector<std::string>{"arena.log"});
+    EXPECT_GT(fleetCounter(cold_dir + "/fm.json", "fleet.workers.spawned"),
+              0.0);
+    for (int i = 0; i < 3; ++i) {
         SCOPED_TRACE("warm re-serve " + std::to_string(i));
+        const std::string dir = base + "/warm" + std::to_string(i);
+        fs::create_directories(dir);
         log.clear();
-        EXPECT_EQ(runCommand(serve + " --out warm.csv > /dev/null"
-                                     " 2> stderr.txt )",
+        EXPECT_EQ(runCommand("cd " + dir + " && ( " + serve + kOutputFlags,
                              &log),
                   0)
             << log;
-        const std::string err = readFile(base + "/stderr.txt");
+        const std::string err = readFile(dir + "/stderr.txt");
         EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
         EXPECT_NE(err.find("resuming campaign"), std::string::npos)
             << err;
-        EXPECT_EQ(readFile(base + "/warm.csv"), cold);
+        expectSameCampaignBytes(cold_dir, dir, "warm re-serve");
+        for (const char *name :
+             {"fleet.workers.spawned", "fleet.shards.dispatched",
+              "fleet.merge.bytes"})
+            EXPECT_EQ(fleetCounter(dir + "/fm.json", name), 0.0) << name;
+        EXPECT_EQ(entriesOf(base + "/fd"),
+                  std::vector<std::string>{"arena.log"});
     }
+    fs::remove_all(base);
+}
+
+TEST(FleetCli, ServeResumesAJournalSweepArenaWrote)
+{
+    // `sweep --arena` and `serve` keep one journal format under one
+    // fingerprint: a sweep SIGKILLed after 2 of 4 jobs resumes under
+    // `serve` to the uninterrupted sweep's bytes.
+    const std::string base = freshDir("arena-serve");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
+    const std::string serial_dir = base + "/serial";
+    const std::string dir = base + "/resumed";
+    fs::create_directories(serial_dir);
+    fs::create_directories(dir);
+    std::string log;
+    ASSERT_EQ(runCommand("cd " + serial_dir + " && ( " +
+                             serialSweepCommand() + kOutputFlags,
+                         &log),
+              0)
+        << log;
+    log.clear();
+    runCommand("cd " + dir + " && ( " + serialSweepCommand() +
+                   " --arena fd --metrics m.json --kill-after 2;"
+                   " echo exit=$? )",
+               &log);
+    ASSERT_NE(log.find("exit=137"), std::string::npos) << log;
+
+    log.clear();
+    ASSERT_EQ(runCommand("cd " + dir + " && ( " +
+                             std::string(INC_NVPSIM_PATH) + " serve " +
+                             campaign + " --workers 2 --fleet-dir fd" +
+                             kOutputFlags,
+                         &log),
+              0)
+        << log;
+    const std::string err = readFile(dir + "/stderr.txt");
+    EXPECT_NE(err.find("resuming campaign"), std::string::npos) << err;
+    EXPECT_NE(err.find("(2 of 4 jobs journaled)"), std::string::npos)
+        << err;
+    expectSameCampaignBytes(serial_dir, dir, "sweep --arena, then serve");
     fs::remove_all(base);
 }
 #endif // INC_NVPSIM_PATH

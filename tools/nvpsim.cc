@@ -71,68 +71,40 @@
  *
  *   nvpsim serve CAMPAIGN.json
  *       Fleet campaign service (src/fleet, DESIGN.md §15): expand the
- *       campaign file's sweep grid once, partition it into contiguous
- *       job shards, and execute them across N `nvpsim work` child
- *       processes over a Unix-domain socket, folding every streamed
- *       result back into job-index order. The folded --out/--metrics/
- *       --report output is byte-identical to the serial `nvpsim
- *       sweep` with the same campaign at ANY --workers count — the
- *       shard plan and delivery order only schedule when a job runs,
- *       never what it computes. Workers journal each shard into a
- *       per-shard sweep journal under --fleet-dir (default
- *       CAMPAIGN.json.fleet; 4 shards per worker, 1 thread each): a
- *       worker that crashes (detected by socket EOF) or stalls past
- *       --heartbeat-timeout is SIGKILLed and its shard reassigned (at
- *       most 3 times) to a respawned worker, which warm-restarts from
- *       the journal instead of recomputing. Serving the same campaign
- *       into the same --fleet-dir resumes it; a fleet dir whose
- *       fingerprint marker names a different campaign is a hard
- *       error. fleet.* scheduling metrics (shards dispatched/
- *       reassigned/retried, workers spawned/lost, worker wall time,
- *       merge bytes) stay in a separate registry — stderr summary and
- *       a telemetry snapshot JSON ({"schema":"inc-fleet-telemetry-v1",
- *       "campaign":FP,"fleet":{...}}) written to --fleet-metrics or,
- *       by default when --metrics F.json is given, to
- *       F.json.fleet.json — so campaign outputs stay crash-history-
- *       independent. --kill-worker-after K is a testing
- *       aid: first-generation workers SIGKILL themselves after K
- *       journaled jobs (respawned replacements run clean), the
- *       kill/reassign matrix of tests/test_fleet.cc.
- *       Live telemetry plane (DESIGN.md §16), built by the
- *       coordinator from the RESULT and DONE frames it folds:
- *       --status-socket[=PATH] opens a second Unix socket (default
- *       <fleet-dir>/status.sock) that streams point-in-time STATE
- *       snapshots to every connection — see `nvpsim status`.
- *       --trace-out writes one Chrome-trace / Perfetto JSON: shard
- *       and job spans on each worker's pid, per-job backup/restore
- *       samples and the coordinator's scheduling events
- *       (spawn/hello/assign/reassign/loss), all on the coordinator's
- *       clock since campaign start, with a process-name record per
- *       fleet process. The entire plane is read-only over the result
- *       path: all campaign outputs stay byte-identical whether or not
- *       any of these flags are set.
+ *       campaign file's grid once, split it into contiguous job shards
+ *       (4 per worker) and run them on up to --workers `nvpsim work`
+ *       processes over a Unix socket, folding every streamed result
+ *       into job-index order: --out/--metrics/--report are
+ *       byte-identical to `nvpsim sweep` at any worker count. The
+ *       coordinator journals each folded job into --fleet-dir/arena.log
+ *       (default CAMPAIGN.json.fleet; the `sweep --arena` format), so
+ *       serving the campaign again — after a crash or a finished run —
+ *       runs only what the journal lacks. A worker lost to a crash or
+ *       to --heartbeat-timeout has its shard reassigned from the first
+ *       unfolded job (at most 3 times). fleet.* scheduling metrics go
+ *       to stderr and to --fleet-metrics (default: the --metrics path
+ *       plus .fleet.json), never into campaign outputs. Test hook:
+ *       --kill-worker-after K SIGKILLs each first-generation worker
+ *       after it sent K results. --status-socket[=PATH] (default
+ *       <fleet-dir>/status.sock) streams STATE snapshots to `nvpsim
+ *       status`; --trace-out writes the fleet's Chrome trace (DESIGN.md
+ *       §16). Neither moves an output byte.
  *
  *   nvpsim work
- *       Fleet worker entry point (spawned by `nvpsim serve`; usable
- *       manually for debugging). Connects to the coordinator --socket,
- *       announces the campaign fingerprint it derived independently
- *       from the --campaign file, and executes SHARD assignments —
- *       journal-backed, streaming each result the moment it commits —
- *       until told to EXIT.
+ *       Fleet worker (spawned by `nvpsim serve`): connects to --socket,
+ *       announces the fingerprint it derived from --campaign, and runs
+ *       SHARD assignments, streaming each result as it completes, until
+ *       EXIT. It keeps no state and dies with its coordinator.
  *
  *   nvpsim status <SOCKET|FLEET-DIR>
  *       Query a running campaign's --status-socket (a fleet dir
- *       resolves to DIR/status.sock). By default prints a one-shot
- *       human-readable snapshot: jobs done/total, shard progress,
- *       throughput and ETA, a per-worker health table (pid,
- *       generation, ok/starting/stale/lost, heartbeat age, shard
- *       position, last job), and live outage percentiles over the
- *       jobs folded so far. --json prints the raw
- *       inc-fleet-status-v1 document instead; --watch follows the
- *       stream until the campaign completes (with --json, one
- *       document per line — the final one always reports
- *       jobs_done == jobs_total). Exits nonzero when the socket is
- *       unreachable or no snapshot arrives.
+ *       resolves to DIR/status.sock): jobs done/total, throughput/ETA,
+ *       per-worker health and live outage percentiles. --json prints
+ *       the raw inc-fleet-status-v1 document; --watch follows the
+ *       stream (with --json one document per line), whose last frame
+ *       reports jobs_done == jobs_total. Exits nonzero when the socket
+ *       is unreachable, no snapshot arrives, or a watched stream ends
+ *       before its campaign finished (the coordinator died).
  *
  *   nvpsim fuzz
  *       Differential crash-consistency fuzzing (src/check): N seeded
@@ -681,11 +653,9 @@ cmdWork(const Flags &flags)
     fleet::WorkerOptions opt;
     opt.socket_path = flags.text("socket");
     opt.campaign_path = flags.text("campaign");
-    opt.fleet_dir = flags.text("fleet-dir");
-    if (opt.socket_path.empty() || opt.campaign_path.empty() ||
-        opt.fleet_dir.empty())
-        flags.fail("--socket, --campaign and --fleet-dir are required "
-                   "(normally spawned by `nvpsim serve`)");
+    if (opt.socket_path.empty() || opt.campaign_path.empty())
+        flags.fail("--socket and --campaign are required (normally "
+                   "spawned by `nvpsim serve`)");
     opt.collect_metrics = flags.num("collect-metrics", 0) != 0;
     opt.kill_after = flags.num<std::size_t>("kill-after", 0);
     return fleet::runWorker(opt);
@@ -818,15 +788,21 @@ cmdStatus(const Flags &flags)
     fd = -1;
     if (!saw_frame)
         return fail("no snapshot received from '" + path + "'");
-    if (as_json) {
-        if (!watch)
-            std::fputs((snapshot + "\n").c_str(), stdout);
-        return 0;
-    }
     obs::JsonValue doc;
     if (!obs::parseJson(snapshot, &doc, &error))
         return fail("bad snapshot: " + error);
-    renderStatus(doc);
+    if (!as_json)
+        renderStatus(doc);
+    else if (!watch)
+        std::fputs((snapshot + "\n").c_str(), stdout);
+    // A finished campaign always ends its stream on jobs_done ==
+    // jobs_total; any other last frame means the coordinator is gone.
+    const double jobs_done = statusNum(doc, "jobs_done", -1);
+    const double jobs_total = statusNum(doc, "jobs_total", -1);
+    if (watch && jobs_done != jobs_total)
+        return fail(util::format("the stream ended at %.0f of %.0f jobs "
+                                 "done, before the campaign finished",
+                                 jobs_done, jobs_total));
     return 0;
 }
 
@@ -999,7 +975,7 @@ commands()
                {"kill-worker-after", K::integer}}),
          cmdServe},
         {"work", {},
-         {{"socket"}, {"campaign"}, {"fleet-dir"},
+         {{"socket"}, {"campaign"},
           {"collect-metrics", K::integer, 0, 1},
           {"kill-after", K::integer}},
          cmdWork},
