@@ -151,6 +151,9 @@ class Coordinator
     /** The fleet dir's journal; outlives the folder recording into it. */
     std::unique_ptr<runner::SweepJournal> journal_;
     std::unique_ptr<ResultFolder> folder_;
+    /** Jobs the journal held when this serve started; the status
+     *  plane's rate counts only the jobs folded since. */
+    std::size_t journaled_count_ = 0;
     obs::MetricsRegistry metrics_;
     double worker_wall_ms_ = 0.0;
 
@@ -247,6 +250,7 @@ Coordinator::openJournal()
         util::fatal("fleet dir '%s' %s; use a fresh directory or the "
                     "original campaign file/flags",
                     dir.c_str(), error.c_str());
+    journaled_count_ = folder_->filledCount();
     for (const std::filesystem::path &socket : sockets)
         ::unlink(socket.c_str());
     if (resuming)
@@ -735,8 +739,11 @@ Coordinator::buildStatusJson() const
         std::chrono::duration<double>(now - campaign_start_).count();
     const std::size_t jobs_total = folder_->jobCount();
     const std::size_t jobs_done = folder_->filledCount();
+    // A resumed campaign's journaled jobs ran before this serve did:
+    // the rate, and the ETA from it, count only the jobs folded since.
+    const std::size_t folded_now = jobs_done - journaled_count_;
     const double throughput =
-        elapsed_s > 0.0 ? static_cast<double>(jobs_done) / elapsed_s
+        elapsed_s > 0.0 ? static_cast<double>(folded_now) / elapsed_s
                         : 0.0;
     const double eta_s =
         throughput > 0.0

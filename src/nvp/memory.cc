@@ -16,10 +16,9 @@ DataMemory::DataMemory(util::Rng rng, std::size_t size)
 }
 
 void
-DataMemory::checkAddr(std::uint32_t addr) const
+DataMemory::outOfRange(std::uint32_t addr)
 {
-    if (addr >= size_)
-        util::panic("data memory address out of range: %u", addr);
+    util::panic("data memory address out of range: %u", addr);
 }
 
 void
@@ -43,96 +42,22 @@ DataMemory::addVersionedRegion(std::uint32_t start, std::uint32_t length,
     region.length = length;
     region.write_through = write_through;
     region.cells.resize(length);
+    region.written.resize(length);
     versioned_.push_back(std::move(region));
 }
 
-nvm::RetentionPolicy
-DataMemory::policyAt(std::uint32_t addr) const
-{
-    for (const AcRegion &r : ac_regions_) {
-        if (r.contains(addr))
-            return r.policy;
-    }
-    return nvm::RetentionPolicy::full;
-}
-
-bool
-DataMemory::isAc(std::uint32_t addr) const
-{
-    for (const AcRegion &r : ac_regions_) {
-        if (r.contains(addr))
-            return true;
-    }
-    return false;
-}
-
-DataMemory::VersionedRegion *
-DataMemory::findVersioned(std::uint32_t addr)
-{
-    for (VersionedRegion &r : versioned_) {
-        if (addr >= r.start && addr < r.start + r.length)
-            return &r;
-    }
-    return nullptr;
-}
-
-namespace
-{
-
-std::uint8_t
-truncateToBits(std::uint8_t value, int bits)
-{
-    return static_cast<std::uint8_t>(
-        util::truncateLow(value, static_cast<unsigned>(bits), 8));
-}
-
-} // namespace
-
-std::uint8_t
-DataMemory::load8(int lane, std::uint32_t addr, int bits, bool approx_mem)
-{
-    checkAddr(addr);
-    INC_OBS_COUNT(obs_, loads);
-    std::uint8_t value = main_[addr];
-    if (lane > 0) {
-        if (const VersionedRegion *r = findVersioned(addr)) {
-            const auto &cell = r->cells[addr - r->start];
-            if (cell.written & (1u << lane))
-                value = cell.value[static_cast<size_t>(lane)];
-        }
-    }
-    if (approx_mem && bits < 8 && isAc(addr)) {
-        INC_OBS_COUNT(obs_, ac_truncated_loads);
-        value = truncateToBits(value, bits);
-    }
-    return value;
-}
-
 void
-DataMemory::store8(int lane, std::uint32_t addr, std::uint8_t value,
-                   int bits, bool approx_mem)
+DataMemory::storeLane(VersionedRegion &r, int lane, std::uint32_t addr,
+                      std::uint8_t value, int bits)
 {
-    checkAddr(addr);
-    INC_OBS_COUNT(obs_, stores);
-    if (approx_mem && bits < 8 && isAc(addr)) {
-        INC_OBS_COUNT(obs_, ac_truncated_stores);
-        value = truncateToBits(value, bits);
-    }
-
-    VersionedRegion *r = findVersioned(addr);
-    if (!r || lane == 0) {
-        markDirty(addr);
-        main_[addr] = value;
-        main_prec_[addr] = static_cast<std::uint8_t>(bits);
-        return;
-    }
-    auto &cell = r->cells[addr - r->start];
+    const std::uint32_t i = addr - r.start;
+    auto &cell = r.cells[i];
     cell.value[static_cast<size_t>(lane)] = value;
     cell.prec[static_cast<size_t>(lane)] = static_cast<std::uint8_t>(bits);
-    cell.written |= static_cast<std::uint8_t>(1u << lane);
+    r.written[i] |= static_cast<std::uint8_t>(1u << lane);
     // Higher-bits write-through arbitration into the main version —
     // output regions only; lane-private scratch never disturbs lane 0.
-    if (r->write_through) {
+    if (r.write_through) {
         if (bits >= main_prec_[addr]) {
             INC_OBS_COUNT(obs_, wt_commits);
             markDirty(addr);
@@ -148,13 +73,25 @@ void
 DataMemory::resetVersionedRange(std::uint32_t start, std::uint32_t len)
 {
     INC_OBS_ADD(obs_, version_resets, len);
+    if (len != 0 && std::uint64_t{start} + len > size_)
+        outOfRange(static_cast<std::uint32_t>(
+            std::max<std::uint64_t>(start, size_)));
     markDirtyRange(start, len);
-    for (std::uint32_t addr = start; addr < start + len; ++addr) {
-        checkAddr(addr);
-        main_[addr] = 0;
-        main_prec_[addr] = 0;
-        if (VersionedRegion *r = findVersioned(addr))
-            r->cells[addr - r->start] = VersionedRegion::Cell{};
+    const std::uint32_t end = start + len;
+    std::fill(main_.begin() + start, main_.begin() + end, 0);
+    std::fill(main_prec_.begin() + start, main_prec_.begin() + end, 0);
+    // Each region's part of the range. Where regions overlap, only the
+    // first is ever read (findVersioned), so clearing the others' cells
+    // too changes nothing observable.
+    for (VersionedRegion &r : versioned_) {
+        const std::uint32_t lo = std::max(start, r.start);
+        const std::uint32_t hi = std::min(end, r.start + r.length);
+        if (lo >= hi)
+            continue;
+        std::fill(r.cells.begin() + (lo - r.start),
+                  r.cells.begin() + (hi - r.start), VersionedRegion::Cell{});
+        std::fill(r.written.begin() + (lo - r.start),
+                  r.written.begin() + (hi - r.start), 0);
     }
 }
 
@@ -166,8 +103,8 @@ DataMemory::clearLaneVersions(int lane)
     INC_OBS_COUNT(obs_, lane_clears);
     const auto mask = static_cast<std::uint8_t>(~(1u << lane));
     for (VersionedRegion &r : versioned_) {
-        for (std::uint32_t i = 0; i < r.length; ++i)
-            r.cells[i].written &= mask;
+        for (std::uint8_t &written : r.written)
+            written &= mask;
     }
 }
 
@@ -181,12 +118,14 @@ DataMemory::assemble(std::uint32_t start, std::uint32_t len,
         VersionedRegion *r = findVersioned(addr);
         if (!r)
             continue;
-        auto &cell = r->cells[addr - r->start];
+        const std::uint32_t i = addr - r->start;
+        auto &cell = r->cells[i];
+        std::uint8_t &written = r->written[i];
         ++processed;
         int value = main_[addr];
         int prec = main_prec_[addr];
         for (int lane = 1; lane < kMaxVersions; ++lane) {
-            if (!(cell.written & (1u << lane)))
+            if (!(written & (1u << lane)))
                 continue;
             const int lv = cell.value[static_cast<size_t>(lane)];
             const int lp = cell.prec[static_cast<size_t>(lane)];
@@ -223,7 +162,7 @@ DataMemory::assemble(std::uint32_t start, std::uint32_t len,
                 break;
             }
         }
-        cell.written = 0;
+        written = 0;
         markDirty(addr);
         main_[addr] = static_cast<std::uint8_t>(value);
         main_prec_[addr] = static_cast<std::uint8_t>(prec);

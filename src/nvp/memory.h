@@ -33,6 +33,7 @@
 #include "isa/isa.h"
 #include "nvm/retention_policy.h"
 #include "obs/obs.h"
+#include "util/bit_ops.h"
 #include "util/rng.h"
 
 namespace inc::nvp
@@ -79,11 +80,29 @@ class DataMemory
     void addVersionedRegion(std::uint32_t start, std::uint32_t length,
                             bool write_through = true);
 
-    /** Policy of the AC region containing @p addr (full if none). */
-    nvm::RetentionPolicy policyAt(std::uint32_t addr) const;
+    // Every per-lane access runs the lookups below, so they and the
+    // common paths of load8/store8 are defined here, inline.
+
+    /** Policy of the AC region containing @p addr (full if none; where
+     *  regions overlap, the first declared wins). */
+    nvm::RetentionPolicy policyAt(std::uint32_t addr) const
+    {
+        for (const AcRegion &r : ac_regions_) {
+            if (r.contains(addr))
+                return r.policy;
+        }
+        return nvm::RetentionPolicy::full;
+    }
 
     /** True if @p addr lies in a declared AC region. */
-    bool isAc(std::uint32_t addr) const;
+    bool isAc(std::uint32_t addr) const
+    {
+        for (const AcRegion &r : ac_regions_) {
+            if (r.contains(addr))
+                return true;
+        }
+        return false;
+    }
 
     // ---- lane accesses -------------------------------------------------
 
@@ -93,7 +112,24 @@ class DataMemory
      * low (8-bits) bits are truncated (paper Sec. 8.1 memory model).
      */
     std::uint8_t load8(int lane, std::uint32_t addr, int bits,
-                       bool approx_mem);
+                       bool approx_mem)
+    {
+        checkAddr(addr);
+        INC_OBS_COUNT(obs_, loads);
+        std::uint8_t value = main_[addr];
+        if (lane > 0) {
+            if (const VersionedRegion *r = findVersioned(addr)) {
+                const std::uint32_t i = addr - r->start;
+                if (r->written[i] & (1u << lane))
+                    value = r->cells[i].value[static_cast<size_t>(lane)];
+            }
+        }
+        if (approx_mem && bits < 8 && isAc(addr)) {
+            INC_OBS_COUNT(obs_, ac_truncated_loads);
+            value = truncateToBits(value, bits);
+        }
+        return value;
+    }
 
     /**
      * Store one byte from @p lane with precision tag @p bits. AC-region
@@ -101,7 +137,24 @@ class DataMemory
      * write-through arbitration into the main version.
      */
     void store8(int lane, std::uint32_t addr, std::uint8_t value, int bits,
-                bool approx_mem);
+                bool approx_mem)
+    {
+        checkAddr(addr);
+        INC_OBS_COUNT(obs_, stores);
+        if (approx_mem && bits < 8 && isAc(addr)) {
+            INC_OBS_COUNT(obs_, ac_truncated_stores);
+            value = truncateToBits(value, bits);
+        }
+        if (lane > 0) {
+            if (VersionedRegion *r = findVersioned(addr)) {
+                storeLane(*r, lane, addr, value, bits);
+                return;
+            }
+        }
+        markDirty(addr);
+        main_[addr] = value;
+        main_prec_[addr] = static_cast<std::uint8_t>(bits);
+    }
 
     // ---- versioned-region management ------------------------------------
 
@@ -208,14 +261,11 @@ class DataMemory
         std::uint32_t start = 0;
         std::uint32_t length = 0;
         bool write_through = true;
-        // Lane-private values and precision tags for lanes 1..3 plus the
-        // main version's precision tag. written bit i => lane i has a
-        // private copy.
+        // Lane-private values and precision tags for lanes 1..3.
         struct Cell
         {
             std::array<std::uint8_t, kMaxVersions> value{};
             std::array<std::uint8_t, kMaxVersions> prec{};
-            std::uint8_t written = 0;
             // Per-lane contribution already folded into main by a
             // sum-mode assemble. Re-merging replaces the contribution
             // instead of re-adding it, so recompute passes that
@@ -224,10 +274,39 @@ class DataMemory
             std::uint8_t merged = 0;
         };
         std::vector<Cell> cells;
+        // Bit i of written[k] => lane i has a private copy of byte
+        // start + k. Kept apart from the cells so retiring a lane
+        // clears one byte array.
+        std::vector<std::uint8_t> written;
     };
 
-    VersionedRegion *findVersioned(std::uint32_t addr);
-    void checkAddr(std::uint32_t addr) const;
+    /** The first declared versioned region containing @p addr. */
+    VersionedRegion *findVersioned(std::uint32_t addr)
+    {
+        for (VersionedRegion &r : versioned_) {
+            if (addr >= r.start && addr < r.start + r.length)
+                return &r;
+        }
+        return nullptr;
+    }
+
+    void checkAddr(std::uint32_t addr) const
+    {
+        if (addr >= size_) [[unlikely]]
+            outOfRange(addr);
+    }
+
+    [[noreturn]] static void outOfRange(std::uint32_t addr);
+
+    /** store8 of lane > 0 into versioned region @p r. */
+    void storeLane(VersionedRegion &r, int lane, std::uint32_t addr,
+                   std::uint8_t value, int bits);
+
+    static std::uint8_t truncateToBits(std::uint8_t value, int bits)
+    {
+        return static_cast<std::uint8_t>(
+            util::truncateLow(value, static_cast<unsigned>(bits), 8));
+    }
 
     void markDirty(std::uint32_t addr)
     {

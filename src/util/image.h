@@ -80,16 +80,21 @@ enum class SceneKind
  * A frame is a pure function of (width, height, kind, seed, frame
  * index), and the simulator asks for the same frames many times: at
  * capture, when scoring, in the frame-period calibration and in every
- * job of a sweep. frame() therefore serves them from one process-wide
- * memo of at most kFrameMemoBytes pixel bytes (oldest entry evicted
- * first, guarded by a mutex); a hit returns exactly the bytes a miss
- * synthesizes.
+ * job of a sweep. Every job of a campaign gets the campaign seed, so
+ * kernels that share a SceneKind ask for the same frames too. frame()
+ * therefore serves them from one process-wide memo of at most
+ * kFrameMemoBytes pixel bytes (oldest entry evicted first, guarded by
+ * a mutex); a hit returns exactly the bytes a miss synthesizes.
  */
 class SceneGenerator
 {
   public:
-    /** Pixel bytes the process-wide frame memo holds at most. */
-    static constexpr std::size_t kFrameMemoBytes = 256 * 1024;
+    /**
+     * Pixel bytes the process-wide frame memo holds at most: enough
+     * for every distinct frame a perfbench campaign asks for (2,394
+     * 32x32 frames on sweep_compute), so no frame is synthesized twice.
+     */
+    static constexpr std::size_t kFrameMemoBytes = 4 * 1024 * 1024;
 
     SceneGenerator(int width, int height, SceneKind kind,
                    std::uint64_t seed = 1);

@@ -1131,6 +1131,66 @@ TEST(FleetStatus, OnlyAWorkerHoldingAShardReadsStale)
     fs::remove_all(base);
 }
 
+TEST(FleetStatus, ResumedCampaignRatesOnlyTheJobsThisServeFolded)
+{
+    // The journaled jobs of a resumed campaign ran before this serve
+    // did: they count in jobs_done, never in throughput_jps, and eta_s
+    // stays -1 until a job is folded. A sweep SIGKILLed after 2 of 4
+    // jobs once resumed to a first frame reading 2 jobs over a few ms.
+    const std::string base = freshDir("status-resume");
+    const std::string campaign = base + "/campaign.json";
+    writeSlowCampaign(campaign);
+    std::string log;
+    runCommand("cd " + base + " && ( " + std::string(INC_NVPSIM_PATH) +
+                   " sweep --kernels sobel,median --profiles 2,3"
+                   " --seconds 2 --seed 77 --jobs 1 --arena fd"
+                   " --kill-after 2; echo exit=$? )",
+               &log);
+    ASSERT_NE(log.find("exit=137"), std::string::npos) << log;
+
+    launchBackground("cd " + base + " && " +
+                         std::string(INC_NVPSIM_PATH) + " serve " +
+                         campaign +
+                         " --workers 1 --fleet-dir fd --status-socket",
+                     base + "/serve.exit");
+    ASSERT_TRUE(waitForPath(base + "/fd/status.sock", 30.0))
+        << "status socket never appeared";
+    std::string stream;
+    ASSERT_EQ(runCommand(std::string(INC_NVPSIM_PATH) + " status " +
+                             base + "/fd --watch --json",
+                         &stream),
+              0)
+        << stream;
+    ASSERT_TRUE(waitForPath(base + "/serve.exit", 60.0));
+    EXPECT_EQ(readFile(base + "/serve.exit"), "0\n");
+
+    std::istringstream lines(stream);
+    std::string line;
+    double jobs_done = 0.0, jobs_total = 0.0;
+    std::size_t frames = 0;
+    while (std::getline(lines, line)) {
+        obs::JsonValue doc;
+        parseStatusLine(line, &jobs_done, &jobs_total, &doc);
+        ++frames;
+        const double elapsed_s = doc.find("elapsed_s")->number();
+        const double rate = doc.find("throughput_jps")->number();
+        const double eta_s = doc.find("eta_s")->number();
+        EXPECT_GE(jobs_done, 2.0) << line;
+        EXPECT_NEAR(rate * elapsed_s, jobs_done - 2.0, 1e-3) << line;
+        if (jobs_done == 2.0) {
+            EXPECT_EQ(eta_s, -1.0) << line;
+        } else if (jobs_done < jobs_total) {
+            EXPECT_NEAR(eta_s, (jobs_total - jobs_done) / rate,
+                        1e-3 * eta_s)
+                << line;
+        }
+    }
+    ASSERT_GE(frames, 1u);
+    EXPECT_EQ(jobs_done, 4.0);
+    EXPECT_EQ(jobs_total, 4.0);
+    fs::remove_all(base);
+}
+
 TEST(FleetStatus, FinalLiveViewEqualsTheMergedMetrics)
 {
     // The live view is a running merge of the folded jobs' metrics, so

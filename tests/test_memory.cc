@@ -1,14 +1,17 @@
 /**
  * Versioned data memory: AC truncation, lane-private versions,
- * higher-bits write-through arbitration, assemble merge modes, and
- * outage decay with Fig. 22-style counters and its random-stream
- * contract.
+ * higher-bits write-through arbitration, assemble merge modes, lane
+ * bookkeeping against a per-byte reference model, and outage decay
+ * with Fig. 22-style counters and its random-stream contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nvm/retention_policy.h"
@@ -157,6 +160,304 @@ TEST(DataMemory, AssembleClearsVersionsAndSkipsOutsideRegions)
     EXPECT_EQ(mem.load8(1, 1080, 8, false), mem.hostRead8(1080));
     // Non-versioned range processes zero bytes.
     EXPECT_EQ(mem.assemble(0, 16, inc::isa::AssembleMode::max), 0u);
+}
+
+namespace
+{
+
+/**
+ * DataMemory's lane accesses and versioned bookkeeping, one byte at a
+ * time with no lookup structure: the reference cell model of
+ * src/check/diff_harness.cc (RacModel) extended to loads, AC
+ * truncation, lane retire and range reset. Every lookup scans the
+ * regions in declaration order, so the first declared wins.
+ */
+struct LaneModel
+{
+    struct Cell
+    {
+        std::array<int, DataMemory::kMaxVersions> value{};
+        std::array<int, DataMemory::kMaxVersions> prec{};
+        std::array<int, DataMemory::kMaxVersions> merged_value{};
+        std::uint8_t written = 0;
+        std::uint8_t merged = 0;
+    };
+    struct Versioned
+    {
+        std::uint32_t start;
+        std::uint32_t length;
+        bool write_through;
+        std::vector<Cell> cells;
+    };
+
+    std::vector<int> main;
+    std::vector<int> main_prec;
+    std::vector<AcRegion> ac;
+    std::vector<Versioned> versioned;
+
+    explicit LaneModel(std::uint32_t size) : main(size), main_prec(size) {}
+
+    const AcRegion *acAt(std::uint32_t addr) const
+    {
+        for (const AcRegion &r : ac) {
+            if (addr >= r.start && addr < r.start + r.length)
+                return &r;
+        }
+        return nullptr;
+    }
+
+    Cell *cellAt(std::uint32_t addr, Versioned **region = nullptr)
+    {
+        for (Versioned &r : versioned) {
+            if (addr >= r.start && addr < r.start + r.length) {
+                if (region)
+                    *region = &r;
+                return &r.cells[addr - r.start];
+            }
+        }
+        return nullptr;
+    }
+
+    int truncate(int value, int bits, bool approx, std::uint32_t addr)
+    {
+        if (!approx || bits >= 8 || !acAt(addr))
+            return value;
+        return value & (0xFF << (8 - bits)) & 0xFF;
+    }
+
+    int load(int lane, std::uint32_t addr, int bits, bool approx)
+    {
+        int value = main[addr];
+        const Cell *c = lane > 0 ? cellAt(addr) : nullptr;
+        if (c && (c->written & (1u << lane)))
+            value = c->value[static_cast<std::size_t>(lane)];
+        return truncate(value, bits, approx, addr);
+    }
+
+    void store(int lane, std::uint32_t addr, int value, int bits,
+               bool approx)
+    {
+        value = truncate(value, bits, approx, addr);
+        Versioned *r = nullptr;
+        Cell *c = lane > 0 ? cellAt(addr, &r) : nullptr;
+        if (!c) {
+            main[addr] = value;
+            main_prec[addr] = bits;
+            return;
+        }
+        c->value[static_cast<std::size_t>(lane)] = value;
+        c->prec[static_cast<std::size_t>(lane)] = bits;
+        c->written |= static_cast<std::uint8_t>(1u << lane);
+        if (r->write_through && bits >= main_prec[addr]) {
+            main[addr] = value;
+            main_prec[addr] = bits;
+        }
+    }
+
+    void reset(std::uint32_t start, std::uint32_t len)
+    {
+        for (std::uint32_t addr = start; addr < start + len; ++addr) {
+            main[addr] = 0;
+            main_prec[addr] = 0;
+            if (Cell *c = cellAt(addr))
+                *c = Cell{};
+        }
+    }
+
+    void clearLane(int lane)
+    {
+        for (Versioned &r : versioned)
+            for (Cell &c : r.cells)
+                c.written &= static_cast<std::uint8_t>(~(1u << lane));
+    }
+
+    std::uint32_t assemble(std::uint32_t start, std::uint32_t len,
+                           inc::isa::AssembleMode mode)
+    {
+        std::uint32_t processed = 0;
+        for (std::uint32_t addr = start; addr < start + len; ++addr) {
+            Cell *c = cellAt(addr);
+            if (!c)
+                continue;
+            ++processed;
+            int value = main[addr];
+            int prec = main_prec[addr];
+            for (int lane = 1; lane < DataMemory::kMaxVersions; ++lane) {
+                const auto bit = static_cast<std::uint8_t>(1u << lane);
+                const auto l = static_cast<std::size_t>(lane);
+                if (!(c->written & bit))
+                    continue;
+                const int lv = c->value[l];
+                const int lp = c->prec[l];
+                switch (mode) {
+                  case inc::isa::AssembleMode::higherbits:
+                    if (lp > prec) {
+                        value = lv;
+                        prec = lp;
+                    }
+                    break;
+                  case inc::isa::AssembleMode::sum: {
+                    const int before =
+                        (c->merged & bit) ? c->merged_value[l] : 0;
+                    value = std::clamp(value + lv - before, 0, 255);
+                    c->merged_value[l] = lv;
+                    c->merged |= bit;
+                    prec = std::max(prec, lp);
+                    break;
+                  }
+                  case inc::isa::AssembleMode::max:
+                    value = std::max(value, lv);
+                    prec = std::max(prec, lp);
+                    break;
+                  case inc::isa::AssembleMode::min:
+                    value = std::min(value, lv);
+                    prec = std::max(prec, lp);
+                    break;
+                }
+            }
+            c->written = 0;
+            main[addr] = value;
+            main_prec[addr] = prec;
+        }
+        return processed;
+    }
+};
+
+} // namespace
+
+/**
+ * Random sequences of lane loads and stores, lane retires, assembles in
+ * every mode and range resets across region edges, on a write-through
+ * and a scratch versioned region (plus a scratch region overlapping the
+ * first one's tail) and overlapping AC regions of different policies:
+ * every result and, every few operations, every lane's view of every
+ * byte must equal the reference model's.
+ */
+TEST(DataMemory, LaneBookkeepingMatchesTheReferenceModel)
+{
+    // Small regions packed together, so every byte sees stores, loads,
+    // retires, merges and resets from several lanes.
+    constexpr std::uint32_t kSize = 512;
+    const std::vector<AcRegion> ac = {
+        {190, 40, RetentionPolicy::linear},
+        {210, 40, RetentionPolicy::parabola},
+        {255, 12, RetentionPolicy::log},
+        {0, 1, RetentionPolicy::full},
+    };
+    struct VersionedSpec
+    {
+        std::uint32_t start;
+        std::uint32_t length;
+        bool write_through;
+    };
+    const std::vector<VersionedSpec> versioned = {
+        {200, 24, true}, {236, 20, false}, {216, 16, false}};
+
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        inc::util::Rng rng(seed);
+        DataMemory mem(inc::util::Rng(seed + 100), kSize);
+        LaneModel model(kSize);
+        for (const AcRegion &r : ac) {
+            mem.addAcRegion(r);
+            model.ac.push_back(r);
+        }
+        for (const VersionedSpec &v : versioned) {
+            mem.addVersionedRegion(v.start, v.length, v.write_through);
+            model.versioned.push_back(
+                {v.start, v.length, v.write_through,
+                 std::vector<LaneModel::Cell>(v.length)});
+        }
+        // Addresses within a few bytes of a region edge half the time,
+        // elsewhere near the regions mostly.
+        std::vector<std::uint32_t> edges;
+        for (const AcRegion &r : ac)
+            edges.insert(edges.end(), {r.start, r.start + r.length});
+        for (const VersionedSpec &v : versioned)
+            edges.insert(edges.end(), {v.start, v.start + v.length});
+        const auto pickAddr = [&] {
+            const std::uint64_t where = rng.nextBounded(8);
+            if (where < 4) {
+                const std::uint32_t edge = edges[rng.nextBounded(
+                    edges.size())];
+                return std::min(kSize - 1,
+                                edge + static_cast<std::uint32_t>(
+                                           rng.nextBounded(7)) -
+                                    std::min<std::uint32_t>(edge, 3));
+            }
+            if (where < 7)
+                return static_cast<std::uint32_t>(184 +
+                                                  rng.nextBounded(88));
+            return static_cast<std::uint32_t>(rng.nextBounded(kSize));
+        };
+        // A range from one picked address to another.
+        const auto pickRange = [&] {
+            const std::uint32_t a = pickAddr();
+            const std::uint32_t b = pickAddr();
+            const std::uint32_t lo = std::min(a, b);
+            return std::pair{lo, std::max(a, b) - lo + 1};
+        };
+        const auto compareAll = [&](int step) {
+            for (std::uint32_t addr = 0; addr < kSize; ++addr) {
+                ASSERT_EQ(mem.hostRead8(addr), model.main[addr])
+                    << "step " << step << " addr " << addr;
+                ASSERT_EQ(mem.precisionAt(addr), model.main_prec[addr])
+                    << "step " << step << " addr " << addr;
+                for (int lane = 1; lane < DataMemory::kMaxVersions;
+                     ++lane) {
+                    ASSERT_EQ(mem.load8(lane, addr, 8, false),
+                              model.load(lane, addr, 8, false))
+                        << "step " << step << " lane " << lane
+                        << " addr " << addr;
+                }
+            }
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            const int lane = static_cast<int>(rng.nextBounded(4));
+            const int bits = 1 + static_cast<int>(rng.nextBounded(8));
+            const bool approx = rng.nextBounded(2) != 0;
+            const std::uint64_t op = rng.nextBounded(100);
+            if (op < 40) {
+                const std::uint32_t addr = pickAddr();
+                const auto value =
+                    static_cast<std::uint8_t>(rng.nextBounded(256));
+                mem.store8(lane, addr, value, bits, approx);
+                model.store(lane, addr, value, bits, approx);
+            } else if (op < 75) {
+                const std::uint32_t addr = pickAddr();
+                ASSERT_EQ(mem.load8(lane, addr, bits, approx),
+                          model.load(lane, addr, bits, approx))
+                    << "step " << step << " lane " << lane << " addr "
+                    << addr;
+            } else if (op < 83) {
+                const std::uint32_t addr = pickAddr();
+                const auto *r = model.acAt(addr);
+                EXPECT_EQ(mem.isAc(addr), r != nullptr) << addr;
+                EXPECT_EQ(mem.policyAt(addr),
+                          r ? r->policy : RetentionPolicy::full)
+                    << addr;
+            } else if (op < 88) {
+                const int retired = 1 + static_cast<int>(rng.nextBounded(3));
+                mem.clearLaneVersions(retired);
+                model.clearLane(retired);
+            } else if (op < 94) {
+                const auto [start, len] = pickRange();
+                const auto mode = static_cast<inc::isa::AssembleMode>(
+                    rng.nextBounded(4));
+                ASSERT_EQ(mem.assemble(start, len, mode),
+                          model.assemble(start, len, mode))
+                    << "step " << step;
+            } else {
+                const auto [start, len] = pickRange();
+                mem.resetVersionedRange(start, len);
+                model.reset(start, len);
+            }
+            if (step % 37 == 0)
+                compareAll(step);
+        }
+        compareAll(4000);
+    }
 }
 
 TEST(DataMemory, OutageDecayCountsAndCorrupts)

@@ -344,21 +344,29 @@ TEST(FrameMemo, ConcurrentCallersGetTheSerialBytes)
 {
     struct Key
     {
+        int side;
         util::SceneKind kind;
         std::uint64_t seed;
         int frame;
     };
     std::vector<Key> keys;
+    std::size_t key_bytes = 0;
     for (util::SceneKind kind :
          {util::SceneKind::scene, util::SceneKind::texture})
         for (std::uint64_t seed : {11u, 12u})
             for (int frame = 0; frame < 24; ++frame)
-                keys.push_back({kind, seed, frame});
-    constexpr int kSide = 64;
-    ASSERT_GT(keys.size() * kSide * kSide,
-              util::SceneGenerator::kFrameMemoBytes);
+                keys.push_back({64, kind, seed, frame});
+    key_bytes += keys.size() * 64 * 64;
+    // Cheap gradient frames carry the set past what the memo holds.
+    for (int frame = 0;
+         key_bytes <= util::SceneGenerator::kFrameMemoBytes + 64 * 1024;
+         ++frame) {
+        keys.push_back({128, util::SceneKind::gradient, 11, frame});
+        key_bytes += 128 * 128;
+    }
+    ASSERT_GT(key_bytes, util::SceneGenerator::kFrameMemoBytes);
     const auto frameOf = [](const Key &k) {
-        return util::SceneGenerator(kSide, kSide, k.kind, k.seed)
+        return util::SceneGenerator(k.side, k.side, k.kind, k.seed)
             .frame(k.frame);
     };
     std::vector<util::Image> serial;

@@ -1,5 +1,6 @@
 /** Unit tests for util: bit ops, stats, tables, CSV, images. */
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/image.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -257,9 +259,199 @@ TEST(SceneGenerator, MemoServesTheSameBytesOnMissHitAndAfterEviction)
     }
 
     // A frame larger than the whole memo is served without it.
-    const u::SceneGenerator big(640, 512, u::SceneKind::gradient, 904);
+    const u::SceneGenerator big(
+        1024,
+        static_cast<int>(u::SceneGenerator::kFrameMemoBytes / 1024 + 1),
+        u::SceneKind::gradient, 904);
     EXPECT_EQ(big.frame(0), big.frame(0));
 }
+
+namespace
+{
+
+// ---- the per-pixel synthesis loop, kept verbatim as an oracle ---------
+
+double
+oracleValueNoise(std::uint64_t seed, double x, double y)
+{
+    auto lattice = [seed](int ix, int iy) {
+        std::uint64_t h = seed;
+        h ^= static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL;
+        h ^= static_cast<std::uint64_t>(iy) * 0xc2b2ae3d27d4eb4fULL;
+        h ^= h >> 33;
+        h *= 0xff51afd7ed558ccdULL;
+        h ^= h >> 33;
+        return static_cast<double>(h >> 11) * 0x1.0p-53;
+    };
+    const int ix = static_cast<int>(std::floor(x));
+    const int iy = static_cast<int>(std::floor(y));
+    const double fx = x - ix;
+    const double fy = y - iy;
+    auto fade = [](double t) { return t * t * (3.0 - 2.0 * t); };
+    const double ux = fade(fx);
+    const double uy = fade(fy);
+    const double a = lattice(ix, iy);
+    const double b = lattice(ix + 1, iy);
+    const double c = lattice(ix, iy + 1);
+    const double d = lattice(ix + 1, iy + 1);
+    const double top = a + (b - a) * ux;
+    const double bot = c + (d - c) * ux;
+    return top + (bot - top) * uy;
+}
+
+std::uint8_t
+oracleToPixel(double v)
+{
+    return u::clampU8(static_cast<std::int64_t>(std::lround(v * 255.0)));
+}
+
+u::Image
+oracleFrame(int width_, int height_, u::SceneKind kind_,
+            std::uint64_t seed_, int frame_index)
+{
+    using u::Rng;
+    using u::SceneKind;
+    u::Image img(width_, height_);
+    // Scene drift: content shifts slowly so consecutive frames correlate.
+    const double drift = 0.35 * frame_index;
+    const double w = width_;
+    const double h = height_;
+    Rng noise_rng(seed_ ^ (0xABCDULL + static_cast<std::uint64_t>(
+                                           frame_index) * 0x9e3779b9ULL));
+
+    for (int y = 0; y < height_; ++y) {
+        for (int x = 0; x < width_; ++x) {
+            double v = 0.0;
+            const double fx = (x + drift) / w;
+            const double fy = (y + 0.5 * drift) / h;
+            switch (kind_) {
+              case SceneKind::gradient:
+                v = 0.5 * fx + 0.5 * fy;
+                break;
+              case SceneKind::checker: {
+                const int cx = static_cast<int>((x + drift) / 8.0);
+                const int cy = static_cast<int>(y / 8.0);
+                v = ((cx + cy) & 1) ? 0.85 : 0.15;
+                break;
+              }
+              case SceneKind::blobs: {
+                v = 0.15;
+                for (int b = 0; b < 3; ++b) {
+                    const double bx =
+                        w * (0.25 + 0.22 * b) + 3.0 * std::sin(
+                            drift * 0.2 + b);
+                    const double by =
+                        h * (0.3 + 0.18 * b) + 2.0 * std::cos(
+                            drift * 0.15 + 2 * b);
+                    const double r2 = (x - bx) * (x - bx) +
+                                      (y - by) * (y - by);
+                    const double sigma = 0.018 * w * h / 4.0 + 8.0;
+                    v += 0.6 * std::exp(-r2 / sigma);
+                }
+                break;
+              }
+              case SceneKind::texture:
+                v = 0.5 * oracleValueNoise(seed_, (x + drift) / 5.0,
+                                           y / 5.0) +
+                    0.3 * oracleValueNoise(seed_ + 7, (x + drift) / 11.0,
+                                           y / 11.0) +
+                    0.2 * oracleValueNoise(seed_ + 13, (x + drift) / 23.0,
+                                           y / 23.0);
+                break;
+              case SceneKind::scene: {
+                // Shading + a blob silhouette + a hard vertical edge +
+                // faint texture: exercises gradients, corners and noise
+                // response together.
+                v = 0.25 + 0.3 * fx + 0.15 * fy;
+                const double bx = w * 0.55 + 4.0 * std::sin(drift * 0.1);
+                const double by = h * 0.45;
+                const double r2 = (x - bx) * (x - bx) + (y - by) * (y - by);
+                if (r2 < 0.03 * w * h)
+                    v += 0.4;
+                if (x > static_cast<int>(w * 0.75 + drift) % width_)
+                    v -= 0.2;
+                v += 0.08 * (oracleValueNoise(seed_, (x + drift) / 6.0,
+                                              y / 6.0) - 0.5);
+                break;
+              }
+            }
+            // Mild sensor noise on every kind but gradient/checker.
+            if (kind_ == SceneKind::texture || kind_ == SceneKind::scene ||
+                kind_ == SceneKind::blobs) {
+                v += 0.01 * noise_rng.nextGaussian();
+            }
+            img.set(x, y, oracleToPixel(v));
+        }
+    }
+    return img;
+}
+
+class SceneSynthesis : public ::testing::TestWithParam<u::SceneKind>
+{
+};
+
+std::string
+sceneKindName(const ::testing::TestParamInfo<u::SceneKind> &info)
+{
+    static const char *const names[] = {"gradient", "checker", "blobs",
+                                        "texture", "scene"};
+    return names[static_cast<int>(info.param)];
+}
+
+} // namespace
+
+/**
+ * SceneGenerator::frame returns, byte for byte, what the per-pixel loop
+ * above computes: every size class, several seeds, negative frame
+ * indices (whose noise coordinates fall below 0, so cells come from
+ * std::floor) and a far one. Small frames run every index in
+ * [-50, 400]; larger ones a stride of it.
+ */
+TEST_P(SceneSynthesis, FramesEqualThePerPixelLoop)
+{
+    const u::SceneKind kind = GetParam();
+    struct Case
+    {
+        int width;
+        int height;
+        int stride; ///< over frame indices [-50, 400]
+        std::vector<std::uint64_t> seeds;
+    };
+    const std::vector<Case> cases = {
+        {1, 1, 1, {1, 2017, 52361}},
+        {3, 3, 1, {1, 2017, 52361}},
+        {8, 8, 1, {1, 2017, 52361}},
+        {17, 17, 1, {1, 2017}},
+        {17, 8, 3, {52361}},
+        {32, 32, 7, {1, 2017, 52361}},
+        {64, 64, 31, {2017, 0xfeedfaceULL}},
+        {640, 512, 450, {2017}},
+    };
+    for (const Case &c : cases) {
+        std::vector<int> frames;
+        for (int f = -50; f <= 400; f += c.stride)
+            frames.push_back(f);
+        frames.push_back(100000);
+        for (const std::uint64_t seed : c.seeds) {
+            const u::SceneGenerator gen(c.width, c.height, kind, seed);
+            for (const int f : frames) {
+                SCOPED_TRACE(std::to_string(c.width) + "x" +
+                             std::to_string(c.height) + " seed " +
+                             std::to_string(seed) + " frame " +
+                             std::to_string(f));
+                ASSERT_EQ(gen.frame(f),
+                          oracleFrame(c.width, c.height, kind, seed, f));
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, SceneSynthesis,
+    ::testing::Values(u::SceneKind::gradient, u::SceneKind::checker,
+                      u::SceneKind::blobs, u::SceneKind::texture,
+                      u::SceneKind::scene),
+    sceneKindName);
 
 TEST(SceneGenerator, AllKindsProduceDistinctContent)
 {
