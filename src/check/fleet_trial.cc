@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -124,19 +125,19 @@ makeRunner(const MiniCampaign &campaign)
     return std::make_unique<runner::SweepRunner>(campaign.sweep, body);
 }
 
-/** Run jobs [begin, end) and return one encoded RESULT frame per job,
- *  in delivery order. */
+/** Run @p shard's jobs of @p jobs and return one encoded RESULT frame
+ *  per job, in delivery order. */
 std::vector<std::string>
-runShardFrames(const MiniCampaign &campaign, std::size_t begin,
-               std::size_t end)
+runShardFrames(const MiniCampaign &campaign,
+               const std::vector<runner::JobSpec> &jobs,
+               const runner::ShardRange &shard)
 {
     std::vector<std::string> frames;
-    std::unique_ptr<runner::SweepRunner> runner = makeRunner(campaign);
-    runner->setJobRange(begin, end);
-    runner->setDeliveryHook([&frames](const runner::JobResult &jr) {
-        frames.push_back(fleet::encodeResult(jr));
-    });
-    (void)runner->run();
+    makeRunner(campaign)->runJobs(
+        std::span(jobs).subspan(shard.begin, shard.size()),
+        [&frames](runner::JobResult jr) {
+            frames.push_back(fleet::encodeResult(jr));
+        });
     return frames;
 }
 
@@ -266,8 +267,7 @@ runFleetMergeTrial(const TrialSpec &spec)
 
         std::vector<std::vector<std::string>> shard_frames;
         for (const runner::ShardRange &shard : plan)
-            shard_frames.push_back(
-                runShardFrames(campaign, shard.begin, shard.end));
+            shard_frames.push_back(runShardFrames(campaign, jobs, shard));
 
         // Every third trial is the coordinator's restart: shard 0 is
         // folded into a journal, which a fresh folder reopens; it must

@@ -5,8 +5,9 @@
  * One fuzzed mini-sweep (kernel subset, variant count, metrics
  * collection and an optional injected job failure, all drawn from the
  * trial stream) runs un-sharded as the oracle, then split by
- * runner::planShards() across 2 range-restricted SweepRunners whose
- * delivery hooks encode every JobResult as a RESULT frame. The frame
+ * runner::planShards() into 2 shards, each run as a worker runs it
+ * (SweepRunner::runJobs() over its slice of the expansion) with every
+ * delivered JobResult encoded as a RESULT frame. The frame
  * streams are interleaved in a fuzzed order, re-fragmented into fuzzed
  * chunks through a MessageReader, decoded and folded by a
  * ResultFolder: the coordinator's merge path, minus the sockets. The

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "fleet/folder.h"
+#include "fleet/protocol.h"
 #include "obs/schema.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
@@ -63,14 +65,25 @@ syntheticResult(util::Rng &rng, std::size_t index)
     return jr;
 }
 
+/** The script's campaign: @p count jobs that carry only their index. */
+std::vector<runner::JobSpec>
+scriptJobs(std::size_t count)
+{
+    std::vector<runner::JobSpec> jobs(count);
+    for (std::size_t i = 0; i < count; ++i)
+        jobs[i].index = i;
+    return jobs;
+}
+
 /**
- * Run the deterministic script: bind 1–8 jobs, then record synthetic
- * results, including failed ones, repeats and indices past the
- * campaign, which the journal must refuse without appending. The rng
- * draw sequence is identical in the dry and faulted runs (no draw
- * depends on journal outcomes); the faulted run simply stops at the
- * crash instant — the first call after which the injected fault has
- * tripped — exactly as a killed process would.
+ * Run the deterministic script through a ResultFolder keeping the
+ * journal, as `sweep --arena` and `serve` do: bind 1–8 jobs, then fold
+ * synthetic results, including failed ones, repeats and indices past
+ * the campaign, which must append nothing. The rng draw sequence is
+ * identical in the dry and faulted runs (no draw depends on journal
+ * outcomes); the faulted run simply stops at the crash instant — the
+ * first call after which the injected fault has tripped — exactly as
+ * a killed process would.
  */
 void
 runScript(runner::SweepJournal *journal, const std::string &log_path,
@@ -81,16 +94,22 @@ runScript(runner::SweepJournal *journal, const std::string &log_path,
     char fp[16];
     std::snprintf(fp, sizeof fp, "%08x",
                   static_cast<unsigned>(rng.nextBounded(1ull << 32)));
-    if (journal->bind(fp, jobs)) {
-        sh->bound = true;
-        sh->fingerprint = fp;
-        sh->jobs = jobs;
-        sh->durable_size = fs::file_size(log_path);
-    }
+    fleet::ResultFolder folder(scriptJobs(jobs));
+    std::string error;
+    if (!folder.keepJournal(journal, fp, &error))
+        return; // the bind did not persist: the log is dead
+    sh->bound = true;
+    sh->fingerprint = fp;
+    sh->jobs = jobs;
+    sh->durable_size = fs::file_size(log_path);
     for (int i = 0; i < kScriptRecords && !journal->failed(); ++i) {
         const std::size_t index = rng.nextBounded(jobs + 2);
         const runner::JobResult jr = syntheticResult(rng, index);
-        if (journal->record(jr)) {
+        const std::size_t recorded = folder.recordedCount();
+        // The folder refuses an index past the campaign and a repeat
+        // with other bytes; only the count says what persisted.
+        (void)folder.fold(fleet::toDecoded(jr), &error);
+        if (folder.recordedCount() > recorded) {
             sh->durable.emplace(index, jr);
             sh->durable_size = fs::file_size(log_path);
         }
@@ -109,9 +128,8 @@ journalDivergence(const std::string &invariant, const std::string &detail)
 
 /** Verify a reopened journal against the shadow. */
 Divergence
-verifyRecovered(const runner::SweepJournal &journal,
-                const std::string &log_path, const Shadow &sh,
-                std::uint64_t fault_at)
+verifyRecovered(runner::SweepJournal &journal, const std::string &log_path,
+                const Shadow &sh, std::uint64_t fault_at)
 {
     std::ostringstream ctx;
     ctx << " (fault_at=" << fault_at << " durable=" << sh.durable.size()
@@ -142,14 +160,15 @@ verifyRecovered(const runner::SweepJournal &journal,
                                        : " durable but not recovered") +
                                   ctx.str());
     }
+    // Read the durable jobs back the way a resumed campaign does. A
+    // bound journal's keepJournal appends nothing.
+    fleet::ResultFolder folder(scriptJobs(sh.jobs));
+    std::string error;
+    if (sh.bound && !folder.keepJournal(&journal, sh.fingerprint, &error))
+        return journalDivergence("arena_result",
+                                 "recovered journal " + error + ctx.str());
     for (const auto &[index, want] : sh.durable) {
-        runner::JobResult got;
-        std::string error;
-        if (!journal.load(index, &got, &error))
-            return journalDivergence("arena_result",
-                                     "job " + std::to_string(index) +
-                                         " unreadable: " + error +
-                                         ctx.str());
+        const runner::JobResult &got = folder.result(index);
         if (sim::serializeResult(got.result) !=
                 sim::serializeResult(want.result) ||
             got.attempts != want.attempts ||
@@ -226,17 +245,20 @@ runSweepResumeCheck(const TrialSpec &spec, const std::string &dir)
     const std::vector<runner::JobSpec> jobs = runner::expandSweep(sw);
     const std::string fp =
         runner::SweepJournal::fingerprint(sw, jobs, "fuzz");
+    std::string error;
 
-    // Partial campaign: one job journaled, then the process "dies"
-    // (the journal is closed with no shutdown path and reopened
-    // through recovery).
+    // Partial campaign: job 0 folded into a kept journal, then the
+    // process "dies" (the journal is closed with no shutdown path and
+    // reopened through recovery).
     {
         std::unique_ptr<runner::SweepJournal> journal =
             runner::SweepJournal::open(dir);
-        journal->bind(fp, jobs.size());
-        if (!journal->record(golden.results[0]))
+        fleet::ResultFolder first(jobs);
+        if (!first.keepJournal(journal.get(), fp, &error) ||
+            !first.fold(fleet::toDecoded(golden.results[0]), &error) ||
+            first.recordedCount() != 1)
             return journalDivergence("arena_sweep",
-                                     "journal record failed");
+                                     "journal record failed: " + error);
     }
 
     std::unique_ptr<runner::SweepJournal> journal =
@@ -250,9 +272,14 @@ runSweepResumeCheck(const TrialSpec &spec, const std::string &dir)
                                  "journal completion set wrong after "
                                  "recovery");
 
+    // Resume as `sweep --arena --resume` does: fold the journal, run
+    // the jobs it lacks and fold each as it finishes.
+    fleet::ResultFolder folder(jobs);
     runner::SweepRunner resumed_runner(sw);
-    resumed_runner.setJournal(journal.get());
-    runner::SweepReport resumed = resumed_runner.run();
+    if (!folder.keepJournal(journal.get(), fp, &error) ||
+        !folder.runUnfolded(resumed_runner, {}, &error))
+        return journalDivergence("arena_sweep", "resume failed: " + error);
+    const runner::SweepReport resumed = folder.takeReport(0.0, 1);
     if (!resumed.allOk())
         return journalDivergence("arena_sweep",
                                  "resumed mini-sweep failed: " +

@@ -8,6 +8,7 @@
 #include "kernels/kernel.h"
 #include "nvm/retention_policy.h"
 #include "obs/json.h"
+#include "runner/journal.h"
 #include "trace/trace_generator.h"
 #include "util/fs.h"
 #include "util/logging.h"
@@ -353,6 +354,16 @@ campaignFingerprintExtra(const CampaignSpec &spec, bool collect_metrics)
         spec.policy.c_str(), spec.baseline ? 1 : 0,
         spec.engine.c_str(), spec.strategy.c_str(), spec.income_scale,
         spec.frame_factor, collect_metrics ? 1 : 0);
+}
+
+std::string
+campaignFingerprint(const CampaignSpec &campaign,
+                    const runner::SweepSpec &spec,
+                    const std::vector<runner::JobSpec> &jobs)
+{
+    return runner::SweepJournal::fingerprint(
+        spec, jobs,
+        campaignFingerprintExtra(campaign, spec.collect_metrics));
 }
 
 } // namespace inc::fleet

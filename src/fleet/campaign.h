@@ -7,8 +7,8 @@
  * knob that shapes a job. Both the serial sweep path and the fleet
  * coordinator/worker pair build their runner::SweepSpec through
  * buildSweepSpec() and derive their journal fingerprint through
- * campaignFingerprintExtra(), so a campaign executed by any of the
- * three produces bit-identical jobs — the foundation of the fleet's
+ * campaignFingerprint(), so a campaign executed by any of the three
+ * produces bit-identical jobs — the foundation of the fleet's
  * byte-identity guarantee (DESIGN.md §15).
  *
  * Every knob is declared once, in the knob table of campaign.cc: a
@@ -110,15 +110,23 @@ runner::SweepSpec buildSweepSpec(const CampaignSpec &spec,
                                  bool collect_metrics);
 
 /**
- * The SweepJournal fingerprint "extra" string for this campaign —
- * shared by `nvpsim sweep --arena` and the fleet's journal, so both
- * agree on campaign identity. Every knob that shapes a job must
- * feed it (tests/test_fleet.cc loops over the knob table); its format
- * must not change, because every journal stores the fingerprint it
- * feeds.
+ * The SweepJournal fingerprint "extra" string for this campaign (see
+ * campaignFingerprint()). Every knob that shapes a job must feed it
+ * (tests/test_fleet.cc loops over the knob table); its format must not
+ * change, because every journal stores the fingerprint it feeds.
  */
 std::string campaignFingerprintExtra(const CampaignSpec &spec,
                                      bool collect_metrics);
+
+/**
+ * The campaign's journal fingerprint: `nvpsim sweep --arena`, the
+ * fleet coordinator and every worker derive it here, so all three agree
+ * on campaign identity. @p spec is buildSweepSpec(@p campaign, ...) and
+ * @p jobs its expansion.
+ */
+std::string campaignFingerprint(const CampaignSpec &campaign,
+                                const runner::SweepSpec &spec,
+                                const std::vector<runner::JobSpec> &jobs);
 
 } // namespace inc::fleet
 

@@ -179,10 +179,7 @@ Coordinator::Coordinator(const ServeOptions &options)
 
     spec_ = buildSweepSpec(campaign_, options_.collect_metrics);
     jobs_ = runner::expandSweep(spec_);
-    fingerprint_ = runner::SweepJournal::fingerprint(
-        spec_, jobs_,
-        campaignFingerprintExtra(campaign_,
-                                 options_.collect_metrics));
+    fingerprint_ = campaignFingerprint(campaign_, spec_, jobs_);
 
     if (options_.workers < 1)
         util::fatal("fleet: --workers must be >= 1");

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sim/result_io.h"
 #include "util/logging.h"
 
 namespace inc::fleet
@@ -34,15 +33,13 @@ ResultFolder::keepJournal(runner::SweepJournal *journal,
     // Each journaled job folds as the RESULT frame its run sent: both
     // round-trip bit-exactly, so a later re-run must match its bytes.
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        runner::JobResult jr;
-        std::string why;
         if (!journal->completed(i))
             continue;
-        if (!journal->load(i, &jr, &why) ||
-            !fold({i, jr.attempts, true, sim::serializeResult(jr.result),
-                   jr.metrics.empty() ? std::string() : jr.metrics.toJson(),
-                   {}},
-                  &why)) {
+        runner::JobResult jr;
+        std::string why;
+        const bool loaded = journal->load(i, &jr, &why);
+        jr.spec.index = i; // load() leaves the spec to its caller
+        if (!loaded || !fold(toDecoded(jr), &why)) {
             *error = util::format("holds an unreadable record of job "
                                   "%zu (%s)",
                                   i, why.c_str());
@@ -83,9 +80,29 @@ ResultFolder::fold(const DecodedResult &decoded, std::string *error)
     signatures_[decoded.index] = std::move(signature);
     filled_[decoded.index] = true;
     ++filled_count_;
-    if (journal_)
-        journal_->record(slots_[decoded.index]);
+    if (journal_ && journal_->record(slots_[decoded.index]))
+        ++recorded_count_;
     return true;
+}
+
+bool
+ResultFolder::runUnfolded(runner::SweepRunner &runner,
+                          const std::function<void()> &after_fold,
+                          std::string *error)
+{
+    std::vector<runner::JobSpec> unfolded;
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        if (!filled_[i])
+            unfolded.push_back(jobs_[i]);
+    }
+    bool ok = true;
+    runner.runJobs(unfolded, [this, &after_fold, &ok,
+                              error](runner::JobResult result) {
+        ok = ok && fold(toDecoded(result), error);
+        if (ok && after_fold)
+            after_fold();
+    });
+    return ok;
 }
 
 std::size_t

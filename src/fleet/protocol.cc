@@ -119,21 +119,14 @@ encodeDone(std::size_t shard_id)
 std::string
 encodeResult(const runner::JobResult &result)
 {
-    // The SweepJournal payload convention: serialized result text for
-    // successful jobs, metrics JSON only when a registry was attached.
-    const std::string result_text =
-        result.ok ? sim::serializeResult(result.result)
-                  : std::string();
-    const std::string metrics_json =
-        result.metrics.empty() ? std::string()
-                               : result.metrics.toJson();
+    const DecodedResult d = toDecoded(result);
     std::string frame = util::format(
-        "RESULT %zu %d %d %zu %zu %zu\n", result.spec.index,
-        result.attempts, result.ok ? 1 : 0, result_text.size(),
-        metrics_json.size(), result.error.size());
-    frame += result_text;
-    frame += metrics_json;
-    frame += result.error;
+        "RESULT %zu %d %d %zu %zu %zu\n", d.index, d.attempts,
+        d.ok ? 1 : 0, d.result_text.size(), d.metrics_json.size(),
+        d.error.size());
+    frame += d.result_text;
+    frame += d.metrics_json;
+    frame += d.error;
     return frame;
 }
 
@@ -222,6 +215,23 @@ decodeState(const Message &message, std::string *snapshot_json,
     }
     *snapshot_json = message.payload;
     return true;
+}
+
+DecodedResult
+toDecoded(const runner::JobResult &result)
+{
+    // The SweepJournal payload convention: serialized result text for
+    // successful jobs, metrics JSON only when a registry was attached.
+    DecodedResult d;
+    d.index = result.spec.index;
+    d.attempts = result.attempts;
+    d.ok = result.ok;
+    if (result.ok)
+        d.result_text = sim::serializeResult(result.result);
+    if (!result.metrics.empty())
+        d.metrics_json = result.metrics.toJson();
+    d.error = result.error;
+    return d;
 }
 
 bool

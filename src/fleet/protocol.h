@@ -120,6 +120,13 @@ bool decodeState(const Message &message, std::string *snapshot_json,
                  std::string *error);
 
 /**
+ * The decoded form of the RESULT frame @p result travels as: what a
+ * worker's frame decodes to, and what `sweep --arena` and a kept
+ * journal fold in-process (ResultFolder::fold).
+ */
+DecodedResult toDecoded(const runner::JobResult &result);
+
+/**
  * Rebuild the JobResult of @p spec from a decoded frame: result text
  * parsed bit-exactly, metrics JSON re-parsed (wall_ms stays 0 — a
  * scheduling artifact). False + @p error when the payload does not

@@ -1,13 +1,14 @@
 #include "fleet/worker.h"
 
 #include <csignal>
+#include <span>
+#include <utility>
 
 #include <unistd.h>
 
 #include "fleet/campaign.h"
 #include "fleet/protocol.h"
 #include "fleet/socket.h"
-#include "runner/journal.h"
 #include "runner/shard.h"
 #include "util/logging.h"
 
@@ -23,25 +24,24 @@ constexpr int kWorkerThreads = 1;
 /** Run one shard, streaming its results. @p sent counts this process's
  *  RESULT frames across shards, for --kill-after. */
 void
-runShard(const runner::SweepSpec &spec, const runner::ShardRange &shard,
-         const WorkerOptions &options, int fd, std::size_t *sent)
+runShard(runner::SweepRunner &runner,
+         const std::vector<runner::JobSpec> &jobs,
+         const runner::ShardRange &shard, const WorkerOptions &options,
+         int fd, std::size_t *sent)
 {
-    runner::SweepRunner runner(spec);
-    runner.setJobRange(shard.begin, shard.end);
-
     // Stream every result immediately: the coordinator folds by job
     // index, so order does not matter, and anything sent before a
-    // crash survives the crash. One sweep thread delivers them all.
-    runner.setDeliveryHook([fd, &options, sent](
-                               const runner::JobResult &result) {
-        const std::string frame = encodeResult(result);
-        if (!writeAll(fd, frame.data(), frame.size()))
-            util::fatal("fleet worker: coordinator connection lost");
-        if (options.kill_after > 0 && ++*sent >= options.kill_after)
-            std::raise(SIGKILL);
-    });
-
-    runner.run();
+    // crash survives the crash.
+    runner.runJobs(std::span(jobs).subspan(shard.begin, shard.size()),
+                   [fd, &options, sent](runner::JobResult result) {
+                       const std::string frame = encodeResult(result);
+                       if (!writeAll(fd, frame.data(), frame.size()))
+                           util::fatal("fleet worker: coordinator "
+                                       "connection lost");
+                       if (options.kill_after > 0 &&
+                           ++*sent >= options.kill_after)
+                           std::raise(SIGKILL);
+                   });
 
     const std::string done = encodeDone(shard.id);
     if (!writeAll(fd, done.data(), done.size()))
@@ -62,9 +62,9 @@ runWorker(const WorkerOptions &options)
         buildSweepSpec(campaign, options.collect_metrics);
     spec.jobs = kWorkerThreads;
     const std::vector<runner::JobSpec> jobs = runner::expandSweep(spec);
-    const std::string fingerprint = runner::SweepJournal::fingerprint(
-        spec, jobs,
-        campaignFingerprintExtra(campaign, options.collect_metrics));
+    const std::string fingerprint =
+        campaignFingerprint(campaign, spec, jobs);
+    runner::SweepRunner runner(std::move(spec));
 
     const int fd = connectUnix(options.socket_path, &error);
     if (fd < 0)
@@ -109,7 +109,7 @@ runWorker(const WorkerOptions &options)
                 shard.end > jobs.size())
                 util::fatal("fleet worker: bad shard assignment '%s'",
                             message.line.c_str());
-            runShard(spec, shard, options, fd, &sent);
+            runShard(runner, jobs, shard, options, fd, &sent);
             continue;
         }
         util::fatal("fleet worker: unexpected message '%s'",

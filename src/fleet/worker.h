@@ -5,10 +5,10 @@
  * A worker connects to the coordinator's Unix socket, announces the
  * campaign fingerprint it derived independently from the campaign
  * file, then executes SHARD assignments until told to EXIT. Each shard
- * runs through a SweepRunner restricted to the shard's job range and
- * streams every finished job back as a RESULT frame the moment it
- * completes (the delivery hook), so a mid-shard crash loses only the
- * job in flight, and every frame doubles as a heartbeat. A worker
+ * runs its slice of the expanded grid through SweepRunner::runJobs()
+ * and streams every finished job back as a RESULT frame the moment it
+ * completes, so a mid-shard crash loses only the job in flight, and
+ * every frame doubles as a heartbeat. A worker
  * keeps no state: the coordinator journals what it folds (DESIGN.md
  * §15) and re-dispatches a lost shard from its first unfolded job.
  *

@@ -347,37 +347,8 @@ SweepJournal::fingerprint(const SweepSpec &spec,
 }
 
 bool
-SweepJournal::bound() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return jobs_total_ > 0;
-}
-
-std::string
-SweepJournal::boundFingerprint() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fingerprint_;
-}
-
-std::size_t
-SweepJournal::jobsTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return jobs_total_;
-}
-
-std::size_t
-SweepJournal::completedCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return jobs_.size();
-}
-
-bool
 SweepJournal::bind(const std::string &fingerprint, std::size_t num_jobs)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (jobs_total_ > 0 || num_jobs == 0 ||
         !append(kRecBind, num_jobs, fingerprint))
         return false;
@@ -387,17 +358,9 @@ SweepJournal::bind(const std::string &fingerprint, std::size_t num_jobs)
 }
 
 bool
-SweepJournal::completed(std::size_t index) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return jobs_.count(index) > 0;
-}
-
-bool
 SweepJournal::load(std::size_t index, JobResult *out,
                    std::string *error) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(index);
     if (it == jobs_.end()) {
         if (error)
@@ -447,7 +410,6 @@ SweepJournal::record(const JobResult &result)
     if (!result.ok)
         return false; // failed jobs re-run on resume
     const std::size_t index = result.spec.index;
-    std::lock_guard<std::mutex> lock(mutex_);
     if (index >= jobs_total_ || jobs_.count(index) > 0)
         return false;
 
@@ -464,20 +426,6 @@ SweepJournal::record(const JobResult &result)
         return false;
     jobs_.emplace(index, std::move(payload));
     return true;
-}
-
-bool
-SweepJournal::failed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return failed_;
-}
-
-JournalStats
-SweepJournal::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
 }
 
 } // namespace inc::runner

@@ -1,7 +1,10 @@
 /**
  * @file
- * Sweep-campaign journal: persistent warm-restart state for SweepRunner
- * (DESIGN.md §12).
+ * Sweep-campaign journal: the persistent warm-restart state of a
+ * campaign (DESIGN.md §12). fleet::ResultFolder is its one reader and
+ * writer, for `nvpsim sweep --arena` and `nvpsim serve` alike: it binds
+ * the journal, folds every journaled job before anything runs and
+ * records each job it folds for the first time (fleet/folder.h).
  *
  * A journal directory holds one file, arena.log, an append-only record
  * log: a 32-byte file header (magic "RINALOG1", format version, CRC32),
@@ -20,15 +23,14 @@
  * record on is a torn tail and is truncated away, so the next append
  * lands right after the durable prefix.
  *
- * On resume, SweepRunner delivers journaled results for completed jobs
- * without re-running them. Because serializeResult() round-trips
- * doubles bit-exactly and merged metrics are folded in job-index order,
- * a killed-and-resumed campaign produces merged metrics and reports
- * byte-identical to an uninterrupted run.
+ * Because serializeResult() round-trips doubles bit-exactly and merged
+ * metrics are folded in job-index order, a killed-and-resumed campaign
+ * produces merged metrics and reports byte-identical to an
+ * uninterrupted run.
  *
- * Thread safe: every member takes an internal mutex. SweepRunner
- * additionally finishes all read-side calls before submitting any job,
- * so in practice readers and writers never even contend.
+ * Not thread safe, and it need not be: its one owner makes one call at
+ * a time (the coordinator is single-threaded, and SweepRunner::runJobs()
+ * hands `sweep --arena`'s results to the folder one at a time).
  */
 
 #ifndef INC_RUNNER_JOURNAL_H
@@ -38,7 +40,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,10 +102,10 @@ class SweepJournal
                                    const std::string &extra);
 
     /** True once a campaign has been bound (fresh journals are not). */
-    bool bound() const;
-    std::string boundFingerprint() const;
-    std::size_t jobsTotal() const;
-    std::size_t completedCount() const;
+    bool bound() const { return jobs_total_ > 0; }
+    std::string boundFingerprint() const { return fingerprint_; }
+    std::size_t jobsTotal() const { return jobs_total_; }
+    std::size_t completedCount() const { return jobs_.size(); }
 
     /**
      * Bind a fresh journal to a campaign of @p num_jobs jobs. Returns
@@ -113,7 +114,10 @@ class SweepJournal
      */
     bool bind(const std::string &fingerprint, std::size_t num_jobs);
 
-    bool completed(std::size_t index) const;
+    bool completed(std::size_t index) const
+    {
+        return jobs_.count(index) > 0;
+    }
 
     /**
      * Reconstruct the journaled result of completed job @p index
@@ -135,9 +139,9 @@ class SweepJournal
     /** True once the log is dead — the injected fault tripped, or a
      *  real fsync failure made durability unknowable — and nothing
      *  appended since persists. */
-    bool failed() const;
+    bool failed() const { return failed_; }
 
-    JournalStats stats() const;
+    JournalStats stats() const { return stats_; }
 
   private:
     SweepJournal() = default;
@@ -147,7 +151,6 @@ class SweepJournal
     bool append(std::uint16_t type, std::uint64_t value,
                 const std::string &payload);
 
-    mutable std::mutex mutex_;
     int fd_ = -1;
     std::uint64_t end_ = 0; ///< append position in arena.log
     std::uint64_t fail_after_ = 0; ///< 0 = fault injection off

@@ -6,10 +6,10 @@
  * planShards() partitions [0, num_jobs) into at most @p max_shards
  * near-equal contiguous ranges — deterministic, covering every job
  * exactly once — so a coordinator can hand each range to a worker
- * process and fold the results back in job-index order. Contiguity
- * matters: SweepRunner::setJobRange() executes a shard without
- * re-deriving any seed (the full grid is always expanded first), so a
- * shard's results are bit-identical to the same jobs in a serial run.
+ * process and fold the results back in job-index order. A worker
+ * expands the full grid once and hands the shard's slice of it to
+ * SweepRunner::runJobs(), so no seed is re-derived and a shard's
+ * results are bit-identical to the same jobs in a serial run.
  */
 
 #ifndef INC_RUNNER_SHARD_H

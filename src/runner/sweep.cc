@@ -2,13 +2,13 @@
 
 #include <chrono>
 #include <exception>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "kernels/kernel.h"
 #include "obs/observer.h"
 #include "obs/schema.h"
-#include "runner/journal.h"
 #include "runner/thread_pool.h"
 #include "util/logging.h"
 
@@ -114,9 +114,10 @@ obs::MetricsRegistry
 SweepReport::mergedMetrics() const
 {
     obs::MetricsRegistry merged;
-    // results is already in job-index order (ResultSink guarantees it),
-    // so this fold — including the floating-point gauge sums — visits
-    // jobs in the same order at any parallelism.
+    // results is already in job-index order (run() and the fleet's
+    // ResultFolder both slot by index), so this fold — including the
+    // floating-point gauge sums — visits jobs in the same order at any
+    // parallelism.
     for (const JobResult &r : results) {
         if (r.ok)
             merged.merge(r.metrics);
@@ -168,42 +169,6 @@ SweepReport::failureReport() const
     return out.str();
 }
 
-ResultSink::ResultSink(std::size_t begin, std::size_t end)
-    : begin_(begin), slots_(end - begin), filled_(end - begin, false)
-{
-    if (end < begin)
-        util::panic("ResultSink: inverted range [%zu, %zu)", begin,
-                    end);
-}
-
-void
-ResultSink::deliver(JobResult result)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t index = result.spec.index;
-    if (index < begin_ || index - begin_ >= slots_.size())
-        util::panic("ResultSink: job index %zu outside range "
-                    "[%zu, %zu)",
-                    index, begin_, begin_ + slots_.size());
-    const std::size_t slot = index - begin_;
-    if (filled_[slot])
-        util::panic("ResultSink: job %zu delivered twice", index);
-    slots_[slot] = std::move(result);
-    filled_[slot] = true;
-}
-
-std::vector<JobResult>
-ResultSink::take()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < filled_.size(); ++i) {
-        if (!filled_[i])
-            util::panic("ResultSink: job %zu never delivered",
-                        begin_ + i);
-    }
-    return std::move(slots_);
-}
-
 SweepRunner::SweepRunner(SweepSpec spec)
     : SweepRunner(std::move(spec), &SweepRunner::simJob)
 {
@@ -230,66 +195,39 @@ SweepRunner::run()
     using clock = std::chrono::steady_clock;
 
     const std::vector<JobSpec> jobs = expandSweep(spec_);
-    const int retries = spec_.max_retries < 0 ? 0 : spec_.max_retries;
-
-    // setJobRange(): the grid (and its seed tree) above is always the
-    // full campaign; the range only restricts which jobs execute.
-    const std::size_t range_begin = has_range_ ? range_begin_ : 0;
-    const std::size_t range_end = has_range_ ? range_end_ : jobs.size();
-    if (range_begin >= range_end || range_end > jobs.size())
-        util::fatal("SweepRunner: job range [%zu, %zu) invalid for "
-                    "%zu-job campaign",
-                    range_begin, range_end, jobs.size());
-
     SweepReport report;
-    ResultSink sink(range_begin, range_end);
+    report.results.resize(jobs.size());
     const auto campaign_start = clock::now();
-
-    // Warm restart: deliver journaled jobs without re-running. All
-    // journal reads happen here, before any job is submitted, so the
-    // workers' journal_->record() calls never contend with them. The
-    // journaled result text round-trips bit-exactly, so the resumed
-    // campaign's aggregates are byte-identical to an uninterrupted
-    // run's.
-    std::vector<const JobSpec *> pending;
-    pending.reserve(range_end - range_begin);
-    for (std::size_t i = range_begin; i < range_end; ++i) {
-        const JobSpec &job = jobs[i];
-        if (journal_ && journal_->completed(job.index)) {
-            JobResult jr;
-            std::string err;
-            if (journal_->load(job.index, &jr, &err)) {
-                jr.spec = job;
-                sink.deliver(std::move(jr));
-                continue;
-            }
-            util::warn("sweep journal: job %zu marked complete but "
-                       "unreadable (%s); re-running",
-                       job.index, err.c_str());
-        }
-        pending.push_back(&job);
-    }
-
-    {
-        ThreadPool pool(spec_.jobs <= 0
-                            ? 0
-                            : static_cast<unsigned>(spec_.jobs));
-        report.jobs_used = pool.threadCount();
-        const bool collect = spec_.collect_metrics;
-        for (const JobSpec *job_ptr : pending) {
-            const JobSpec &job = *job_ptr;
-            pool.submit([this, &sink, &job, retries, collect] {
-                recordAndDeliver(runSingleJob(job, retries, collect),
-                                 sink);
-            });
-        }
-        pool.wait();
-    }
-    report.results = sink.take();
+    // Job i lands in slot i, whatever order the pool finishes in.
+    report.jobs_used = runJobs(jobs, [&report](JobResult result) {
+        const std::size_t index = result.spec.index;
+        report.results[index] = std::move(result);
+    });
     report.wall_seconds =
         std::chrono::duration<double>(clock::now() - campaign_start)
             .count();
     return report;
+}
+
+unsigned
+SweepRunner::runJobs(std::span<const JobSpec> jobs,
+                     const ResultFn &deliver)
+{
+    const int retries = spec_.max_retries < 0 ? 0 : spec_.max_retries;
+    const bool collect = spec_.collect_metrics;
+    std::mutex deliver_mutex;
+    ThreadPool pool(spec_.jobs <= 0 ? 0
+                                    : static_cast<unsigned>(spec_.jobs));
+    for (const JobSpec &job : jobs) {
+        pool.submit([this, &deliver, &deliver_mutex, &job, retries,
+                     collect] {
+            JobResult result = runSingleJob(job, retries, collect);
+            std::lock_guard<std::mutex> lock(deliver_mutex);
+            deliver(std::move(result));
+        });
+    }
+    pool.wait();
+    return pool.threadCount();
 }
 
 JobResult
@@ -336,19 +274,6 @@ SweepRunner::runSingleJob(const JobSpec &job, int retries, bool collect)
                      clock::now() - start)
                      .count();
     return jr;
-}
-
-void
-SweepRunner::recordAndDeliver(JobResult result, ResultSink &sink)
-{
-    if (journal_) {
-        journal_->record(result);
-        if (record_hook_)
-            record_hook_(result.spec.index);
-    }
-    if (delivery_hook_)
-        delivery_hook_(result);
-    sink.deliver(std::move(result));
 }
 
 } // namespace inc::runner

@@ -1,7 +1,8 @@
 /**
  * @file
  * Declarative experiment-sweep orchestration (the batch runner behind
- * bench/fig*, tools/nvpsim sweep, and any future campaign).
+ * bench/fig*, tools/nvpsim sweep, the fleet's workers and any future
+ * campaign).
  *
  * A SweepSpec names a grid — kernels x power traces x configuration
  * variants — plus a master seed and a parallelism degree. expandSweep()
@@ -9,9 +10,15 @@
  * then variant) order, forking one RNG seed per job from the master
  * seed in that same order. Because every job is fully described by its
  * JobSpec and jobs share no mutable state, executing them on 1 thread
- * or N threads produces bit-identical results; the ResultSink then
- * restores deterministic job-index order before aggregation, so all
- * downstream tables/CSVs are byte-identical at any --jobs value.
+ * or N threads produces bit-identical results; run() slots each result
+ * by its job index, so all downstream tables/CSVs are byte-identical
+ * at any --jobs value.
+ *
+ * SweepRunner only runs jobs: run() executes a whole campaign in
+ * memory, runJobs() any list of its jobs, handing each result to the
+ * caller as it finishes. Keeping a campaign across processes — the
+ * journal, resume, the fleet's merge — is fleet::ResultFolder's job
+ * (fleet/folder.h).
  *
  * Failure semantics: a job that throws is retried up to
  * SweepSpec::max_retries times; a job still failing lands in the
@@ -25,7 +32,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,8 +44,6 @@
 
 namespace inc::runner
 {
-
-class SweepJournal;
 
 /**
  * One configuration axis point. @p make receives the kernel name so a
@@ -156,30 +161,6 @@ struct SweepReport
     std::vector<obs::KernelEfficiency> kernelEfficiency() const;
 };
 
-/**
- * Collects JobResults from worker threads and hands them back sorted
- * into job-index order. Thread safe. The sink covers the job-index
- * range [begin, end) — a whole sweep, or the shape a fleet shard
- * executes (see runner/shard.h); out-of-range deliveries panic.
- */
-class ResultSink
-{
-  public:
-    ResultSink(std::size_t begin, std::size_t end);
-
-    /** Deliver a finished job (any thread). */
-    void deliver(JobResult result);
-
-    /** All results in job-index order. Call after the pool drained. */
-    std::vector<JobResult> take();
-
-  private:
-    std::mutex mutex_;
-    std::size_t begin_ = 0;
-    std::vector<JobResult> slots_;
-    std::vector<bool> filled_;
-};
-
 /** Executes a sweep across a ThreadPool. */
 class SweepRunner
 {
@@ -193,59 +174,26 @@ class SweepRunner
     using JobFn = std::function<sim::SimResult(
         const JobSpec &, const trace::PowerTrace &, util::Rng &)>;
 
+    /** Receives one finished job (see runJobs()). */
+    using ResultFn = std::function<void(JobResult)>;
+
     explicit SweepRunner(SweepSpec spec);
     SweepRunner(SweepSpec spec, JobFn body);
 
-    /**
-     * Attach a warm-restart journal (not owned; must outlive run()).
-     * Jobs the journal marks completed are delivered from their
-     * journaled, bit-exact results instead of re-running; jobs that
-     * finish successfully are recorded (and committed) before delivery.
-     * The caller is responsible for fingerprint checking/binding —
-     * run() assumes the journal belongs to this campaign.
-     */
-    void setJournal(SweepJournal *journal) { journal_ = journal; }
-
-    /**
-     * Called after each job is journaled (with its index), from the
-     * worker thread that ran it. Test hook: `nvpsim sweep
-     * --kill-after N` uses it to SIGKILL itself mid-campaign.
-     */
-    void setRecordHook(std::function<void(std::size_t)> hook)
-    {
-        record_hook_ = std::move(hook);
-    }
-
-    /**
-     * Restrict execution to jobs [begin, end) of the expansion order.
-     * The full grid is still expanded — the per-job seed tree is forked
-     * in expansion order, so a restricted run's results are bit-exactly
-     * the same jobs a full run would produce — but only the range is
-     * executed (or loaded from the journal) and run() returns only its
-     * results. This is how a fleet worker executes one shard
-     * (runner/shard.h). Validated against the grid inside run().
-     */
-    void setJobRange(std::size_t begin, std::size_t end)
-    {
-        range_begin_ = begin;
-        range_end_ = end;
-        has_range_ = true;
-    }
-
-    /**
-     * Called with each job that ran right before it is delivered to the
-     * sink (not with jobs loaded from the journal), from the thread that
-     * ran it (callers synchronize). A fleet worker uses it to stream
-     * results to the coordinator as they complete instead of waiting
-     * for the whole shard.
-     */
-    void setDeliveryHook(std::function<void(const JobResult &)> hook)
-    {
-        delivery_hook_ = std::move(hook);
-    }
-
-    /** Expand, execute across the pool, aggregate. */
+    /** Expand, execute every job across the pool, and return the
+     *  results in job-index order. */
     SweepReport run();
+
+    /**
+     * Execute @p jobs — entries of expandSweep() of this runner's spec,
+     * any subset in any order: a fleet shard, the jobs a journal lacks
+     * — across the pool, and hand each finished job to @p deliver, in
+     * completion order, one call at a time, from the thread that ran
+     * it. Returns once every job has been delivered; the value is the
+     * pool's thread count.
+     */
+    unsigned runJobs(std::span<const JobSpec> jobs,
+                     const ResultFn &deliver);
 
     /** The default body: co-simulate spec.kernel on the trace. */
     static sim::SimResult simJob(const JobSpec &spec,
@@ -257,17 +205,8 @@ class SweepRunner
     JobResult runSingleJob(const JobSpec &job, int retries,
                            bool collect);
 
-    /** Journal (+ hook) and deliver one finished job. */
-    void recordAndDeliver(JobResult result, ResultSink &sink);
-
     SweepSpec spec_;
     JobFn body_;
-    SweepJournal *journal_ = nullptr;
-    std::function<void(std::size_t)> record_hook_;
-    std::function<void(const JobResult &)> delivery_hook_;
-    std::size_t range_begin_ = 0;
-    std::size_t range_end_ = 0;
-    bool has_range_ = false;
 };
 
 } // namespace inc::runner

@@ -1,9 +1,11 @@
 /**
  * @file
- * End-to-end warm-restart tests for the sweep journal (src/runner/
- * journal): a real fork()ed child journals one sweep job and is
- * SIGKILLed mid-campaign; the parent recovers the journal, resumes the
- * campaign, and the per-job results and merged metrics must equal an
+ * End-to-end warm-restart tests for the sweep journal as every
+ * campaign keeps it — a fleet::ResultFolder over src/runner/journal,
+ * fed by SweepRunner::runJobs() the way `nvpsim sweep --arena` feeds
+ * it: a real fork()ed child journals one sweep job and is SIGKILLed
+ * mid-campaign; the parent recovers the journal, resumes the campaign,
+ * and the per-job results and merged metrics must equal an
  * uninterrupted golden run byte-for-byte (the kill-and-resume
  * contract, without going through the nvpsim CLI).
  */
@@ -12,11 +14,13 @@
 
 #include <csignal>
 #include <filesystem>
+#include <functional>
 #include <string>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "fleet/folder.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
 #include "sim/result_io.h"
@@ -62,6 +66,26 @@ miniSweep()
     return sw;
 }
 
+/**
+ * `sweep --arena`'s loop: keep @p journal for @p sw's campaign and run
+ * on @p runner every job it does not hold; @p after_fold runs after
+ * each fold.
+ */
+runner::SweepReport
+journaledRun(runner::SweepRunner &runner, const runner::SweepSpec &sw,
+             runner::SweepJournal *journal, const std::string &fp,
+             const std::function<void()> &after_fold = {})
+{
+    fleet::ResultFolder folder(runner::expandSweep(sw));
+    std::string error;
+    if (!folder.keepJournal(journal, fp, &error) ||
+        !folder.runUnfolded(runner, after_fold, &error)) {
+        ADD_FAILURE() << error;
+        return {};
+    }
+    return folder.takeReport(0.0, 1);
+}
+
 } // namespace
 
 TEST(ArenaSweep, ForkKillResumeIsByteIdentical)
@@ -86,12 +110,9 @@ TEST(ArenaSweep, ForkKillResumeIsByteIdentical)
         // job has been recorded — a real SIGKILL, no cleanup, no
         // stdio flush, exactly like a power cut to the process.
         auto journal = runner::SweepJournal::open(dir);
-        journal->bind(fp, jobs.size());
         runner::SweepRunner sweep(sw);
-        sweep.setJournal(journal.get());
-        sweep.setRecordHook(
-            [](std::size_t) { std::raise(SIGKILL); });
-        sweep.run();
+        journaledRun(sweep, sw, journal.get(), fp,
+                     [] { std::raise(SIGKILL); });
         ::_exit(2); // not reached: the hook killed us
     }
 
@@ -110,8 +131,8 @@ TEST(ArenaSweep, ForkKillResumeIsByteIdentical)
     EXPECT_EQ(journal->completedCount(), 1u);
 
     runner::SweepRunner resumed_runner(sw);
-    resumed_runner.setJournal(journal.get());
-    const runner::SweepReport resumed = resumed_runner.run();
+    const runner::SweepReport resumed =
+        journaledRun(resumed_runner, sw, journal.get(), fp);
     ASSERT_TRUE(resumed.allOk());
     ASSERT_EQ(resumed.results.size(), golden.results.size());
     for (std::size_t i = 0; i < golden.results.size(); ++i) {
@@ -136,10 +157,9 @@ TEST(ArenaSweep, ResumeAfterFullCampaignRunsNothingAndMatches)
     std::string first_merged;
     {
         auto journal = runner::SweepJournal::open(dir);
-        journal->bind(fp, jobs.size());
         runner::SweepRunner sweep(sw);
-        sweep.setJournal(journal.get());
-        const runner::SweepReport r = sweep.run();
+        const runner::SweepReport r =
+            journaledRun(sweep, sw, journal.get(), fp);
         ASSERT_TRUE(r.allOk());
         first_merged = r.mergedMetrics().toJson();
         EXPECT_EQ(journal->completedCount(), jobs.size());
@@ -157,8 +177,8 @@ TEST(ArenaSweep, ResumeAfterFullCampaignRunsNothingAndMatches)
             ++fresh_runs;
             return runner::SweepRunner::simJob(job, trace, rng);
         });
-    sweep.setJournal(journal.get());
-    const runner::SweepReport r = sweep.run();
+    const runner::SweepReport r =
+        journaledRun(sweep, sw, journal.get(), fp);
     ASSERT_TRUE(r.allOk());
     EXPECT_EQ(fresh_runs, 0);
     EXPECT_EQ(r.mergedMetrics().toJson(), first_merged);

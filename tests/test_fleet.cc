@@ -27,7 +27,10 @@
  * campaign served again spawns no worker and writes unchanged bytes;
  * a `sweep --arena` SIGKILLed by --kill-after resumes under `sweep
  * --resume` and under `serve` to the uninterrupted bytes, while a
- * journal in an older format is refused untouched; fleet dirs bound
+ * journal in an older format is refused untouched; `sweep --arena` and
+ * `serve` write byte-identical journals, --kill-after counts only the
+ * jobs journaled, and both commands refuse a journaled job that does
+ * not parse, leaving the journal as it was; fleet dirs bound
  * to another campaign, in an older build's layout or with a
  * version-1 journal are refused before any worker spawns, left as
  * they were; and the CLI hard-error surface — a bogus worker count, a
@@ -189,9 +192,8 @@ std::string
 campaignFingerprint(const fleet::CampaignSpec &campaign, bool metrics)
 {
     const runner::SweepSpec spec = fleet::buildSweepSpec(campaign, metrics);
-    return runner::SweepJournal::fingerprint(
-        spec, runner::expandSweep(spec),
-        fleet::campaignFingerprintExtra(campaign, metrics));
+    return fleet::campaignFingerprint(campaign, spec,
+                                      runner::expandSweep(spec));
 }
 
 } // namespace
@@ -599,6 +601,23 @@ TEST(ResultFolder, KeptJournalRefoldsEveryOkJobItFolded)
             << error;
     EXPECT_TRUE(folder.complete());
     EXPECT_EQ(journal->completedCount(), 3u);
+    fs::remove_all(dir);
+}
+
+TEST(ResultFolder, RefusesAJournalWhoseBindDidNotPersist)
+{
+    // The log dies one byte into the bind record: the folder must not
+    // run a campaign it cannot keep.
+    const std::string dir = ::testing::TempDir() + "fleet-bind-" +
+                            std::to_string(::getpid());
+    fs::remove_all(dir);
+    runner::SweepJournal::Options options;
+    options.fail_after_log_bytes = 1;
+    const auto journal = runner::SweepJournal::open(dir, options);
+    fleet::ResultFolder folder({jobSpecAt(0)});
+    std::string error;
+    EXPECT_FALSE(folder.keepJournal(journal.get(), "cafe0001", &error));
+    EXPECT_EQ(error, "could not persist its journal's bind record");
     fs::remove_all(dir);
 }
 
@@ -1932,6 +1951,147 @@ TEST(FleetCli, ServeResumesAJournalSweepArenaWrote)
     EXPECT_NE(err.find("(2 of 4 jobs journaled)"), std::string::npos)
         << err;
     expectSameCampaignBytes(serial_dir, dir, "sweep --arena, then serve");
+    fs::remove_all(base);
+}
+
+TEST(FleetCli, SweepArenaAndServeWriteTheSameJournal)
+{
+    // One journal path: `sweep --arena` folds each job into the journal
+    // through the ResultFolder `serve` keeps its fleet dir with. At one
+    // thread and one worker both fold in job-index order, so the logs
+    // are the same bytes, with and without per-job metrics.
+    const std::string base = freshDir("same-journal");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
+    for (const std::string metrics : {"", " --metrics m.json"}) {
+        SCOPED_TRACE("flags:" + metrics);
+        const std::string dir = base + "/run" + std::to_string(metrics.size());
+        fs::create_directories(dir);
+        std::string log;
+        ASSERT_EQ(runCommand("cd " + dir + " && " + serialSweepCommand() +
+                                 " --arena a" + metrics,
+                             &log),
+                  0)
+            << log;
+        log.clear();
+        ASSERT_EQ(runCommand("cd " + dir + " && " +
+                                 std::string(INC_NVPSIM_PATH) + " serve " +
+                                 campaign + " --workers 1 --fleet-dir b" +
+                                 metrics,
+                             &log),
+                  0)
+            << log;
+        const std::string journal = readFile(dir + "/a/arena.log");
+        EXPECT_GT(journal.size(), 4 * 32u);
+        EXPECT_EQ(journal, readFile(dir + "/b/arena.log"));
+    }
+    fs::remove_all(base);
+}
+
+TEST(FleetCli, SweepKillAfterCountsOnlyJournaledJobs)
+{
+    // A failed job is not journaled, so it does not count towards
+    // --kill-after: job 0 fails, jobs 1 and 2 are journaled, and only
+    // then does the sweep die.
+    const std::string base = freshDir("kill-after-failed");
+    const std::string sweep =
+        "cd " + base + " && " + std::string(INC_NVPSIM_PATH) +
+        " sweep --kernels sobel --profiles 2,3,4 --seconds 0.2 --jobs 1"
+        " --arena d";
+    std::string log;
+    runCommand("( " + sweep + " --kill-after 2 --inject-failure 0;"
+                              " echo exit=$? )",
+               &log);
+    EXPECT_NE(log.find("exit=137"), std::string::npos)
+        << "expected death by SIGKILL: " << log;
+    log.clear();
+    EXPECT_EQ(runCommand(sweep + " --resume", &log), 0) << log;
+    EXPECT_NE(log.find("arena: resuming 2 of 3 jobs done"),
+              std::string::npos)
+        << log;
+    fs::remove_all(base);
+}
+
+namespace
+{
+
+/** @p log with job @p index's record made unparsable yet intact to
+ *  replay: its payload's attempt count becomes a letter, and the
+ *  record's payload and header CRCs are rewritten to match. */
+std::string
+corruptJobRecord(std::string log, std::uint64_t index)
+{
+    constexpr std::size_t kHeader = 32;     // file and record headers
+    constexpr std::uint16_t kJobRecord = 2; // the journal's job type
+    const std::string key = "attempts=";
+    for (std::size_t at = kHeader; at + kHeader <= log.size();) {
+        std::uint16_t type = 0;
+        std::uint64_t value = 0;
+        std::uint32_t payload_len = 0;
+        std::memcpy(&type, log.data() + at + 4, sizeof type);
+        std::memcpy(&value, log.data() + at + 8, sizeof value);
+        std::memcpy(&payload_len, log.data() + at + 16, sizeof payload_len);
+        char *payload = log.data() + at + kHeader;
+        if (type == kJobRecord && value == index) {
+            EXPECT_EQ(std::string(payload, key.size()), key);
+            payload[key.size()] = 'x';
+            const std::uint32_t payload_crc =
+                util::crc32(payload, payload_len);
+            std::memcpy(log.data() + at + 20, &payload_crc,
+                        sizeof payload_crc);
+            const std::uint32_t header_crc = util::crc32(log.data() + at, 28);
+            std::memcpy(log.data() + at + 28, &header_crc,
+                        sizeof header_crc);
+            return log;
+        }
+        at += kHeader + payload_len;
+    }
+    ADD_FAILURE() << "the journal holds no record of job " << index;
+    return log;
+}
+
+} // namespace
+
+TEST(FleetCli, UnreadableJournaledJobIsRefusedByBothCommands)
+{
+    // A record that replays (both CRCs match) but does not parse is
+    // refused by `sweep --arena --resume` and by `serve` alike, by the
+    // job it holds, and the journal is left as it was: neither re-runs
+    // the job past it.
+    const std::string base = freshDir("unreadable");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
+    std::string log;
+    ASSERT_EQ(runCommand("cd " + base + " && " + serialSweepCommand() +
+                             " --arena good",
+                         &log),
+              0)
+        << log;
+    const std::string corrupt =
+        corruptJobRecord(readFile(base + "/good/arena.log"), 2);
+    ASSERT_NE(corrupt, readFile(base + "/good/arena.log"));
+
+    const std::vector<std::pair<std::string, std::string>> commands = {
+        {"sweep", serialSweepCommand() + " --arena d --resume"},
+        {"serve", std::string(INC_NVPSIM_PATH) + " serve " + campaign +
+                      " --workers 1 --fleet-dir d"},
+    };
+    for (const auto &[name, command] : commands) {
+        SCOPED_TRACE(name);
+        fs::remove_all(base + "/d");
+        fs::create_directories(base + "/d");
+        std::ofstream(base + "/d/arena.log", std::ios::binary) << corrupt;
+        log.clear();
+        EXPECT_EQ(runCommand("cd " + base + " && " + command, &log), 1)
+            << log;
+        EXPECT_NE(log.find("fatal: "), std::string::npos) << log;
+        EXPECT_NE(log.find("holds an unreadable record of job 2"),
+                  std::string::npos)
+            << log;
+        EXPECT_EQ(readFile(base + "/d/arena.log"), corrupt);
+        EXPECT_EQ(entriesOf(base + "/d"),
+                  std::vector<std::string>{"arena.log"});
+    }
     fs::remove_all(base);
 }
 #endif // INC_NVPSIM_PATH

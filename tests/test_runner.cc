@@ -2,16 +2,18 @@
  * Tests for the src/runner experiment-orchestration subsystem: thread
  * pool lifecycle, sweep expansion/seeding, parallel-vs-serial
  * determinism, deterministic aggregation order, failure capture
- * with bounded retry, a journal recorded from parallel workers, and
- * the frame and frame-period calibration memos shared by concurrent
- * jobs.
+ * with bounded retry, runJobs()'s one-call-at-a-time delivery (also
+ * into a folder journaling results from parallel workers), and the
+ * frame and frame-period calibration memos shared by concurrent jobs.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 
 #include <unistd.h>
 
+#include "fleet/folder.h"
 #include "runner/journal.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
@@ -272,9 +275,10 @@ TEST(SweepRunner, ParallelBitIdenticalToSerial)
 
 TEST(SweepRunner, ParallelJournaledSweepResumesBitIdentical)
 {
-    // Four workers record into one journal at once; the reopened
-    // journal must hold every job, and a resume must reproduce the
-    // serial run's results from it.
+    // Four workers finish jobs at once; runJobs() hands each result to
+    // the folder that keeps the journal one call at a time, as in
+    // `sweep --arena --jobs 4`. The reopened journal must hold every
+    // job, and a resume must reproduce the serial run's results from it.
     namespace fs = std::filesystem;
     const std::string dir =
         (fs::temp_directory_path() /
@@ -285,19 +289,22 @@ TEST(SweepRunner, ParallelJournaledSweepResumesBitIdentical)
     const auto jobs = runner::expandSweep(spec);
     const std::string fp =
         runner::SweepJournal::fingerprint(spec, jobs, "test");
+    std::string error;
     {
         auto journal = runner::SweepJournal::open(dir);
-        ASSERT_TRUE(journal->bind(fp, jobs.size()));
+        fleet::ResultFolder folder(jobs);
+        ASSERT_TRUE(folder.keepJournal(journal.get(), fp, &error)) << error;
         runner::SweepRunner parallel(spec);
-        parallel.setJournal(journal.get());
-        ASSERT_TRUE(parallel.run().allOk());
+        ASSERT_TRUE(folder.runUnfolded(parallel, {}, &error)) << error;
+        EXPECT_EQ(folder.recordedCount(), jobs.size());
     }
 
     auto journal = runner::SweepJournal::open(dir);
     ASSERT_EQ(journal->completedCount(), jobs.size());
-    runner::SweepRunner resumed(spec);
-    resumed.setJournal(journal.get());
-    const auto resumed_report = resumed.run();
+    fleet::ResultFolder resumed(jobs);
+    ASSERT_TRUE(resumed.keepJournal(journal.get(), fp, &error)) << error;
+    ASSERT_TRUE(resumed.complete());
+    const auto resumed_report = resumed.takeReport(0.0, 1);
     const auto serial_report = runner::SweepRunner(tinySpec(1)).run();
     ASSERT_TRUE(resumed_report.allOk());
     ASSERT_EQ(resumed_report.results.size(), serial_report.results.size());
@@ -306,6 +313,43 @@ TEST(SweepRunner, ParallelJournaledSweepResumesBitIdentical)
                   sim::serializeResult(serial_report.results[i].result))
             << "job " << i;
     fs::remove_all(dir);
+}
+
+TEST(SweepRunner, RunJobsDeliversEachGivenJobOnceAndOneAtATime)
+{
+    // A fleet shard in miniature: a slice of the expansion, on four
+    // threads whose jobs finish out of order. Each given job arrives
+    // once, with run()'s result for it, and no two deliveries overlap
+    // (the callback holds no lock of its own).
+    auto body = [](const runner::JobSpec &spec, const trace::PowerTrace &,
+                   util::Rng &) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(4 - spec.index % 4));
+        sim::SimResult r;
+        r.forward_progress = 100 + spec.index;
+        return r;
+    };
+    const runner::SweepSpec spec = tinySpec(4);
+    const auto jobs = runner::expandSweep(spec);
+    runner::SweepRunner sweep(spec, body);
+    bool in_delivery = false;
+    bool overlapped = false;
+    std::vector<std::size_t> delivered;
+    EXPECT_EQ(sweep.runJobs(std::span(jobs).subspan(1, 3),
+                            [&](runner::JobResult jr) {
+                                overlapped = overlapped || in_delivery;
+                                in_delivery = true;
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(2));
+                                EXPECT_EQ(jr.result.forward_progress,
+                                          100 + jr.spec.index);
+                                delivered.push_back(jr.spec.index);
+                                in_delivery = false;
+                            }),
+              4u);
+    EXPECT_FALSE(overlapped);
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_EQ(delivered, (std::vector<std::size_t>{1, 2, 3}));
 }
 
 TEST(SweepRunner, AggregationOrderIsJobIndexOrder)

@@ -13,8 +13,10 @@
  *  - the freezer's dirty-word backups never write more bytes than the
  *    full-image baseline over the same trajectory;
  *
- *  - a journaled strategy sweep whose fork()ed child is SIGKILLed
- *    mid-campaign resumes to byte-identical results.
+ *  - a journaled strategy sweep (a fleet::ResultFolder keeping the
+ *    journal, fed by SweepRunner::runJobs() as `sweep --arena` feeds
+ *    it) whose fork()ed child is SIGKILLed mid-campaign resumes to
+ *    byte-identical results.
  */
 
 #include <gtest/gtest.h>
@@ -22,12 +24,14 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "fleet/folder.h"
 #include "isa/isa.h"
 #include "kernels/kernel.h"
 #include "obs/observer.h"
@@ -200,6 +204,26 @@ strategySweep()
     return sw;
 }
 
+/**
+ * `sweep --arena`'s loop: keep @p journal for @p sw's campaign and run
+ * every job it does not hold; @p after_fold runs after each fold.
+ */
+runner::SweepReport
+journaledRun(const runner::SweepSpec &sw, runner::SweepJournal *journal,
+             const std::string &fp,
+             const std::function<void()> &after_fold = {})
+{
+    fleet::ResultFolder folder(runner::expandSweep(sw));
+    runner::SweepRunner runner(sw);
+    std::string error;
+    if (!folder.keepJournal(journal, fp, &error) ||
+        !folder.runUnfolded(runner, after_fold, &error)) {
+        ADD_FAILURE() << error;
+        return {};
+    }
+    return folder.takeReport(0.0, 1);
+}
+
 } // namespace
 
 TEST(StrategyCrash, ForkKillResumeOfStrategySweepIsByteIdentical)
@@ -220,11 +244,8 @@ TEST(StrategyCrash, ForkKillResumeOfStrategySweepIsByteIdentical)
     ASSERT_GE(pid, 0);
     if (pid == 0) {
         auto journal = runner::SweepJournal::open(dir);
-        journal->bind(fp, jobs.size());
-        runner::SweepRunner sweep(sw);
-        sweep.setJournal(journal.get());
-        sweep.setRecordHook([](std::size_t) { std::raise(SIGKILL); });
-        sweep.run();
+        journaledRun(sw, journal.get(), fp,
+                     [] { std::raise(SIGKILL); });
         ::_exit(2); // not reached: the hook killed us
     }
 
@@ -238,9 +259,8 @@ TEST(StrategyCrash, ForkKillResumeOfStrategySweepIsByteIdentical)
     ASSERT_TRUE(journal->bound());
     EXPECT_EQ(journal->completedCount(), 1u);
 
-    runner::SweepRunner resumed_runner(sw);
-    resumed_runner.setJournal(journal.get());
-    const runner::SweepReport resumed = resumed_runner.run();
+    const runner::SweepReport resumed =
+        journaledRun(sw, journal.get(), fp);
     ASSERT_TRUE(resumed.allOk());
     ASSERT_EQ(resumed.results.size(), golden.results.size());
     for (std::size_t i = 0; i < golden.results.size(); ++i) {

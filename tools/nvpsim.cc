@@ -58,16 +58,19 @@
  *       omits worker/wall-clock info — so the full stdout and the
  *       saved report are byte-identical at any --jobs value.
  *       --arena DIR journals campaign progress into the sweep
- *       journal DIR/arena.log: each completed job's bit-exact result
- *       is appended and fsynced, and a killed campaign restarted with
- *       the same flags plus --resume re-runs only the unfinished jobs —
- *       the merged metrics/report/CSV output is byte-identical to an
- *       uninterrupted run. Resuming requires --resume (a bound journal
- *       without it is a fatal error, as is a flag/fingerprint
- *       mismatch, and --resume without --arena). Journal session
- *       statistics go to stderr so stdout stays parallelism- and
- *       history-independent. --kill-after N is a testing aid that
- *       SIGKILLs the process after N jobs have been journaled.
+ *       journal DIR/arena.log through the fleet::ResultFolder `serve`
+ *       keeps its fleet dir with: each completed job's bit-exact
+ *       result is appended and fsynced, and a killed campaign
+ *       restarted with the same flags plus --resume re-runs only the
+ *       unfinished jobs — the merged metrics/report/CSV output is
+ *       byte-identical to an uninterrupted run. Resuming requires
+ *       --resume (a bound journal without it is a fatal error, as are
+ *       a flag/fingerprint mismatch, a journaled job that does not
+ *       parse, a bind record that does not persist, and --resume
+ *       without --arena). Journal session statistics go to stderr so
+ *       stdout stays parallelism- and history-independent. --kill-after
+ *       N is a testing aid that SIGKILLs the process once N jobs have
+ *       been journaled in this session.
  *
  *   nvpsim serve CAMPAIGN.json
  *       Fleet campaign service (src/fleet, DESIGN.md §15): expand the
@@ -147,7 +150,7 @@
  *       List the registered testbench kernels with program sizes.
  */
 
-#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
@@ -162,6 +165,7 @@
 #include "core/pragma_parser.h"
 #include "fleet/campaign.h"
 #include "fleet/coordinator.h"
+#include "fleet/folder.h"
 #include "fleet/protocol.h"
 #include "fleet/socket.h"
 #include "fleet/worker.h"
@@ -467,6 +471,91 @@ emitSweepOutputs(const runner::SweepReport &report, const Flags &flags)
     return 0;
 }
 
+/**
+ * `sweep --arena`: run @p spec's campaign through the journal a
+ * fleet::ResultFolder keeps in the --arena directory, exactly as `serve`
+ * keeps its fleet dir's — bind it, fold what it holds, run only the
+ * rest and fold each job as it finishes. Each job folds as the RESULT
+ * frame it would travel as, so the journal's bytes are `serve`'s.
+ */
+runner::SweepReport
+journaledSweep(const fleet::CampaignSpec &campaign, runner::SweepSpec spec,
+               runner::SweepRunner::JobFn body, const Flags &flags)
+{
+    using clock = std::chrono::steady_clock;
+
+    // The fingerprint covers the expanded jobs (kernels, trace bytes,
+    // seed tree) plus every flag that shapes a job's SimConfig, so a
+    // resume with different flags is refused instead of silently
+    // mixing results.
+    const std::string dir = flags.text("arena");
+    const std::vector<runner::JobSpec> jobs = runner::expandSweep(spec);
+    const std::string fp = fleet::campaignFingerprint(campaign, spec, jobs);
+    std::unique_ptr<runner::SweepJournal> journal;
+    try {
+        journal = runner::SweepJournal::open(dir);
+    } catch (const std::exception &e) {
+        util::fatal("cannot open arena '%s': %s", dir.c_str(), e.what());
+    }
+    const bool resuming = journal->bound();
+    if (resuming && !flags.has("resume"))
+        util::fatal("arena '%s' already holds a campaign (%zu of %zu "
+                    "jobs done); pass --resume to continue it or use a "
+                    "fresh directory",
+                    dir.c_str(), journal->completedCount(),
+                    journal->jobsTotal());
+    // keepJournal refuses this too; the sweep names the flags as the
+    // likely cause.
+    if (resuming && journal->boundFingerprint() != fp)
+        util::fatal("arena '%s' holds a different campaign (fingerprint "
+                    "%s, this sweep is %s); re-run with the original "
+                    "flags or use a fresh directory",
+                    dir.c_str(), journal->boundFingerprint().c_str(),
+                    fp.c_str());
+    fleet::ResultFolder folder(jobs);
+    std::string error;
+    if (!folder.keepJournal(journal.get(), fp, &error))
+        util::fatal("arena '%s' %s; use a fresh directory", dir.c_str(),
+                    error.c_str());
+    if (resuming)
+        std::fprintf(stderr, "arena: resuming %zu of %zu jobs done\n",
+                     folder.filledCount(), folder.jobCount());
+
+    // --kill-after N: SIGKILL ourselves once N jobs have been journaled
+    // this session — the harness for the kill-and-resume recipe
+    // (EXPERIMENTS.md).
+    const std::size_t kill_after =
+        flags.has("kill-after") ? flags.num<std::size_t>("kill-after", 1)
+                                : 0;
+    // --jobs is at least 1, so the pool runs exactly spec.jobs threads.
+    const auto threads = static_cast<unsigned>(spec.jobs);
+    const auto start = clock::now();
+    runner::SweepRunner sweep(std::move(spec), std::move(body));
+    if (!folder.runUnfolded(
+            sweep,
+            [&folder, kill_after] {
+                if (kill_after > 0 && folder.recordedCount() >= kill_after)
+                    std::raise(SIGKILL);
+            },
+            &error))
+        util::fatal("arena '%s': %s", dir.c_str(), error.c_str());
+    const double wall_seconds =
+        std::chrono::duration<double>(clock::now() - start).count();
+
+    // Journal session stats go to stderr: stdout must stay byte-
+    // identical between a fresh run and a resumed one.
+    const runner::JournalStats st = journal->stats();
+    std::fprintf(stderr,
+                 "arena: %" PRIu64 " records (%" PRIu64
+                 " bytes) appended; replayed %" PRIu64
+                 " records, discarded %" PRIu64
+                 " torn bytes, recovery %.2f ms\n",
+                 st.appended_records, st.appended_bytes,
+                 st.replayed_records, st.discarded_tail_bytes,
+                 st.recovery_ms);
+    return folder.takeReport(wall_seconds, threads);
+}
+
 int
 cmdSweep(const Flags &flags)
 {
@@ -490,79 +579,13 @@ cmdSweep(const Flags &flags)
             return runner::SweepRunner::simJob(job, trace, rng);
         };
     }
-    runner::SweepRunner sweep(spec, std::move(body));
-
-    // --arena: journal campaign progress so a killed sweep can warm-
-    // restart. The fingerprint covers the expanded jobs (kernels,
-    // trace bytes, seed tree) plus every flag that shapes a job's
-    // SimConfig, so a resume with different flags is refused instead
-    // of silently mixing results.
-    std::unique_ptr<runner::SweepJournal> journal;
-    if (flags.has("arena")) {
-        const std::string dir = flags.text("arena");
-        const std::vector<runner::JobSpec> jobs = runner::expandSweep(spec);
-        const std::string fp = runner::SweepJournal::fingerprint(
-            spec, jobs,
-            fleet::campaignFingerprintExtra(campaign, spec.collect_metrics));
-        try {
-            journal = runner::SweepJournal::open(dir);
-        } catch (const std::exception &e) {
-            util::fatal("cannot open arena '%s': %s", dir.c_str(),
-                        e.what());
-        }
-        if (journal->bound()) {
-            if (!flags.has("resume"))
-                util::fatal(
-                    "arena '%s' already holds a campaign (%zu of %zu "
-                    "jobs done); pass --resume to continue it or use "
-                    "a fresh directory",
-                    dir.c_str(), journal->completedCount(),
-                    journal->jobsTotal());
-            if (journal->boundFingerprint() != fp)
-                util::fatal(
-                    "arena '%s' holds a different campaign "
-                    "(fingerprint %s, this sweep is %s); re-run with "
-                    "the original flags or use a fresh directory",
-                    dir.c_str(), journal->boundFingerprint().c_str(),
-                    fp.c_str());
-            std::fprintf(stderr,
-                         "arena: resuming %zu of %zu jobs done\n",
-                         journal->completedCount(),
-                         journal->jobsTotal());
-        } else {
-            journal->bind(fp, jobs.size());
-        }
-        sweep.setJournal(journal.get());
-    }
-
-    // --kill-after N: SIGKILL ourselves after N jobs have been
-    // journaled — the harness for the kill-and-resume recipe
-    // (EXPERIMENTS.md) and tests/test_arena_sweep.cc.
-    if (flags.has("kill-after")) {
-        const auto kill_after = flags.num<std::size_t>("kill-after", 1);
-        auto recorded = std::make_shared<std::atomic<std::size_t>>(0);
-        sweep.setRecordHook([recorded, kill_after](std::size_t) {
-            if (recorded->fetch_add(1) + 1 >= kill_after)
-                std::raise(SIGKILL);
-        });
-    }
-
-    const runner::SweepReport report = sweep.run();
-
-    // Journal session stats go to stderr: stdout must stay byte-
-    // identical between a fresh run and a resumed one.
-    if (journal) {
-        const runner::JournalStats st = journal->stats();
-        std::fprintf(stderr,
-                     "arena: %" PRIu64 " records (%" PRIu64
-                     " bytes) appended; replayed %" PRIu64
-                     " records, discarded %" PRIu64
-                     " torn bytes, recovery %.2f ms\n",
-                     st.appended_records, st.appended_bytes,
-                     st.replayed_records, st.discarded_tail_bytes,
-                     st.recovery_ms);
-    }
-    return emitSweepOutputs(report, flags);
+    if (flags.has("arena"))
+        return emitSweepOutputs(
+            journaledSweep(campaign, std::move(spec), std::move(body),
+                           flags),
+            flags);
+    return emitSweepOutputs(
+        runner::SweepRunner(std::move(spec), std::move(body)).run(), flags);
 }
 
 /** Absolute path of the running binary: `serve` respawns itself as
