@@ -12,7 +12,8 @@ times on each side at perfbench's default seed, alternating which side
 runs first. Each run starts cold in a fresh directory and is gated like
 a perfbench repetition. As in perfbench, each run is followed by
 SETUPS_PER_REP runs of the workload's one-sample twin; their median is
-the pair's setup_s (a single ~60 ms run is too noisy for its bound).
+the pair's setup_s (a single run of that twin, ~10 ms, is too noisy for
+its bound).
 
 For each workload and each end-to-end metric of BENCHMARK.json (name,
 direction and bound) the report prints both medians with quartiles, the

@@ -16,7 +16,9 @@ ResumeBuffer::push(const ResumeEntry &entry)
             break;
         }
     }
-    if (slot < 0) {
+    if (slot >= 0) {
+        ++valid_count_;
+    } else {
         std::uint64_t oldest = seq_[0];
         slot = 0;
         for (int i = 1; i < kCapacity; ++i) {
@@ -31,17 +33,6 @@ ResumeBuffer::push(const ResumeEntry &entry)
     seq_[static_cast<size_t>(slot)] = next_seq_++;
 }
 
-int
-ResumeBuffer::count() const
-{
-    int n = 0;
-    for (const auto &e : entries_) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
-}
-
 ResumeEntry &
 ResumeBuffer::at(int index)
 {
@@ -53,7 +44,11 @@ ResumeBuffer::at(int index)
 void
 ResumeBuffer::invalidate(int index)
 {
-    at(index).valid = false;
+    ResumeEntry &e = at(index);
+    if (e.valid) {
+        e.valid = false;
+        --valid_count_;
+    }
 }
 
 void
@@ -61,6 +56,7 @@ ResumeBuffer::clear()
 {
     for (auto &e : entries_)
         e.valid = false;
+    valid_count_ = 0;
 }
 
 int
@@ -88,6 +84,7 @@ ResumeBuffer::dropStale(std::uint32_t oldest_live_frame)
             ++dropped;
         }
     }
+    valid_count_ -= dropped;
     return dropped;
 }
 

@@ -38,11 +38,14 @@ class ResumeBuffer
     /** Insert an entry, evicting the oldest when full. */
     void push(const ResumeEntry &entry);
 
-    /** Number of valid entries. */
-    int count() const;
-    bool empty() const { return count() == 0; }
+    /** Number of valid entries. O(1): the controller asks on every
+     *  powered step whether anything is buffered. */
+    int count() const { return valid_count_; }
+    bool empty() const { return valid_count_ == 0; }
 
-    /** Entry access (slot order is storage order, not age order). */
+    /** Entry access (slot order is storage order, not age order). An
+     *  entry's `valid` flag changes only through push() and the calls
+     *  below, which keep count() in step. */
     ResumeEntry &at(int index);
     static constexpr int capacity() { return kCapacity; }
 
@@ -65,6 +68,7 @@ class ResumeBuffer
     std::array<ResumeEntry, kCapacity> entries_;
     std::array<std::uint64_t, kCapacity> seq_{};
     std::uint64_t next_seq_ = 1;
+    int valid_count_ = 0; ///< entries_ with valid set
 };
 
 } // namespace inc::core

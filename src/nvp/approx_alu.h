@@ -41,6 +41,9 @@ class ApproxAlu
      */
     std::uint16_t injectNoise(std::uint16_t value, int bits);
 
+    /** The noise stream; its next draw is the next noisy lane-op's. */
+    const util::Rng &rng() const { return rng_; }
+
   private:
     util::Rng rng_;
 };

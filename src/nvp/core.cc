@@ -1,6 +1,7 @@
 #include "nvp/core.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/bit_ops.h"
 #include "util/logging.h"
@@ -112,6 +113,7 @@ Core::activateLane(int index, const RegSnapshot &regs, int bits,
     l.bits = bits;
     l.frame = frame;
     ++active_lanes_;
+    active_mask_ |= 1u << index;
     rf_.load(index, regs);
     mem_->clearLaneVersions(index);
 }
@@ -126,6 +128,7 @@ Core::deactivateLane(int index)
         return;
     l.active = false;
     --active_lanes_;
+    active_mask_ &= ~(1u << index);
     mem_->clearLaneVersions(index);
 }
 
@@ -387,6 +390,12 @@ Core::stepReference()
 // the same order — but fetches from the dense DecodedInst array and uses
 // the unchecked register-file accessors. Any divergence is a bug caught
 // by tests/test_engine_diff.cc and `nvpsim fuzz --engine-diff`.
+//
+// With incidental lanes active, a step reads each operand register of
+// every lane in one LaneWord and computes all four lanes in one pass
+// (inactive lanes too: every op is defined on any operands and the
+// result is discarded). What the reference engine does per lane in
+// lane order, so do these bodies: ALU noise draws, memory accesses.
 
 template <typename ComputeFn>
 inline void
@@ -408,6 +417,30 @@ Core::dataOpLaneFast(const isa::DecodedInst &d, int lane,
 }
 
 template <typename ComputeFn>
+void
+Core::dataOpLanesFast(const isa::DecodedInst &d, ComputeFn compute)
+{
+    const LaneWord a = rf_.lanesFast(d.rs1);
+    const LaneWord b = d.b_is_imm ? LaneWord{d.imm, d.imm, d.imm, d.imm}
+                                  : rf_.lanesFast(d.rs2);
+    LaneWord result;
+    for (std::size_t v = 0; v < result.size(); ++v)
+        result[v] = compute(a[v], b[v]);
+    // The reference engine's noise predicate, lane by lane in lane
+    // order, so the RNG sees the same draws.
+    if (d.noise_candidate && config_.approx_alu && rf_.isAcFast(d.rd)) {
+        for (unsigned m = active_mask_; m != 0; m &= m - 1) {
+            const int lane = std::countr_zero(m);
+            const int bits = effectiveBits(lane);
+            if (bits < 8)
+                result[static_cast<size_t>(lane)] = alu_.injectNoise(
+                    result[static_cast<size_t>(lane)], bits);
+        }
+    }
+    rf_.writeLanesFast(d.rd, result, active_mask_);
+}
+
+template <typename ComputeFn>
 inline void
 Core::dataOpFast(const isa::DecodedInst &d, ComputeFn compute)
 {
@@ -415,10 +448,7 @@ Core::dataOpFast(const isa::DecodedInst &d, ComputeFn compute)
     if (active_lanes_ == 1) {
         dataOpLaneFast(d, 0, compute); // lane 0 is always active
     } else {
-        for (int lane = 0; lane < kMaxLanes; ++lane) {
-            if (lanes_[static_cast<size_t>(lane)].active)
-                dataOpLaneFast(d, lane, compute);
-        }
+        dataOpLanesFast(d, compute);
     }
 }
 
@@ -434,6 +464,23 @@ Core::loadLaneFast(const isa::DecodedInst &d, int lane, LoadFn load)
 }
 
 template <typename LoadFn>
+void
+Core::loadLanesFast(const isa::DecodedInst &d, LoadFn load)
+{
+    const LaneWord base = rf_.lanesFast(d.rs1);
+    const bool approx = config_.approx_mem && ac_en_;
+    LaneWord value{};
+    for (unsigned m = active_mask_; m != 0; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        const std::uint32_t addr = static_cast<std::uint16_t>(
+            base[static_cast<size_t>(lane)] + d.imm);
+        value[static_cast<size_t>(lane)] =
+            load(lane, addr, effectiveBits(lane), approx);
+    }
+    rf_.writeLanesFast(d.rd, value, active_mask_);
+}
+
+template <typename LoadFn>
 inline void
 Core::loadFast(const isa::DecodedInst &d, LoadFn load)
 {
@@ -441,10 +488,7 @@ Core::loadFast(const isa::DecodedInst &d, LoadFn load)
     if (active_lanes_ == 1) {
         loadLaneFast(d, 0, load);
     } else {
-        for (int lane = 0; lane < kMaxLanes; ++lane) {
-            if (lanes_[static_cast<size_t>(lane)].active)
-                loadLaneFast(d, lane, load);
-        }
+        loadLanesFast(d, load);
     }
 }
 
@@ -470,6 +514,31 @@ Core::storeLaneFast(const isa::DecodedInst &d, int lane,
 }
 
 template <bool kWide>
+void
+Core::storeLanesFast(const isa::DecodedInst &d, StepResult &result)
+{
+    // Versioned write-through arbitrates in lane order.
+    const LaneWord base = rf_.lanesFast(d.rs1);
+    const LaneWord value = rf_.lanesFast(d.rs2);
+    const bool approx = config_.approx_mem && ac_en_;
+    for (unsigned m = active_mask_; m != 0; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        const std::uint32_t addr = static_cast<std::uint16_t>(
+            base[static_cast<size_t>(lane)] + d.imm);
+        const int bits = effectiveBits(lane);
+        const std::uint16_t v = value[static_cast<size_t>(lane)];
+        mem_->store8(lane, addr, static_cast<std::uint8_t>(v), bits,
+                     approx);
+        if constexpr (kWide) {
+            mem_->store8(lane, static_cast<std::uint16_t>(addr + 1),
+                         static_cast<std::uint8_t>(v >> 8), bits, approx);
+        }
+    }
+    result.store_policy =
+        mem_->policyAt(static_cast<std::uint16_t>(base[0] + d.imm));
+}
+
+template <bool kWide>
 inline void
 Core::storeFast(const isa::DecodedInst &d, StepResult &result)
 {
@@ -477,10 +546,7 @@ Core::storeFast(const isa::DecodedInst &d, StepResult &result)
     if (active_lanes_ == 1) {
         storeLaneFast<kWide>(d, 0, result);
     } else {
-        for (int lane = 0; lane < kMaxLanes; ++lane) {
-            if (lanes_[static_cast<size_t>(lane)].active)
-                storeLaneFast<kWide>(d, lane, result);
-        }
+        storeLanesFast<kWide>(d, result);
     }
 }
 
@@ -693,15 +759,13 @@ Core::stepPredecoded()
         INC_OBS_COUNT(obs_, instr_jump);
         next_pc = d.imm;
         break;
-      case isa::Op::jal:
+      case isa::Op::jal: {
         INC_OBS_COUNT(obs_, instr_jump);
-        for (int lane = 0; lane < kMaxLanes; ++lane) {
-            if (lanes_[static_cast<size_t>(lane)].active)
-                rf_.writeFast(lane, d.rd,
-                              static_cast<std::uint16_t>(pc_ + 1));
-        }
+        const auto link = static_cast<std::uint16_t>(pc_ + 1);
+        rf_.writeLanesFast(d.rd, {link, link, link, link}, active_mask_);
         next_pc = d.imm;
         break;
+      }
       case isa::Op::jr:
         INC_OBS_COUNT(obs_, instr_jump);
         next_pc = rf_.readFast(0, d.rs1);

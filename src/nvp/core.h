@@ -119,6 +119,9 @@ class Core
     RegisterFile &regs() { return rf_; }
     const RegisterFile &regs() const { return rf_; }
 
+    /** The approximate ALU, whose noise stream tests compare. */
+    const ApproxAlu &alu() const { return alu_; }
+
     bool acEnabled() const { return ac_en_; }
     void setAcEnabled(bool on) { ac_en_ = on; }
 
@@ -200,21 +203,33 @@ class Core
     // Fast-path bodies (core.cc). stepPredecoded() dispatches once on
     // the predecoded opcode and instantiates these per op, so the
     // compute/comparator/access lambdas inline into a single jump
-    // table — no second-level switch per step.
+    // table — no second-level switch per step. The multi-lane bodies
+    // (*LanesFast) stay out of line: inlined, they grew stepPredecoded
+    // past GCC's inlining budget, and lane 0's ldi, mov, ld8, ld8s and
+    // st16 bodies became calls.
     template <typename ComputeFn>
     void dataOpFast(const isa::DecodedInst &d, ComputeFn compute);
     template <typename ComputeFn>
     void dataOpLaneFast(const isa::DecodedInst &d, int lane,
                         ComputeFn compute);
+    template <typename ComputeFn>
+    [[gnu::noinline]] void dataOpLanesFast(const isa::DecodedInst &d,
+                                           ComputeFn compute);
     template <typename LoadFn>
     void loadFast(const isa::DecodedInst &d, LoadFn load);
     template <typename LoadFn>
     void loadLaneFast(const isa::DecodedInst &d, int lane, LoadFn load);
+    template <typename LoadFn>
+    [[gnu::noinline]] void loadLanesFast(const isa::DecodedInst &d,
+                                         LoadFn load);
     template <bool kWide>
     void storeFast(const isa::DecodedInst &d, StepResult &result);
     template <bool kWide>
     void storeLaneFast(const isa::DecodedInst &d, int lane,
                        StepResult &result);
+    template <bool kWide>
+    [[gnu::noinline]] void storeLanesFast(const isa::DecodedInst &d,
+                                          StepResult &result);
     template <typename CmpFn>
     void branchFast(const isa::DecodedInst &d, StepResult &result,
                     std::uint16_t &next_pc, CmpFn cmp);
@@ -239,6 +254,8 @@ class Core
     /** Cached activeLaneCount(), maintained by (de)activateLane; the
      *  fast path reads it instead of re-scanning the lane array. */
     int active_lanes_ = 1;
+    /** Bit i set iff lane i is active, maintained alongside. */
+    unsigned active_mask_ = 1;
     obs::CoreCounters *obs_ = nullptr;
 };
 

@@ -5,12 +5,6 @@
 namespace inc::nvp
 {
 
-RegisterFile::RegisterFile()
-{
-    for (auto &version : values_)
-        version.fill(0);
-}
-
 void
 RegisterFile::checkVersion(int version) const
 {
@@ -32,8 +26,7 @@ RegisterFile::read(int version, int reg) const
     checkReg(reg);
     if (reg == 0)
         return 0;
-    return values_[static_cast<size_t>(version)]
-                  [static_cast<size_t>(reg)];
+    return readFast(version, reg);
 }
 
 void
@@ -41,25 +34,25 @@ RegisterFile::write(int version, int reg, std::uint16_t value)
 {
     checkVersion(version);
     checkReg(reg);
-    if (reg == 0)
-        return;
-    values_[static_cast<size_t>(version)][static_cast<size_t>(reg)] =
-        value;
+    writeFast(version, reg, value);
 }
 
 RegSnapshot
 RegisterFile::snapshot(int version) const
 {
     checkVersion(version);
-    return values_[static_cast<size_t>(version)];
+    RegSnapshot regs;
+    for (int r = 0; r < isa::kNumRegs; ++r)
+        regs[static_cast<size_t>(r)] = readFast(version, r);
+    return regs;
 }
 
 void
 RegisterFile::load(int version, const RegSnapshot &regs)
 {
     checkVersion(version);
-    values_[static_cast<size_t>(version)] = regs;
-    values_[static_cast<size_t>(version)][0] = 0;
+    for (int r = 1; r < isa::kNumRegs; ++r)
+        writeFast(version, r, regs[static_cast<size_t>(r)]);
 }
 
 void
@@ -67,14 +60,16 @@ RegisterFile::copyVersion(int src, int dst)
 {
     checkVersion(src);
     checkVersion(dst);
-    values_[static_cast<size_t>(dst)] = values_[static_cast<size_t>(src)];
+    for (LaneWord &row : values_)
+        row[static_cast<size_t>(dst)] = row[static_cast<size_t>(src)];
 }
 
 void
 RegisterFile::clearVersion(int version)
 {
     checkVersion(version);
-    values_[static_cast<size_t>(version)].fill(0);
+    for (LaneWord &row : values_)
+        row[static_cast<size_t>(version)] = 0;
 }
 
 bool
@@ -88,7 +83,7 @@ std::uint16_t
 RegisterFile::compareVersions(int version, int other) const
 {
     checkVersion(other);
-    return compareSnapshot(version, values_[static_cast<size_t>(other)]);
+    return compareSnapshot(version, snapshot(other));
 }
 
 std::uint16_t

@@ -1,5 +1,9 @@
 /** Core executor: single-lane semantics, SIMD lanes, incidental ops. */
 
+#include <array>
+#include <bit>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "isa/assembler.h"
@@ -274,4 +278,180 @@ TEST(CoreExec, NoiseRespectsAcGating)
         ASSERT_EQ(f.core->regs().read(0, 2), 0x80);
     }
     EXPECT_TRUE(r1_noisy);
+}
+
+namespace
+{
+
+/**
+ * The program EveryLaneMaskStepsLikeTheReference steps: every
+ * data-op shape (R-type, I-type, ldi/mov, divide and shift by lane
+ * values that can be 0 or >= 16), all three loads and both stores at
+ * per-lane addresses that straddle plain, versioned write-through,
+ * versioned lane-private and AC bytes, with acen and the AC mask
+ * switched on and off between passes. Branches and the loop counter
+ * (r9) are lane 0's, as in every kernel.
+ */
+constexpr char kLaneMixProgram[] = R"(
+        ldi r9, 5
+    loop:
+        acen 1
+        acset 0x00F6
+        add r1, r1, r10
+        mul r2, r1, r11
+        xori r4, r2, 0x5A5A
+        srai r5, r4, 3
+        sub r6, r5, r1
+        divu r7, r6, r12
+        remu r8, r6, r12
+        min r3, r7, r8
+        maxu r3, r3, r2
+        sll r13, r1, r12
+        sra r14, r2, r11
+        slt r15, r13, r14
+        sltiu r15, r15, 1
+        andi r13, r1, 255
+        addi r13, r13, 4064
+        st8 r4, 0(r13)
+        st16 r2, 2(r13)
+        ld8 r5, 1(r13)
+        ld8s r6, 0(r13)
+        ld16 r7, 2(r13)
+        or r10, r10, r5
+        acen 0
+        addi r11, r11, 7
+        srl r12, r6, r1
+        and r3, r7, r6
+        mov r4, r3
+        st16 r4, 4(r13)
+        ld16 r8, 4(r13)
+        acclr 0x0030
+        acen 1
+        minu r5, r8, r7
+        max r6, r5, r2
+        slli r7, r6, 2
+        srli r8, r7, 1
+        ori r2, r8, 0x0101
+        slti r4, r2, 100
+        st8 r2, 5(r13)
+        ld8 r4, 5(r13)
+        ldi r6, 0x7F
+        addi r9, r9, -1
+        bne r9, r0, loop
+        jal r14, done
+        nop
+    done:
+        halt
+)";
+
+/** One core over its own memory: the AC and versioned layout the
+ *  program's addresses (4064..4324) straddle, and preset bytes. */
+struct LaneMixCore
+{
+    isa::Program program;
+    DataMemory mem{util::Rng(1), 8192};
+    std::unique_ptr<Core> core;
+
+    explicit LaneMixCore(ExecEngine engine)
+        : program(isa::assembleOrDie(kLaneMixProgram))
+    {
+        mem.addVersionedRegion(4096, 64, true);
+        mem.addVersionedRegion(4160, 64, false);
+        mem.addAcRegion({4128, 128, nvm::RetentionPolicy::linear});
+        for (std::uint32_t a = 4064; a < 4352; ++a)
+            mem.hostWrite8(a, static_cast<std::uint8_t>(a * 37 + 11));
+        CoreConfig cfg;
+        cfg.engine = engine;
+        core = std::make_unique<Core>(&program, &mem, cfg, util::Rng(2));
+    }
+};
+
+/** A distinct register file per lane (r0 is dropped by load()). */
+RegSnapshot
+laneRegs(int lane)
+{
+    RegSnapshot regs{};
+    for (int r = 0; r < isa::kNumRegs; ++r)
+        regs[static_cast<size_t>(r)] =
+            static_cast<std::uint16_t>(lane * 0x1357 + r * 0x0F1D + 3);
+    regs[12] = static_cast<std::uint16_t>(lane == 2 ? 0 : 17 + lane);
+    return regs;
+}
+
+/** Everything one step can change, compared between the engines. */
+void
+expectSameState(LaneMixCore &ref, LaneMixCore &fast)
+{
+    ASSERT_EQ(ref.core->pc(), fast.core->pc());
+    ASSERT_EQ(ref.core->halted(), fast.core->halted());
+    for (int v = 0; v < kMaxLanes; ++v) {
+        ASSERT_EQ(ref.core->lane(v).instret, fast.core->lane(v).instret)
+            << "lane " << v;
+        for (int r = 0; r < isa::kNumRegs; ++r)
+            ASSERT_EQ(ref.core->regs().read(v, r),
+                      fast.core->regs().read(v, r))
+                << "version " << v << " r" << r;
+    }
+    for (std::uint32_t a = 4064; a < 4352; ++a) {
+        ASSERT_EQ(ref.mem.hostRead8(a), fast.mem.hostRead8(a)) << a;
+        ASSERT_EQ(ref.mem.precisionAt(a), fast.mem.precisionAt(a)) << a;
+        for (int v = 1; v < kMaxLanes; ++v)
+            ASSERT_EQ(ref.mem.load8(v, a, 8, false),
+                      fast.mem.load8(v, a, 8, false))
+                << "lane " << v << " byte " << a;
+    }
+    util::Rng ref_rng = ref.core->alu().rng();
+    util::Rng fast_rng = fast.core->alu().rng();
+    ASSERT_EQ(ref_rng.next(), fast_rng.next()) << "ALU noise stream";
+}
+
+} // namespace
+
+TEST(CoreExec, EveryLaneMaskStepsLikeTheReference)
+{
+    // Per-lane bits (lane 0 first): every value 1..8 appears, and each
+    // lane sees both noisy (< 8) and exact widths across the rounds.
+    constexpr std::array<std::array<int, kMaxLanes>, 3> kBits = {{
+        {8, 1, 4, 7},
+        {3, 8, 2, 5},
+        {6, 2, 8, 1},
+    }};
+    for (unsigned mask = 1; mask < 8; ++mask) {
+        for (const auto &bits : kBits) {
+            SCOPED_TRACE("lanes " + std::to_string(mask << 1 | 1) +
+                         " bits " + std::to_string(bits[0]) +
+                         std::to_string(bits[1]) +
+                         std::to_string(bits[2]) +
+                         std::to_string(bits[3]));
+            LaneMixCore ref(ExecEngine::reference);
+            LaneMixCore fast(ExecEngine::predecoded);
+            for (LaneMixCore *c : {&ref, &fast}) {
+                // Inactive versions hold junk the step must not touch.
+                for (int v = 0; v < kMaxLanes; ++v)
+                    c->core->regs().load(v, laneRegs(v + 4));
+                c->core->regs().load(0, laneRegs(0));
+                c->core->setMainBits(bits[0]);
+                for (int lane = 1; lane < kMaxLanes; ++lane) {
+                    if ((mask >> (lane - 1)) & 1)
+                        c->core->activateLane(
+                            lane, laneRegs(lane), bits[lane],
+                            static_cast<std::uint16_t>(lane));
+                }
+            }
+            ASSERT_EQ(ref.core->activeLaneCount(),
+                      1 + std::popcount(mask));
+            ASSERT_NO_FATAL_FAILURE(expectSameState(ref, fast));
+            int steps = 0;
+            while (!ref.core->halted()) {
+                ASSERT_LT(steps++, 1000);
+                const StepResult a = ref.core->step();
+                const StepResult b = fast.core->step();
+                ASSERT_EQ(a.op, b.op);
+                ASSERT_EQ(a.cycles, b.cycles);
+                ASSERT_EQ(a.lanes_committed, b.lanes_committed);
+                ASSERT_EQ(a.store_policy, b.store_policy);
+                ASSERT_NO_FATAL_FAILURE(expectSameState(ref, fast));
+            }
+        }
+    }
 }

@@ -4,9 +4,11 @@
  * reference decode-as-you-go interpreter — not approximately, but
  * bit-for-bit.
  *
- * Every paper kernel runs under power profiles 1-3 in three system
- * configurations (baseline, incidental minbits=2, forced 4-lane SIMD)
- * through every engine in the registry (nvp::allExecEngines():
+ * Every paper kernel runs under power profiles 1-3 in four system
+ * configurations (baseline, incidental minbits=2, forced 4-lane SIMD,
+ * and perfbench's sweep_compute regime: always powered, four lanes
+ * drawing ALU noise below 8 bits) through every engine in the
+ * registry (nvp::allExecEngines():
  * reference, predecoded); the serialized SimResult
  * (sim/result_io.h, hexfloat doubles, so byte equality is bit
  * equality) and the full metrics-registry JSON must match the
@@ -75,18 +77,39 @@ simd4Config()
     return cfg;
 }
 
+/**
+ * The regime of perfbench's sweep_compute: income scale 200 keeps the
+ * NVP powered, and the pinned 5 ms sensor period is shorter than every
+ * kernel's frame compute (22.5 ms and up), so once lane 0 finishes its
+ * first frame, history spawns keep all four lanes busy at dynamic 2-8
+ * bits. simd4 pins lanes at 8 bits and draws no noise; here every
+ * incidental lane draws it, lane by lane.
+ */
+sim::SimConfig
+computeConfig()
+{
+    sim::SimConfig cfg = incidentalConfig();
+    cfg.income_scale = 200.0;
+    return cfg;
+}
+
 struct NamedConfig
 {
     const char *name;
     sim::SimConfig cfg;
+    std::size_t samples = kSamples;
+    bool four_lanes = false; ///< assert the run reached >= 3 lanes/step
 };
 
 std::vector<NamedConfig>
 configs()
 {
+    // compute4 runs 0.5 s: lane 0 alone takes fft's first frame
+    // (145 ms), and 0.25 s would leave 2.27 lanes per step.
     return {{"baseline", baselineConfig()},
             {"incidental28", incidentalConfig()},
-            {"simd4", simd4Config()}};
+            {"simd4", simd4Config()},
+            {"compute4", computeConfig(), 2 * kSamples, true}};
 }
 
 /** Serialized SimResult + metrics JSON of one run under @p engine. */
@@ -94,6 +117,10 @@ struct RunOut
 {
     std::string result;
     std::string metrics;
+    /** Lanes per step: core.lane_commits / core.steps, which equal
+     *  sim.forward_progress / sim.instructions by schema identity. */
+    double lanes_per_step = 0.0;
+    std::uint64_t history_spawns = 0;
 };
 
 RunOut
@@ -105,7 +132,10 @@ runEngine(const std::string &kernel, const trace::PowerTrace &power,
     cfg.obs = &observer;
     sim::SystemSimulator sim(kernels::makeKernel(kernel), &power, cfg);
     const sim::SimResult result = sim.run();
-    return {sim::serializeResult(result), observer.registry.toJson()};
+    return {sim::serializeResult(result), observer.registry.toJson(),
+            static_cast<double>(result.forward_progress) /
+                static_cast<double>(result.main_instructions),
+            result.controller.history_spawns};
 }
 
 /** First line where @p a and @p b differ, for readable failures. */
@@ -136,11 +166,17 @@ TEST_P(EngineDiff, BitIdenticalAcrossProfilesAndConfigs)
 {
     const std::string kernel = GetParam();
     for (int profile = 1; profile <= 3; ++profile) {
-        trace::TraceGenerator gen(trace::paperProfile(profile), 99);
-        const trace::PowerTrace power = gen.generate(kSamples);
         for (const NamedConfig &nc : configs()) {
+            trace::TraceGenerator gen(trace::paperProfile(profile), 99);
+            const trace::PowerTrace power = gen.generate(nc.samples);
             const RunOut ref = runEngine(
                 kernel, power, nc.cfg, nvp::ExecEngine::reference);
+            if (nc.four_lanes) {
+                EXPECT_GE(ref.lanes_per_step, 3.0)
+                    << kernel << " profile " << profile << " " << nc.name;
+                EXPECT_GT(ref.history_spawns, 0u)
+                    << kernel << " profile " << profile << " " << nc.name;
+            }
             for (const nvp::ExecEngine engine :
                  nvp::allExecEngines()) {
                 if (engine == nvp::ExecEngine::reference)

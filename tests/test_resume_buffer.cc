@@ -4,6 +4,7 @@
 
 #include "core/recompute.h"
 #include "core/resume_buffer.h"
+#include "util/rng.h"
 
 using namespace inc::core;
 
@@ -81,6 +82,37 @@ TEST(ResumeBuffer, DropStale)
     EXPECT_EQ(buf.count(), 2);
     buf.clear();
     EXPECT_TRUE(buf.empty());
+}
+
+TEST(ResumeBuffer, KeptCountMatchesTheValidSlots)
+{
+    // count() is kept, not scanned: after every mutator, a second
+    // invalidate of one slot included, it must equal a scan.
+    ResumeBuffer buf;
+    const auto scanned = [&buf] {
+        int n = 0;
+        for (int i = 0; i < ResumeBuffer::capacity(); ++i)
+            n += buf.at(i).valid ? 1 : 0;
+        return n;
+    };
+    inc::util::Rng rng(5);
+    std::uint16_t frame = 0;
+    for (int step = 0; step < 2000; ++step) {
+        const std::uint64_t pick = rng.nextBounded(20);
+        if (pick < 10) {
+            ++frame;
+            buf.push(entry(static_cast<std::uint16_t>(step), frame));
+        } else if (pick < 16) {
+            buf.invalidate(static_cast<int>(rng.nextBounded(4)));
+        } else if (pick < 19) {
+            buf.dropStale(frame - static_cast<std::uint32_t>(
+                                      rng.nextBounded(6)));
+        } else {
+            buf.clear();
+        }
+        ASSERT_EQ(buf.count(), scanned()) << "step " << step;
+        ASSERT_EQ(buf.empty(), scanned() == 0) << "step " << step;
+    }
 }
 
 TEST(RecomputeQueue, PassAccounting)
